@@ -56,6 +56,8 @@ from .params import (
     rate_report,
 )
 from .solver import (
+    EnsembleLevel,
+    ParamStack,
     RankOneUpdate,
     StateTrajectory,
     StepReport,
@@ -65,6 +67,7 @@ from .solver import (
     residual,
     simulate,
     solve_structured,
+    step_ensemble,
 )
 
 _submodules = {"analysis", "cli", "errors", "fem", "harness", "params", "solver"}

@@ -12,9 +12,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AnalysisError, MeshError
-from .fem import AssembledSystem, MeshPartition, TridiagMatrix, assemble
+from .fem import AssembledSystem, MeshPartition, TridiagMatrix, assemble, project_initial
 from .params import ModelParams
-from .solver import StateTrajectory, TimeGrid, simulate
+from .solver import StateTrajectory, TimeGrid, step_ensemble
+from .solver import simulate  # noqa: F401  unused here; perfbench probes analysis.simulate
 
 #: Norm samples below this multiple of machine epsilon times the initial norm
 #: are dropped from decay fits (they are round-off noise, not dynamics).
@@ -189,7 +190,7 @@ class EpsilonStudyReport:
 
 
 def _rowwise_l2(mass: TridiagMatrix, states: np.ndarray) -> np.ndarray:
-    """L2 norm of every row of a (levels, n_dof) array of states."""
+    """L2 norm of every row of a (rows, n_dof) array of states."""
     mv = states * mass.diag
     mv[:, :-1] += states[:, 1:] * mass.upper
     mv[:, 1:] += states[:, :-1] * mass.lower
@@ -208,43 +209,69 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     the identical space-time grid and their differences are plain norms of
     state differences.  The gain of each run is ``gain_rule(epsilon)``.
     A failed run marks its row and poisons the adjacent difference entries.
+
+    The runs are stepped together by :func:`step_ensemble`, and each level
+    is folded into the running maxima of the rows as it arrives, so memory
+    does not grow with the number of runs or of time levels.
     """
     epsilons = [float(e) for e in epsilons]
     if any(e2 > e1 for e1, e2 in zip(epsilons, epsilons[1:])):
         raise AnalysisError("epsilons must be descending")
+    if not epsilons:
+        return EpsilonStudyReport(rows=())
     system = assemble(mesh)
+    mass = system.mass
+    members = [ModelParams(nu=params_base.nu, alpha=params_base.alpha,
+                           delta=params_base.delta, r=float(gain_rule(eps)), epsilon=eps)
+               for eps in epsilons]
+    n = len(members)
+    failed = np.zeros(n, dtype=bool)
+    state_l2, state_linf = np.zeros(n), np.zeros(n)
+    # running sup-over-time maxima; entry i - 1 of the diff arrays pairs runs i - 1 and i
+    l2_sup, linf_sup, control_sup = (np.full(n, -np.inf) for _ in range(3))
+    diff_l2, diff_linf, control_diff = (np.full(n - 1, -np.inf) for _ in range(3))
+    levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),
+                           time_grid, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
+    for level in levels:
+        for i, report in level.reports.items():
+            failed[i] |= not report.converged
+        alive, states = level.members, level.states
+        controls = np.array([level.reports[i].control_value for i in alive.tolist()])
+        # reduced like fem.norms, so the columns match a run's own l2 history
+        state_l2[alive] = np.sqrt(np.maximum(np.vecdot(states, mass.matvec(states)), 0.0))
+        state_linf[alive] = np.max(np.abs(states), axis=1, initial=0.0)
+        l2_sup[alive] = np.maximum(l2_sup[alive], state_l2[alive])
+        linf_sup[alive] = np.maximum(linf_sup[alive], state_linf[alive])
+        control_sup[alive] = np.maximum(control_sup[alive], np.abs(controls))
+        pairs = np.flatnonzero(np.diff(alive) == 1)  # rows j, j + 1 hold runs i - 1, i
+        if pairs.size:
+            i_prev = alive[pairs]
+            d = states[pairs + 1] - states[pairs]
+            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], _rowwise_l2(mass, d))
+            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], np.max(np.abs(d), axis=1))
+            control_diff[i_prev] = np.maximum(control_diff[i_prev],
+                                              np.abs(controls[pairs + 1] - controls[pairs]))
+
     rows: list[EpsilonRow] = []
-    prev: StateTrajectory | None = None
-    n_levels = time_grid.n_steps + 1
-    for i, eps in enumerate(epsilons):
-        params = ModelParams(nu=params_base.nu, alpha=params_base.alpha,
-                             delta=params_base.delta, r=float(gain_rule(eps)),
-                             epsilon=eps)
-        traj = simulate(params, mesh, y0, time_grid, "penalized_feedback",
-                        projection=projection, newton_tol=newton_tol,
-                        newton_max_iter=newton_max_iter)
-        failed = traj.failed_at is not None
-        diff_l2 = diff_linf = control_diff = None
+    for i, params in enumerate(members):
+        diffs = (None, None, None)
         if i > 0:
-            if failed or prev is None or prev.failed_at is not None:
-                diff_l2 = diff_linf = control_diff = float("nan")
+            if failed[i] or failed[i - 1]:
+                diffs = (float("nan"),) * 3
             else:
-                d = traj.states - prev.states
-                diff_l2 = float(np.max(_rowwise_l2(system.mass, d)))
-                diff_linf = float(np.max(np.abs(d)))
-                control_diff = float(np.max(np.abs(traj.controls - prev.controls)))
+                diffs = (float(diff_l2[i - 1]), float(diff_linf[i - 1]),
+                         float(control_diff[i - 1]))
         rows.append(EpsilonRow(
-            epsilon=eps,
+            epsilon=params.epsilon,
             r=params.r,
-            state_l2=float(traj.l2[-1]),
-            state_linf=float(traj.linf[-1]),
-            state_l2_sup=float(np.max(traj.l2)),
-            state_linf_sup=float(np.max(traj.linf)),
-            control_linf=float(np.max(np.abs(traj.controls))),
-            diff_l2=diff_l2,
-            diff_linf=diff_linf,
-            control_diff_linf=control_diff,
-            failed=failed,
+            state_l2=float(state_l2[i]),
+            state_linf=float(state_linf[i]),
+            state_l2_sup=float(l2_sup[i]),
+            state_linf_sup=float(linf_sup[i]),
+            control_linf=float(control_sup[i]),
+            diff_l2=diffs[0],
+            diff_linf=diffs[1],
+            control_diff_linf=diffs[2],
+            failed=bool(failed[i]),
         ))
-        prev = traj if traj.n_recorded == n_levels else None
     return EpsilonStudyReport(rows=tuple(rows))

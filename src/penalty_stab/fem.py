@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import MeshError, ParameterDomainError, SingularCoreError
 
@@ -40,6 +40,9 @@ class TridiagMatrix:
     """Tridiagonal matrix stored as three diagonals.
 
     ``lower[i]`` is entry ``(i+1, i)`` and ``upper[i]`` is entry ``(i, i+1)``.
+    Diagonals with a leading axis, ``diag`` of shape ``(B, n)``, hold a stack
+    of B matrices; :meth:`matvec` and :meth:`solve` then act on ``(B, n)``
+    stacks row by row.
     """
 
     diag: np.ndarray
@@ -47,8 +50,8 @@ class TridiagMatrix:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.diag.shape[0]
-        if self.lower.shape != (n - 1,) or self.upper.shape != (n - 1,):
+        off_shape = self.diag.shape[:-1] + (self.diag.shape[-1] - 1,)
+        if self.lower.shape != off_shape or self.upper.shape != off_shape:
             raise ValueError("off-diagonals must have length n - 1")
 
     @classmethod
@@ -57,12 +60,12 @@ class TridiagMatrix:
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
+        y[..., :-1] += self.upper * x[..., 1:]
+        y[..., 1:] += self.lower * x[..., :-1]
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -72,24 +75,29 @@ class TridiagMatrix:
         return a
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct tridiagonal solve (LAPACK elimination on the three bands).
+        """Direct tridiagonal solve (LAPACK ``dgtsv`` on the three bands).
 
-        ``rhs`` may be a vector or a matrix of stacked right-hand sides.
+        ``rhs`` may be a vector or a matrix of stacked right-hand sides, with
+        the stack's leading axis in front for a stack of matrices.  A stack
+        is solved as one block-diagonal band whose couplings between blocks
+        are exactly zero; the elimination does no work across them, so every
+        block's solution equals its own solve bit for bit.
 
         Raises
         ------
         SingularCoreError
-            On a zero pivot (exactly singular matrix).
+            On a zero pivot (exactly singular matrix) in any block.
         """
-        n = self.n
-        ab = np.zeros((3, n))
-        ab[0, 1:] = self.upper
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.lower
-        try:
-            return solve_banded((1, 1), ab, rhs)
-        except LinAlgError as exc:
-            raise SingularCoreError(f"singular tridiagonal system: {exc}") from exc
+        shape = self.diag.shape
+        lower, upper = np.zeros(shape), np.zeros(shape)
+        lower[..., :-1] = self.lower
+        upper[..., 1:] = self.upper
+        _, _, _, x, info = dgtsv(lower.reshape(-1)[:-1], self.diag.reshape(-1),
+                                 upper.reshape(-1)[1:],
+                                 rhs.reshape((-1,) + rhs.shape[len(shape):]))
+        if info > 0:
+            raise SingularCoreError(f"singular tridiagonal system: zero pivot in row {info}")
+        return x.reshape(rhs.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,17 +161,18 @@ def _scatter_element_loads(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Accumulate per-element (left node, right node) loads into DOF order.
 
     Element ``e`` spans nodes ``e`` and ``e + 1``; the left load of element 0
-    belongs to the pinned node and is dropped.
+    belongs to the pinned node and is dropped.  Loads may carry a leading
+    batch axis.
     """
     out = right.copy()
-    out[:-1] += left[1:]
+    out[..., :-1] += left[..., 1:]
     return out
 
 
 def _scatter_element_matrix(d_left, d_right, off) -> TridiagMatrix:
     """Assemble per-element 2x2 symmetric contributions into a TridiagMatrix."""
     diag = _scatter_element_loads(d_left, d_right)
-    return TridiagMatrix.symmetric(diag, off[1:].copy())
+    return TridiagMatrix.symmetric(diag, off[..., 1:].copy())
 
 
 def _mass_matrix(mesh: MeshPartition) -> TridiagMatrix:
@@ -203,18 +212,19 @@ def assemble(mesh: MeshPartition) -> AssembledSystem:
 def _element_endpoint_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodal values (left, right) of each element; the pinned node is zero."""
     left = np.empty_like(y)
-    left[0] = 0.0
-    left[1:] = y[:-1]
+    left[..., 0] = 0.0
+    left[..., 1:] = y[..., :-1]
     return left, y
 
 
 def _gauss_values(y: np.ndarray) -> np.ndarray:
     """Values of the P1 function at the 3 Gauss points of every element.
 
-    Returns an array of shape ``(n_elements, 3)``.
+    Returns an array of shape ``(n_elements, 3)``, behind the leading axis of
+    a ``(B, n_dof)`` stack.
     """
     left, right = _element_endpoint_values(y)
-    return left[:, None] + np.outer(right - left, GAUSS3_POINTS)
+    return left[..., None] + (right - left)[..., None] * GAUSS3_POINTS
 
 
 def evaluate(mesh: MeshPartition, y: np.ndarray, x) -> np.ndarray:
@@ -227,7 +237,7 @@ def cubic_term(mesh: MeshPartition, y: np.ndarray) -> np.ndarray:
     """Load vector of the cubic nonlinearity: entries ``integral(y^3 * phi_i)``.
 
     The integrand is polynomial of degree 4 per element, so the 3-point Gauss
-    rule is exact.
+    rule is exact.  A ``(B, n_dof)`` stack of states gives one load per row.
     """
     vals = _gauss_values(y) ** 3
     h = mesh.element_sizes
@@ -239,7 +249,8 @@ def cubic_term(mesh: MeshPartition, y: np.ndarray) -> np.ndarray:
 def cubic_jacobian(mesh: MeshPartition, y: np.ndarray) -> TridiagMatrix:
     """Derivative of :func:`cubic_term`: entries ``integral(3*y^2*phi_j*phi_i)``.
 
-    Symmetric positive semidefinite; exact by the same degree argument.
+    Symmetric positive semidefinite; exact by the same degree argument.  A
+    ``(B, n_dof)`` stack of states gives a stack of matrices.
     """
     sq = 3.0 * _gauss_values(y) ** 2
     h = mesh.element_sizes

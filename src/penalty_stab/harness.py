@@ -117,6 +117,8 @@ def _number(cfg: dict, path: str, *, default=..., positive=False,
     value = _get(cfg, path, default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):  # json accepts NaN and Infinity
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"{path}: must be positive, got {value!r}")
     if nonnegative and not value >= 0:
@@ -147,8 +149,8 @@ def _gain_rule(value, path: str) -> tuple[Callable[[float], float], str]:
                               f"expected one of {sorted(GAIN_RULES)} or a number")
         return GAIN_RULES[value], value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value < 0:
-            raise ConfigError(f"{path}: constant gain must be >= 0, got {value!r}")
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{path}: constant gain must be finite and >= 0, got {value!r}")
         return (lambda _eps, _r=float(value): _r), f"constant:{float(value):.17g}"
     raise ConfigError(f"{path}: expected a rule name or a number, got {value!r}")
 
@@ -231,9 +233,10 @@ def validate_config(cfg: dict, kind: str) -> dict:
     else:  # epsilon_study
         eps_list = _get(cfg, "experiment.epsilons")
         if (not isinstance(eps_list, list) or not eps_list
-                or any(not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0
-                       for e in eps_list)):
-            raise ConfigError("experiment.epsilons: expected a non-empty list of positive numbers")
+                or any(not isinstance(e, (int, float)) or isinstance(e, bool)
+                       or not 0 < e < math.inf for e in eps_list)):
+            raise ConfigError("experiment.epsilons: expected a non-empty list of positive "
+                              "finite numbers")
         eps_list = [float(e) for e in eps_list]
         if any(b > a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("experiment.epsilons: must be descending")

@@ -16,15 +16,20 @@ of the tridiagonal core, so the banded solve is unmodified.
 The uncontrolled baseline pins both endpoints to zero (the boundary DOF and
 all penalty terms are dropped) and steps the homogeneous problem.
 
-A single simulation is strictly sequential in time; independent simulations
-share no mutable state and may run concurrently.
+A single simulation is strictly sequential in time.  Runs that share a mesh
+and a time grid are stepped together instead (:func:`step_ensemble`): their
+states form a ``(B, N)`` stack, each Newton iteration evaluates one stacked
+residual and Jacobian, and one banded elimination solves all B cores, whose
+couplings in the stacked band are exactly zero.  The Sherman-Morrison
+correction is applied per member, and each member leaves the iteration at
+its own convergence, so every run equals its separate run bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,22 +127,48 @@ class StateTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class RankOneUpdate:
-    """Rank-one matrix contribution ``outer(u, v)``."""
+    """Rank-one matrix contribution ``outer(u, v)`` (one per row for stacks)."""
 
     u: np.ndarray
     v: np.ndarray
 
 
-def residual(params: ModelParams, system: AssembledSystem, y: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class ParamStack:
+    """Coefficients of B runs, each a ``(B, 1)`` column.
+
+    The columns broadcast against ``(B, N)`` state stacks, so the scheme's
+    formulas read the same for a stack as for one :class:`ModelParams` and
+    one state.
+    """
+
+    nu: np.ndarray
+    alpha: np.ndarray
+    delta: np.ndarray
+    r: np.ndarray
+    epsilon: np.ndarray
+
+    @classmethod
+    def of(cls, members: Sequence[ModelParams]) -> "ParamStack":
+        return cls(**{f.name: np.array([[getattr(p, f.name)] for p in members])
+                      for f in fields(cls)})
+
+    def take(self, index: np.ndarray) -> "ParamStack":
+        return ParamStack(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+
+def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
              y_prev: np.ndarray, k: float,
              control_state: np.ndarray | None = None) -> np.ndarray:
     """Residual of one backward Euler step of the penalized feedback scheme.
 
     ``control_state`` selects the state the feedback functional acts on;
-    the default (``None``) is the implicit choice ``y`` itself.
+    the default (``None``) is the implicit choice ``y`` itself.  With a
+    :class:`ParamStack` the states are ``(B, N)`` stacks and each row gets
+    its own residual.
     """
     n = system.n_dof
-    if y.shape != (n,) or y_prev.shape != (n,):
+    if y.shape[-1:] != (n,) or y_prev.shape != y.shape:
         raise MeshError("state vectors do not match the assembled system")
     if k <= 0.0:
         raise ParameterDomainError(f"time step must be positive, got {k!r}")
@@ -147,33 +178,37 @@ def residual(params: ModelParams, system: AssembledSystem, y: np.ndarray,
     f -= params.alpha * m.matvec(y)
     f += params.delta * cubic_term(system.mesh, y)
     yc = y if control_state is None else control_state
-    b = system.boundary_dof
+    b = slice(system.boundary_dof, system.boundary_dof + 1)
     # Penalty and feedback combined before the 1/eps amplification keeps the
     # boundary equation accurate at very small eps.
-    f[b] += (params.nu / params.epsilon) * (y[b] + params.r * float(system.moment @ yc))
+    f[..., b] += (params.nu / params.epsilon) * (
+        y[..., b] + params.r * np.vecdot(yc, system.moment)[..., None])
     return f
 
 
-def jacobian(params: ModelParams, system: AssembledSystem, y: np.ndarray, k: float,
-             implicit_control: bool = True) -> tuple[TridiagMatrix, RankOneUpdate | None]:
+def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
+             k: float, implicit_control: bool = True
+             ) -> tuple[TridiagMatrix, RankOneUpdate | None]:
     """Newton matrix of :func:`residual`, split into tridiagonal + rank-one.
 
     The tridiagonal core is ``M/k + nu K - alpha M + delta C'(y)`` with the
     penalty ``nu/eps`` folded into the boundary diagonal entry.  The implicit
     feedback contributes the dense boundary row ``(nu r / eps) e_b w^T``,
-    returned separately (``None`` when ``r == 0`` or the control is lagged).
+    returned separately (``None`` when every gain is 0 or the control is
+    lagged).  A ``(B, N)`` stack of states gives stacks of both parts.
     """
     m = system.mass
     jc = cubic_jacobian(system.mesh, y)
     weight = 1.0 / k - params.alpha
     diag = weight * m.diag + params.nu * system.stiffness.diag + params.delta * jc.diag
     off = weight * m.lower + params.nu * system.stiffness.lower + params.delta * jc.lower
-    diag[system.boundary_dof] += params.nu / params.epsilon
+    b = system.boundary_dof
+    diag[..., b:b + 1] += params.nu / params.epsilon
     core = TridiagMatrix.symmetric(diag, off)
-    if params.r == 0.0 or not implicit_control:
+    if not implicit_control or not np.count_nonzero(params.r):
         return core, None
-    u = np.zeros(system.n_dof)
-    u[system.boundary_dof] = 1.0
+    u = np.zeros(diag.shape)
+    u[..., b] = 1.0
     return core, RankOneUpdate(u=u, v=(params.nu * params.r / params.epsilon) * system.moment)
 
 
@@ -183,6 +218,8 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
 
     One banded elimination handles both right-hand sides (``rhs`` and ``u``);
     the rank-one part is then removed by the Sherman-Morrison correction.
+    For a stack of systems (``rhs`` of shape ``(B, N)``) all cores go through
+    one stacked elimination and each row gets its own correction.
 
     Raises
     ------
@@ -193,49 +230,162 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     """
     if rank_one is None:
         return core.solve(rhs)
-    both = core.solve(np.column_stack((rhs, rank_one.u)))
-    x_rhs, x_u = both[:, 0], both[:, 1]
-    v_xu = float(rank_one.v @ x_u)
+    both = np.empty(rhs.shape + (2,))
+    both[..., 0] = rhs
+    both[..., 1] = rank_one.u
+    both = core.solve(both)
+    x_rhs, x_u = both[..., 0], both[..., 1]
+    v_xu = np.vecdot(rank_one.v, x_u)
     denom = 1.0 + v_xu
-    if abs(denom) <= 1e-12 * max(1.0, abs(v_xu)):
+    singular = np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(v_xu))
+    if singular.any():
         raise SingularUpdateError(
-            f"rank-one update is singular: 1 + v.core^-1.u = {denom:.3e}"
+            f"rank-one update is singular: 1 + v.core^-1.u = "
+            f"{np.ravel(denom)[np.argmax(singular)]:.3e}"
         )
-    return x_rhs - x_u * (float(rank_one.v @ x_rhs) / denom)
+    return x_rhs - x_u * (np.vecdot(rank_one.v, x_rhs) / denom)[..., None]
 
 
-def newton_solve(params: ModelParams, system: AssembledSystem, y_prev: np.ndarray,
-                 k: float, tol: float = 1e-12, max_iter: int = 25,
-                 implicit_control: bool = True) -> tuple[np.ndarray, StepReport]:
+def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
+                 y_prev: np.ndarray, k: float, tol: float = 1e-12, max_iter: int = 25,
+                 implicit_control: bool = True
+                 ) -> tuple[np.ndarray, StepReport | tuple[StepReport, ...]]:
     """Advance one backward Euler step by Newton iteration from ``y_prev``.
 
     Stops when the Euclidean norm of the residual drops to ``tol``.  A step
     that exhausts ``max_iter`` returns its diagnostics with
     ``converged=False`` instead of raising; linear-solve failures propagate.
+    Returns the new state and its :class:`StepReport`.
+
+    With a ``(B, N)`` stack ``y_prev`` the B steps share each iteration's
+    residual, Jacobian and stacked solve, and the result is the new stack and
+    a tuple of B reports.  ``params`` is then a :class:`ParamStack`, or one
+    :class:`ModelParams` shared by every member.  A member leaves the
+    iteration once it converges, so it takes exactly the iterates of its
+    own step.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     y = y_prev.copy()
-    control_state = None if implicit_control else y_prev
-    f = residual(params, system, y, y_prev, k, control_state=control_state)
-    history = [float(np.linalg.norm(f))]
-    converged = False
-    for _ in range(max_iter):
-        core, rank_one = jacobian(params, system, y, k, implicit_control=implicit_control)
-        y = y - solve_structured(core, rank_one, f)
-        f = residual(params, system, y, y_prev, k, control_state=control_state)
-        history.append(float(np.linalg.norm(f)))
-        if history[-1] <= tol:
-            converged = True
+    p, y_a, prev_a = params, y, y_prev
+    control_a = None if implicit_control else y_prev
+    f = residual(p, system, y_a, prev_a, k, control_state=control_a)
+    histories = [[norm] for norm in np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()]
+    active = list(range(len(histories)))  # members still iterating
+    for iteration in range(max_iter):
+        core, rank_one = jacobian(p, system, y_a, k, implicit_control=implicit_control)
+        y_a = y_a - solve_structured(core, rank_one, f)
+        f = residual(p, system, y_a, prev_a, k, control_state=control_a)
+        keep = []
+        for member, norm in zip(active, np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()):
+            histories[member].append(norm)
+            keep.append(not norm <= tol)  # a NaN residual keeps iterating, as alone
+        last = iteration == max_iter - 1
+        if all(keep) and not last:
+            continue
+        # members leave the iteration: store their states
+        if len(active) == len(histories):
+            y = y_a
+        else:
+            y[active] = y_a
+        if last or not any(keep):
             break
-    report = StepReport(
-        newton_iterations=len(history) - 1,
-        final_residual_norm=history[-1],
-        control_value=-params.r * float(system.moment @ y),
-        converged=converged,
-        residual_norms=tuple(history),
+        rows = np.flatnonzero(keep)
+        active = [active[j] for j in rows]
+        y_a, prev_a, f = y_a[rows], prev_a[rows], f[rows]
+        if isinstance(p, ParamStack):
+            p = p.take(rows)
+        if control_a is not None:
+            control_a = control_a[rows]
+    controls = np.ravel(-params.r) * np.vecdot(y, system.moment)
+    reports = tuple(
+        StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
+                   control_value=control, converged=history[-1] <= tol,
+                   residual_norms=tuple(history))
+        for history, control in zip(histories, controls.tolist())
     )
-    return y, report
+    return (y, reports[0]) if y.ndim == 1 else (y, reports)
+
+
+@dataclass(frozen=True, eq=False)
+class EnsembleLevel:
+    """One time level of the runs stepped by :func:`step_ensemble`.
+
+    ``members`` lists, ascending, the runs whose steps have all converged up
+    to this level, and ``states`` holds their states row by row.
+    ``reports`` maps every run that attempted this level's step to its
+    :class:`StepReport`, failed ones included; at level 0 it holds the
+    initial reports.
+    """
+
+    index: int
+    members: np.ndarray
+    states: np.ndarray
+    reports: dict[int, StepReport]
+
+
+def _initial_report(control_value: float) -> StepReport:
+    return StepReport(newton_iterations=0, final_residual_norm=0.0,
+                      control_value=control_value, converged=True, residual_norms=(0.0,))
+
+
+def _march(step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Sequence[StepReport]]],
+           states: np.ndarray, initial: Sequence[StepReport],
+           n_steps: int) -> Iterator[EnsembleLevel]:
+    """Yield the levels of ``n_steps`` steps of ``step(members, states)``.
+
+    A member whose step fails is dropped; the march ends when none is left.
+    """
+    members = np.arange(states.shape[0])
+    yield EnsembleLevel(0, members, states, dict(enumerate(initial)))
+    for n in range(1, n_steps + 1):
+        states, reports = step(members, states)
+        attempted = dict(zip(members.tolist(), reports))
+        ok = [report.converged for report in reports]
+        if not all(ok):
+            rows = np.flatnonzero(ok)
+            members, states = members[rows], states[rows]
+        yield EnsembleLevel(n, members, states, attempted)
+        if not members.size:
+            return
+
+
+def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
+                  y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = 1e-12,
+                  newton_max_iter: int = 25,
+                  implicit_control: bool = True) -> Iterator[EnsembleLevel]:
+    """Step penalized runs that share a mesh, a time grid and ``y0`` together.
+
+    The runs advance as one ``(B, N)`` stack through :func:`newton_solve`,
+    one :class:`EnsembleLevel` per time level, initial level first.  Each
+    run takes exactly the iterates it would take alone.  A run whose step
+    does not converge is dropped at that level and the others keep
+    stepping; linear-solve failures propagate.  Only the current level is
+    held, so memory does not grow with the number of steps.  Each run that
+    violates the stabilization conditions triggers a warning.
+    """
+    for params in members:
+        admissible, detail = check_admissibility(params)
+        if not admissible:
+            warnings.warn("stabilization conditions violated; decay is not certified "
+                          f"({detail})", RuntimeWarning, stacklevel=2)
+    moment_y0 = float(np.vecdot(y0, system.moment))
+    initial = [_initial_report(-params.r * moment_y0) for params in members]
+    options = dict(tol=newton_tol, max_iter=newton_max_iter, implicit_control=implicit_control)
+    if len(members) == 1:
+        # a lone run steps as a 1-D state, which costs numpy less per call
+        def step(_alive: np.ndarray, y_prev: np.ndarray):
+            y, report = newton_solve(members[0], system, y_prev[0], time_grid.k, **options)
+            return y[None], (report,)
+    else:
+        stack = ParamStack.of(members)
+
+        def step(alive: np.ndarray, y_prev: np.ndarray):
+            params = stack if alive.size == len(members) else stack.take(alive)
+            return newton_solve(params, system, y_prev, time_grid.k, **options)
+
+    return _march(step, np.repeat(y0[None], len(members), axis=0), initial,
+                  time_grid.n_steps)
 
 
 def _reduced(matrix: TridiagMatrix) -> TridiagMatrix:
@@ -298,64 +448,52 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     """Run the fully discrete scheme over ``time_grid``.
 
     ``variant="penalized_feedback"`` steps the penalized scheme with the
-    feedback control; ``variant="uncontrolled_dirichlet"`` pins both
-    endpoints to zero and drops every penalty and control term.  Parameters
-    that violate the stabilization conditions trigger a warning, not an
-    error; some study regimes violate them deliberately.
+    feedback control, as the one-run case of :func:`step_ensemble`;
+    ``variant="uncontrolled_dirichlet"`` pins both endpoints to zero and
+    drops every penalty and control term.  Parameters that violate the
+    stabilization conditions trigger a warning, not an error; some study
+    regimes violate them deliberately.
     """
     if variant not in VARIANTS:
         raise ParameterDomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    admissible, detail = check_admissibility(params)
-    if not admissible and variant == "penalized_feedback":
-        warnings.warn(f"stabilization conditions violated; decay is not certified ({detail})",
-                      RuntimeWarning, stacklevel=2)
-
     system = assemble(mesh)
-    n_dof = system.n_dof
+    y = project_initial(mesh, y0, mode=projection)
+    if variant == "penalized_feedback":
+        levels = step_ensemble([params], system, y, time_grid, newton_tol=newton_tol,
+                               newton_max_iter=newton_max_iter,
+                               implicit_control=implicit_control)
+    else:
+        y[-1] = 0.0
+
+        def step(_alive: np.ndarray, y_prev: np.ndarray):
+            state, report = _newton_uncontrolled(params, system, y_prev[0], time_grid.k,
+                                                 newton_tol, newton_max_iter)
+            return state[None], (report,)
+
+        levels = _march(step, y[None], [_initial_report(0.0)], time_grid.n_steps)
+
     n_levels = time_grid.n_steps + 1
-    times = time_grid.times()
-    states = np.zeros((n_levels, n_dof))
+    states = np.zeros((n_levels, system.n_dof))
     controls = np.zeros(n_levels)
     norm_arrays = {name: np.zeros(n_levels) for name in ("l2", "linf", "l4", "h1_semi")}
     reports: list[StepReport] = []
-
-    y = project_initial(mesh, y0, mode=projection)
-    if variant == "uncontrolled_dirichlet":
-        y[-1] = 0.0
-
-    def record(level: int, state: np.ndarray) -> None:
-        states[level] = state
-        if variant == "penalized_feedback":
-            controls[level] = -params.r * float(system.moment @ state)
-        ns = norms(system, state)
-        for name in norm_arrays:
-            norm_arrays[name][level] = getattr(ns, name)
-
-    record(0, y)
-    reports.append(StepReport(newton_iterations=0, final_residual_norm=0.0,
-                              control_value=float(controls[0]), converged=True,
-                              residual_norms=(0.0,)))
-
     failed_at = None
-    recorded = 1
-    for n in range(1, n_levels):
-        if variant == "penalized_feedback":
-            y, report = newton_solve(params, system, y, time_grid.k,
-                                     tol=newton_tol, max_iter=newton_max_iter,
-                                     implicit_control=implicit_control)
-        else:
-            y, report = _newton_uncontrolled(params, system, y, time_grid.k,
-                                             newton_tol, newton_max_iter)
+    for level in levels:
+        report = level.reports[0]
         reports.append(report)
-        if not report.converged:
-            failed_at = n
+        if not level.members.size:
+            failed_at = level.index
             break
-        record(n, y)
-        recorded = n + 1
+        states[level.index] = level.states[0]
+        controls[level.index] = report.control_value
+        ns = norms(system, level.states[0])
+        for name, values in norm_arrays.items():
+            values[level.index] = getattr(ns, name)
 
+    recorded = n_levels if failed_at is None else failed_at
     return StateTrajectory(
         variant=variant,
-        times=times[:recorded],
+        times=time_grid.times()[:recorded],
         states=states[:recorded],
         controls=controls[:recorded],
         l2=norm_arrays["l2"][:recorded],

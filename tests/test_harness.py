@@ -329,6 +329,22 @@ def test_cli_solver_failure_exits_two(tmp_path, capsys):
     assert (tmp_path / "out" / "decay_penalized_feedback.csv").exists()
 
 
+@pytest.mark.parametrize("command, config, override", [
+    ("simulate", decay_config, "time.T=Infinity"),
+    ("simulate", decay_config, "model.nu=Infinity"),
+    ("simulate", decay_config, "model.alpha=Infinity"),
+    ("simulate", decay_config, "model.delta=Infinity"),
+    ("epsilon-study", epsilon_config, "experiment.epsilons=[Infinity, 0.1]"),
+    ("epsilon-study", epsilon_config, "experiment.gain_rule=Infinity"),
+])
+def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, command, config, override):
+    path = write_config(tmp_path, config())
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--override", override])
+    assert code == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
 def test_cli_determinism_byte_identical(tmp_path, capsys):
     path = write_config(tmp_path, decay_config())
     for sub in ("a", "b"):

@@ -6,7 +6,9 @@ from penalty_stab import (
     MeshError,
     ModelParams,
     ParameterDomainError,
+    ParamStack,
     RankOneUpdate,
+    SingularCoreError,
     SingularUpdateError,
     TimeGrid,
     TridiagMatrix,
@@ -185,6 +187,49 @@ def test_structured_solve_singular_update_detected():
         solve_structured(core, RankOneUpdate(u=u, v=v), rhs)
 
 
+def stacked(systems):
+    """One stack of cores, rank-one updates and right-hand sides."""
+    cores, rank_ones, rhss = zip(*systems)
+    core = TridiagMatrix(diag=np.stack([c.diag for c in cores]),
+                         lower=np.stack([c.lower for c in cores]),
+                         upper=np.stack([c.upper for c in cores]))
+    rank_one = RankOneUpdate(u=np.stack([r.u for r in rank_ones]),
+                             v=np.stack([r.v for r in rank_ones]))
+    return core, rank_one, np.stack(rhss)
+
+
+def test_stacked_solves_equal_separate_solves_bit_for_bit():
+    rng = np.random.default_rng(31)
+    systems = [random_structured_system(rng, 12) for _ in range(5)]
+    core, rank_one, rhs = stacked(systems)
+    plain = core.solve(rhs)
+    structured = solve_structured(core, rank_one, rhs)
+    for b, (core_b, rank_one_b, rhs_b) in enumerate(systems):
+        assert np.array_equal(plain[b], core_b.solve(rhs_b))
+        assert np.array_equal(structured[b], solve_structured(core_b, rank_one_b, rhs_b))
+
+
+def test_stacked_solve_zero_pivot_in_one_block_raises():
+    rng = np.random.default_rng(32)
+    core, _, rhs = stacked([random_structured_system(rng, 6) for _ in range(3)])
+    core.diag[1, 0] = 0.0  # column 0 of block 1 is zero: a zero pivot
+    core.lower[1, 0] = 0.0
+    with pytest.raises(SingularCoreError):
+        core.solve(rhs)
+
+
+def test_stacked_solve_singular_update_in_one_member_raises():
+    rng = np.random.default_rng(33)
+    systems = [random_structured_system(rng, 8) for _ in range(3)]
+    core_1, _, rhs_1 = systems[1]
+    u = np.zeros(8)
+    u[-1] = 1.0
+    x_u = np.linalg.solve(core_1.to_dense(), u)
+    systems[1] = (core_1, RankOneUpdate(u=u, v=-x_u / float(x_u @ x_u)), rhs_1)
+    with pytest.raises(SingularUpdateError):
+        solve_structured(*stacked(systems))
+
+
 # ---------------------------------------------------------------------------
 # newton
 
@@ -243,6 +288,40 @@ def test_newton_nonconvergence_reported_not_raised():
     assert not report.converged
     assert report.newton_iterations == 2
     assert np.all(np.isfinite(y))
+
+
+def test_newton_stack_equals_separate_steps():
+    # members converge after different iteration counts and one runs out of
+    # iterations; each must take exactly the iterates of its own step
+    system = assemble(make_uniform_mesh(16))
+    x = system.mesh.nodes[1:]
+    members = [
+        (ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.3, epsilon=0.01), sin_pi(x)),
+        (ModelParams(nu=0.1, alpha=0.5, delta=2.0, r=0.3, epsilon=0.05), 3.0 * sin_pi(x)),
+        (EXAMPLE, 0.5 * sin_pi(x)),
+        (ModelParams(nu=0.1, alpha=0.5, delta=2.0, r=0.3, epsilon=0.05), 2.0 * sin_pi(x)),
+    ]
+    for implicit in (True, False):
+        params = ParamStack.of([p for p, _ in members])
+        y_prev = np.stack([y for _, y in members])
+        y, reports = newton_solve(params, system, y_prev, k=0.5, tol=1e-13, max_iter=4,
+                                  implicit_control=implicit)
+        separate = [newton_solve(p, system, y0, k=0.5, tol=1e-13, max_iter=4,
+                                 implicit_control=implicit) for p, y0 in members]
+        assert len({r.newton_iterations for r in reports}) > 1
+        assert not all(r.converged for r in reports)
+        for b, (y_b, report_b) in enumerate(separate):
+            assert np.array_equal(y[b], y_b)
+            assert reports[b] == report_b
+
+
+def test_newton_nan_state_reported_not_raised():
+    system = assemble(make_uniform_mesh(8))
+    y_prev = np.ones(8)
+    y_prev[3] = np.nan
+    _, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, max_iter=3)
+    assert not report.converged
+    assert report.newton_iterations == 3
 
 
 def test_newton_control_value_matches_state():
