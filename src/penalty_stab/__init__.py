@@ -57,6 +57,7 @@ from .params import (
 )
 from .solver import (
     EnsembleLevel,
+    LinearPart,
     ParamStack,
     RankOneUpdate,
     StateTrajectory,

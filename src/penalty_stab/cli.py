@@ -62,6 +62,11 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path below one
+        print(f"error: cannot create output directory {out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
+    try:
         result = RUNNERS[kind](resolved, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

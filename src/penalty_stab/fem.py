@@ -33,6 +33,14 @@ from .errors import MeshError, ParameterDomainError, SingularCoreError
 _G = math.sqrt(0.6)
 GAUSS3_POINTS = np.array([0.5 * (1.0 - _G), 0.5, 0.5 * (1.0 + _G)])
 GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+# Weights times the hat functions at the Gauss points: ``_W_LEFT``/``_W_RIGHT``
+# integrate against the element's left/right hat, ``_W_LL``/``_W_RR``/``_W_LR``
+# against products of two hats.
+_W_LEFT = GAUSS3_WEIGHTS * (1.0 - GAUSS3_POINTS)
+_W_RIGHT = GAUSS3_WEIGHTS * GAUSS3_POINTS
+_W_LL = GAUSS3_WEIGHTS * (1.0 - GAUSS3_POINTS) ** 2
+_W_RR = GAUSS3_WEIGHTS * GAUSS3_POINTS ** 2
+_W_LR = GAUSS3_WEIGHTS * GAUSS3_POINTS * (1.0 - GAUSS3_POINTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +89,9 @@ class TridiagMatrix:
         the stack's leading axis in front for a stack of matrices.  A stack
         is solved as one block-diagonal band whose couplings between blocks
         are exactly zero; the elimination does no work across them, so every
-        block's solution equals its own solve bit for bit.
+        block's solution equals its own solve bit for bit.  ``dgtsv``
+        overwrites its arguments, so it is left to copy them: the matrix and
+        ``rhs`` are not modified.
 
         Raises
         ------
@@ -89,15 +99,19 @@ class TridiagMatrix:
             On a zero pivot (exactly singular matrix) in any block.
         """
         shape = self.diag.shape
-        lower, upper = np.zeros(shape), np.zeros(shape)
-        lower[..., :-1] = self.lower
-        upper[..., 1:] = self.upper
-        _, _, _, x, info = dgtsv(lower.reshape(-1)[:-1], self.diag.reshape(-1),
-                                 upper.reshape(-1)[1:],
-                                 rhs.reshape((-1,) + rhs.shape[len(shape):]))
+        if len(shape) == 1:
+            _, _, _, x, info = dgtsv(self.lower, self.diag, self.upper, rhs)
+        else:
+            lower, upper = np.zeros(shape), np.zeros(shape)
+            lower[..., :-1] = self.lower
+            upper[..., 1:] = self.upper
+            _, _, _, x, info = dgtsv(lower.reshape(-1)[:-1], self.diag.reshape(-1),
+                                     upper.reshape(-1)[1:],
+                                     rhs.reshape((-1,) + rhs.shape[len(shape):]))
+            x = x.reshape(rhs.shape)
         if info > 0:
             raise SingularCoreError(f"singular tridiagonal system: zero pivot in row {info}")
-        return x.reshape(rhs.shape)
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +255,7 @@ def cubic_term(mesh: MeshPartition, y: np.ndarray) -> np.ndarray:
     """
     vals = _gauss_values(y) ** 3
     h = mesh.element_sizes
-    w_left = GAUSS3_WEIGHTS * (1.0 - GAUSS3_POINTS)
-    w_right = GAUSS3_WEIGHTS * GAUSS3_POINTS
-    return _scatter_element_loads(h * (vals @ w_left), h * (vals @ w_right))
+    return _scatter_element_loads(h * (vals @ _W_LEFT), h * (vals @ _W_RIGHT))
 
 
 def cubic_jacobian(mesh: MeshPartition, y: np.ndarray) -> TridiagMatrix:
@@ -254,11 +266,7 @@ def cubic_jacobian(mesh: MeshPartition, y: np.ndarray) -> TridiagMatrix:
     """
     sq = 3.0 * _gauss_values(y) ** 2
     h = mesh.element_sizes
-    s = GAUSS3_POINTS
-    w_ll = GAUSS3_WEIGHTS * (1.0 - s) ** 2
-    w_rr = GAUSS3_WEIGHTS * s ** 2
-    w_lr = GAUSS3_WEIGHTS * s * (1.0 - s)
-    return _scatter_element_matrix(h * (sq @ w_ll), h * (sq @ w_rr), h * (sq @ w_lr))
+    return _scatter_element_matrix(h * (sq @ _W_LL), h * (sq @ _W_RR), h * (sq @ _W_LR))
 
 
 def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
@@ -280,9 +288,7 @@ def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
     h = mesh.element_sizes
     # f at the Gauss points of every element, shape (n_elements, 3)
     fx = np.asarray(f(x_left[:, None] + np.outer(h, GAUSS3_POINTS)), dtype=float)
-    w_left = GAUSS3_WEIGHTS * (1.0 - GAUSS3_POINTS)
-    w_right = GAUSS3_WEIGHTS * GAUSS3_POINTS
-    load = _scatter_element_loads(h * (fx @ w_left), h * (fx @ w_right))
+    load = _scatter_element_loads(h * (fx @ _W_LEFT), h * (fx @ _W_RIGHT))
     return _mass_matrix(mesh).solve(load)
 
 

@@ -399,6 +399,12 @@ def _common_pieces(resolved: dict):
     return grid, profile, newton["tol"], newton["max_iter"]
 
 
+def _model_params(model: dict, r: float, epsilon: float) -> ModelParams:
+    """Parameters of the resolved ``model`` with gain ``r`` and penalty ``epsilon``."""
+    return ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
+                       r=r, epsilon=epsilon)
+
+
 def _try_svg(files: list[Path], notes: list[str], path, x, series, **kwargs) -> None:
     try:
         files.append(emit_svg(path, x, series, **kwargs))
@@ -415,8 +421,7 @@ def run_decay_experiment(resolved: dict, out_dir) -> HarnessResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     grid, profile, tol, max_iter = _common_pieces(resolved)
     model = resolved["model"]
-    params = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
-                         r=model["r"], epsilon=model["epsilon"])
+    params = _model_params(model, model["r"], model["epsilon"])
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
     variants = ["penalized_feedback"]
     if resolved["experiment"]["include_uncontrolled"]:
@@ -481,9 +486,7 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
     rates_per_row = []
 
     eps_ref = rule_c * (1.0 / n_ref) ** rule_l
-    control_ref_params = ModelParams(nu=model["nu"], alpha=model["alpha"],
-                                     delta=model["delta"], r=float(gain(eps_ref)),
-                                     epsilon=eps_ref)
+    control_ref_params = _model_params(model, float(gain(eps_ref)), eps_ref)
     control_reference = simulate(control_ref_params, ref_mesh, profile, grid,
                                  projection=resolved["projection"], newton_tol=tol,
                                  newton_max_iter=max_iter)
@@ -496,8 +499,7 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
             break
         h = 1.0 / n
         eps = rule_c * h ** rule_l
-        params = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
-                             r=float(gain(eps)), epsilon=eps)
+        params = _model_params(model, float(gain(eps)), eps)
         rates_per_row.append({"h": h, "epsilon": eps, "r": params.r,
                               "admissible": rate_report(params).admissible})
         mesh = make_uniform_mesh(n)
@@ -567,8 +569,7 @@ def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
     exp = resolved["experiment"]
     gain, _ = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
-    base = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
-                       r=0.0, epsilon=exp["epsilons"][0])
+    base = _model_params(model, 0.0, exp["epsilons"][0])
 
     report: EpsilonStudyReport = epsilon_cauchy_study(
         base, mesh, grid, exp["epsilons"], gain, y0=profile,
@@ -577,12 +578,10 @@ def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
 
     failures = [f"epsilon={row.epsilon:g}: newton failure" for row in report.rows if row.failed]
     notes: list[str] = []
-    rates_per_row = []
-    for row in report.rows:
-        params = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
-                             r=row.r, epsilon=row.epsilon)
-        rates_per_row.append({"epsilon": row.epsilon, "r": row.r,
-                              "admissible": rate_report(params).admissible})
+    rates_per_row = [{"epsilon": row.epsilon, "r": row.r,
+                      "admissible": rate_report(_model_params(model, row.r,
+                                                              row.epsilon)).admissible}
+                     for row in report.rows]
     metadata = {"config": resolved, "rates_per_row": rates_per_row}
     if failures:
         metadata["failures"] = failures

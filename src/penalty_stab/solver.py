@@ -13,6 +13,15 @@ that structure via a tridiagonal elimination plus a Sherman-Morrison
 correction.  The Robin penalty itself is folded into the last diagonal entry
 of the tridiagonal core, so the banded solve is unmodified.
 
+Only ``delta C'(Y)`` in the Newton matrix depends on the state.  The rest,
+``(1/k - alpha) M + nu K``, the boundary penalty (or the hard-constraint
+row) and the rank-one feedback row, is a :class:`LinearPart` built once per
+run (once per stack of runs, restricted with ``take`` when members leave)
+and reused by every Newton iteration of every step; each iteration then adds
+``delta C'(Y)`` in the same order of operations as a from-scratch build, so
+the iterates do not change.  The pinned baseline reuses the principal
+submatrix of its run's linear part the same way.
+
 The Dirichlet feedback variant imposes ``Y(1) = -r (w . Y)`` exactly: it is
 the penalized boundary row multiplied by ``eps/nu`` and taken at ``eps = 0``,
 the limit the penalized solutions converge to.  Its boundary residual row is
@@ -199,8 +208,60 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     return f
 
 
+@dataclass(frozen=True, eq=False)
+class LinearPart:
+    """State-independent part of the Newton matrix of :func:`residual`.
+
+    Every Newton matrix of a run shares the tridiagonal ``(1/k - alpha) M +
+    nu K`` (``diag``, ``off``), the boundary row and the rank-one feedback
+    row; only ``delta C'(y)`` changes with the state.  ``penalty`` is the
+    ``nu/eps`` that :func:`jacobian` adds to the boundary diagonal after
+    ``delta C'(y)``, and ``None`` with ``hard_constraint``, where the core's
+    boundary row is ``e_b``.  ``rank_one`` is ``None`` when every gain is 0
+    or the control is lagged.  Built from a :class:`ParamStack`, every field
+    has one row per member.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    penalty: np.ndarray | float | None
+    rank_one: RankOneUpdate | None
+
+    @classmethod
+    def of(cls, params: ModelParams | ParamStack, system: AssembledSystem, k: float,
+           implicit_control: bool = True, hard_constraint: bool = False) -> "LinearPart":
+        weight = 1.0 / k - params.alpha
+        diag = weight * system.mass.diag + params.nu * system.stiffness.diag
+        off = weight * system.mass.lower + params.nu * system.stiffness.lower
+        if hard_constraint:
+            penalty, coupling = None, params.r
+        else:
+            penalty = params.nu / params.epsilon
+            coupling = params.nu * params.r / params.epsilon
+        rank_one = None
+        if implicit_control and np.count_nonzero(params.r):
+            u = np.zeros(diag.shape)
+            u[..., system.boundary_dof] = 1.0
+            rank_one = RankOneUpdate(u=u, v=coupling * system.moment)
+        return cls(diag=diag, off=off, penalty=penalty, rank_one=rank_one)
+
+    @property
+    def hard_constraint(self) -> bool:
+        return self.penalty is None
+
+    def take(self, index: np.ndarray) -> "LinearPart":
+        """The linear part of the members ``index`` of a stack."""
+        rank_one = self.rank_one
+        if rank_one is not None:
+            rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
+        penalty = None if self.hard_constraint else self.penalty[index]
+        return LinearPart(diag=self.diag[index], off=self.off[index], penalty=penalty,
+                          rank_one=rank_one)
+
+
 def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-             k: float, implicit_control: bool = True, hard_constraint: bool = False
+             k: float, implicit_control: bool = True, hard_constraint: bool = False,
+             *, linear: LinearPart | None = None
              ) -> tuple[TridiagMatrix, RankOneUpdate | None]:
     """Newton matrix of :func:`residual`, split into tridiagonal + rank-one.
 
@@ -211,28 +272,27 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     lagged).  A ``(B, N)`` stack of states gives stacks of both parts.  With
     ``hard_constraint=True`` the core's boundary row is ``e_b`` and the
     rank-one row ``r e_b w^T``.
+
+    ``linear`` is the run's :class:`LinearPart`, built from the same
+    ``params``, ``k``, ``implicit_control`` and ``hard_constraint``; without
+    it the call builds its own.  Only ``delta C'(y)`` is computed here, and
+    the returned rank-one part is the linear part's own.
     """
-    m = system.mass
+    if linear is None:
+        linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
     jc = cubic_jacobian(system.mesh, y)
-    weight = 1.0 / k - params.alpha
-    diag = weight * m.diag + params.nu * system.stiffness.diag + params.delta * jc.diag
-    off = weight * m.lower + params.nu * system.stiffness.lower + params.delta * jc.lower
+    diag = params.delta * jc.diag
+    diag += linear.diag
+    off = params.delta * jc.lower
+    off += linear.off
     b = system.boundary_dof
-    if hard_constraint:
+    if linear.hard_constraint:
         diag[..., b] = 1.0
         lower = off.copy()
         lower[..., b - 1] = 0.0
-        core = TridiagMatrix(diag=diag, lower=lower, upper=off)
-        coupling = params.r
-    else:
-        diag[..., b:b + 1] += params.nu / params.epsilon
-        core = TridiagMatrix.symmetric(diag, off)
-        coupling = params.nu * params.r / params.epsilon
-    if not implicit_control or not np.count_nonzero(params.r):
-        return core, None
-    u = np.zeros(diag.shape)
-    u[..., b] = 1.0
-    return core, RankOneUpdate(u=u, v=coupling * system.moment)
+        return TridiagMatrix(diag=diag, lower=lower, upper=off), linear.rank_one
+    diag[..., b:b + 1] += linear.penalty
+    return TridiagMatrix.symmetric(diag, off), linear.rank_one
 
 
 def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
@@ -271,7 +331,8 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
 
 def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
                  y_prev: np.ndarray, k: float, tol: float = 1e-12, max_iter: int = 25,
-                 implicit_control: bool = True, hard_constraint: bool = False
+                 implicit_control: bool = True, hard_constraint: bool = False,
+                 *, linear: LinearPart | None = None
                  ) -> tuple[np.ndarray, StepReport | tuple[StepReport, ...]]:
     """Advance one backward Euler step by Newton iteration from ``y_prev``.
 
@@ -286,10 +347,13 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     :class:`ModelParams` shared by every member.  A member leaves the
     iteration once it converges, so it takes exactly the iterates of its
     own step.  ``hard_constraint`` selects the Dirichlet feedback problem
-    (see :func:`residual`).
+    (see :func:`residual`).  ``linear`` is the :class:`LinearPart` of
+    ``params`` at the same settings, built here when not given.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
+    if linear is None:
+        linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
     y = y_prev.copy()
     p, y_a, prev_a = params, y, y_prev
     control_a = None if implicit_control else y_prev
@@ -299,7 +363,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     active = list(range(len(histories)))  # members still iterating
     for iteration in range(max_iter):
         core, rank_one = jacobian(p, system, y_a, k, implicit_control=implicit_control,
-                                  hard_constraint=hard_constraint)
+                                  hard_constraint=hard_constraint, linear=linear)
         y_a = y_a - solve_structured(core, rank_one, f)
         f = residual(p, system, y_a, prev_a, k, control_state=control_a,
                      hard_constraint=hard_constraint)
@@ -321,7 +385,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
         active = [active[j] for j in rows]
         y_a, prev_a, f = y_a[rows], prev_a[rows], f[rows]
         if isinstance(p, ParamStack):
-            p = p.take(rows)
+            p, linear = p.take(rows), linear.take(rows)
         if control_a is not None:
             control_a = control_a[rows]
     controls = np.ravel(-params.r) * np.vecdot(y, system.moment)
@@ -402,39 +466,41 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     initial = [_initial_report(-params.r * moment_y0) for params in members]
     options = dict(tol=newton_tol, max_iter=newton_max_iter, implicit_control=implicit_control,
                    hard_constraint=hard_constraint)
+    k = time_grid.k
     if len(members) == 1:
         # a lone run steps as a 1-D state, which costs numpy less per call
+        linear = LinearPart.of(members[0], system, k, implicit_control, hard_constraint)
+
         def step(_alive: np.ndarray, y_prev: np.ndarray):
-            y, report = newton_solve(members[0], system, y_prev[0], time_grid.k, **options)
+            y, report = newton_solve(members[0], system, y_prev[0], k, linear=linear,
+                                     **options)
             return y[None], (report,)
     else:
         stack = ParamStack.of(members)
+        stack_linear = LinearPart.of(stack, system, k, implicit_control, hard_constraint)
 
         def step(alive: np.ndarray, y_prev: np.ndarray):
-            params = stack if alive.size == len(members) else stack.take(alive)
-            return newton_solve(params, system, y_prev, time_grid.k, **options)
+            if alive.size == len(members):
+                params, linear = stack, stack_linear
+            else:
+                params, linear = stack.take(alive), stack_linear.take(alive)
+            return newton_solve(params, system, y_prev, k, linear=linear, **options)
 
     return _march(step, np.repeat(y0[None], len(members), axis=0), initial,
                   time_grid.n_steps)
 
 
-def _reduced(matrix: TridiagMatrix) -> TridiagMatrix:
-    """Principal submatrix dropping the boundary DOF (both endpoints pinned)."""
-    return TridiagMatrix.symmetric(matrix.diag[:-1].copy(), matrix.lower[:-1].copy())
-
-
 def _newton_uncontrolled(params: ModelParams, system: AssembledSystem,
-                         y_prev: np.ndarray, k: float, tol: float,
-                         max_iter: int) -> tuple[np.ndarray, StepReport]:
+                         y_prev: np.ndarray, k: float, tol: float, max_iter: int,
+                         linear: LinearPart) -> tuple[np.ndarray, StepReport]:
     """One step of the homogeneous problem with both endpoints pinned.
 
     States are full-length vectors whose boundary entry stays exactly zero;
-    the Newton system acts on the interior DOFs only.
+    the Newton system acts on the interior DOFs only, so its core is the
+    principal submatrix of the run's ``linear`` part (any boundary row)
+    plus ``delta C'(y)``.
     """
     mesh = system.mesh
-    m_red = _reduced(system.mass)
-    k_red = _reduced(system.stiffness)
-    weight = 1.0 / k - params.alpha
 
     def f_red(y_full: np.ndarray) -> np.ndarray:
         f = system.mass.matvec(y_full - y_prev) / k
@@ -449,12 +515,12 @@ def _newton_uncontrolled(params: ModelParams, system: AssembledSystem,
     history = [float(np.linalg.norm(f))]
     converged = False
     for _ in range(max_iter):
-        jc = _reduced(cubic_jacobian(mesh, y))
-        core = TridiagMatrix.symmetric(
-            weight * m_red.diag + params.nu * k_red.diag + params.delta * jc.diag,
-            weight * m_red.lower + params.nu * k_red.lower + params.delta * jc.lower,
-        )
-        y[:-1] -= core.solve(f)
+        jc = cubic_jacobian(mesh, y)
+        diag = params.delta * jc.diag[:-1]
+        diag += linear.diag[:-1]
+        off = params.delta * jc.lower[:-1]
+        off += linear.off[:-1]
+        y[:-1] -= TridiagMatrix.symmetric(diag, off).solve(f)
         f = f_red(y)
         history.append(float(np.linalg.norm(f)))
         if history[-1] <= tol:
@@ -497,10 +563,11 @@ def simulate(params: ModelParams, mesh: MeshPartition,
                                hard_constraint=variant == "dirichlet_feedback")
     else:
         y[-1] = 0.0
+        linear = LinearPart.of(params, system, time_grid.k, implicit_control=False)
 
         def step(_alive: np.ndarray, y_prev: np.ndarray):
             state, report = _newton_uncontrolled(params, system, y_prev[0], time_grid.k,
-                                                 newton_tol, newton_max_iter)
+                                                 newton_tol, newton_max_iter, linear)
             return state[None], (report,)
 
         levels = _march(step, y[None], [_initial_report(0.0)], time_grid.n_steps)

@@ -313,3 +313,25 @@ def test_tridiag_singular_matrix_raises():
     singular = TridiagMatrix.symmetric(np.zeros(4), np.zeros(3))
     with pytest.raises(SingularCoreError):
         singular.solve(np.ones(4))
+
+
+@pytest.mark.parametrize("rhs_shape", [(9,), (9, 2)])
+def test_tridiag_vector_solve_equals_stack_of_one(rhs_shape):
+    rng = np.random.default_rng(41)
+    diag, lower, upper = 3.0 + rng.random(9), rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
+    rhs = rng.standard_normal(rhs_shape)
+    inputs = (diag, lower, upper, rhs)
+    saved = [a.copy() for a in inputs]
+    x = TridiagMatrix(diag=diag, lower=lower, upper=upper).solve(rhs)
+    stack = TridiagMatrix(diag=diag[None], lower=lower[None], upper=upper[None])
+    assert x.shape == rhs_shape
+    assert np.array_equal(x, stack.solve(rhs[None])[0])
+    for array, copy in zip(inputs, saved):  # dgtsv works on copies
+        assert np.array_equal(array, copy)
+
+
+def test_tridiag_zero_pivot_after_elimination_raises():
+    # the leading 2x2 block [[1, 1], [1, 1]] is singular: row 2 pivots on 0
+    core = TridiagMatrix.symmetric(np.array([1.0, 1.0, 5.0, 5.0]), np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(SingularCoreError, match="row 2"):
+        core.solve(np.ones(4))

@@ -383,6 +383,16 @@ def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, command, config, over
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", ["", "below"])
+def test_cli_out_not_creatable_exits_one(tmp_path, capsys, below):
+    path = write_config(tmp_path, decay_config())
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    code = main(["simulate", "--config", str(path), "--out", str(taken / below)])
+    assert code == 1
+    assert "error: cannot create output directory" in capsys.readouterr().err
+
+
 def test_cli_determinism_byte_identical(tmp_path, capsys):
     path = write_config(tmp_path, decay_config())
     for sub in ("a", "b"):

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from penalty_stab import (
+    LinearPart,
     MeshError,
     ModelParams,
     ParameterDomainError,
@@ -13,6 +14,7 @@ from penalty_stab import (
     TimeGrid,
     TridiagMatrix,
     assemble,
+    cubic_jacobian,
     jacobian,
     make_uniform_mesh,
     newton_solve,
@@ -154,6 +156,64 @@ def test_jacobian_linear_problem_is_state_independent():
     core2, _ = jacobian(params, system, RNG.standard_normal(8), 0.1)
     assert np.array_equal(core1.diag, core2.diag)
     assert np.array_equal(core1.lower, core2.lower)
+
+
+def from_scratch_core(params, system, y, k, hard_constraint=False, **_):
+    """Tridiagonal Newton core built in one pass, the order the hoisting must keep."""
+    jc = cubic_jacobian(system.mesh, y)
+    weight = 1.0 / k - params.alpha
+    diag = weight * system.mass.diag + params.nu * system.stiffness.diag + params.delta * jc.diag
+    off = weight * system.mass.lower + params.nu * system.stiffness.lower + params.delta * jc.lower
+    lower, b = off.copy(), system.boundary_dof
+    if hard_constraint:
+        diag[..., b] = 1.0
+        lower[..., b - 1] = 0.0
+    else:
+        diag[..., b:b + 1] += params.nu / params.epsilon
+    return diag, lower, off
+
+
+@pytest.mark.parametrize("case", ["penalized", "hard_constraint", "zero_gain", "lagged",
+                                  "stack_take"])
+def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
+    system = assemble(make_uniform_mesh(12))
+    y = 0.7 * sin_pi(system.mesh.nodes[1:])
+    params, options, k = EXAMPLE, {}, 0.01
+    if case == "hard_constraint":
+        options = {"hard_constraint": True}
+    elif case == "zero_gain":
+        params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)
+    elif case == "lagged":
+        options = {"implicit_control": False}
+    if case == "stack_take":
+        stack = ParamStack.of([EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3,
+                                                    epsilon=0.05),
+                               ModelParams(nu=0.1, alpha=0.05, delta=0.5, r=0.01, epsilon=1e-4)])
+        rows = np.array([0, 2])
+        params, linear = stack.take(rows), LinearPart.of(stack, system, k).take(rows)
+        y = np.stack([y, 2.0 * y])
+    else:
+        linear = LinearPart.of(params, system, k, **options)
+    prebuilt = [linear.diag, linear.off, linear.penalty]
+    if linear.rank_one is not None:
+        prebuilt += [linear.rank_one.u, linear.rank_one.v]
+    prebuilt = [a for a in prebuilt if a is not None]
+    saved = [np.copy(a) for a in prebuilt]
+    # compared after both calls: the second must not write into the first's arrays
+    states = (y, -1.5 * y)
+    results = [(jacobian(params, system, state, k, **options, linear=linear),
+                jacobian(params, system, state, k, **options)) for state in states]
+    for state, ((core, rank_one), (ref_core, ref_rank_one)) in zip(states, results):
+        expected = from_scratch_core(params, system, state, k, **options)
+        for name, bands in zip(("diag", "lower", "upper"), expected):
+            assert np.array_equal(getattr(core, name), bands)
+            assert np.array_equal(getattr(ref_core, name), bands)
+        assert (rank_one is None) == (ref_rank_one is None) == (case in ("zero_gain", "lagged"))
+        if rank_one is not None:
+            assert np.array_equal(rank_one.u, ref_rank_one.u)
+            assert np.array_equal(rank_one.v, ref_rank_one.v)
+    for array, copy in zip(prebuilt, saved):
+        assert np.array_equal(array, copy)
 
 
 # ---------------------------------------------------------------------------
