@@ -8,10 +8,11 @@ Each config in ``configs/`` of the working tree is run through the CLI twice:
 once with the package of the working tree and once with the package of
 revision ``REV``, exported by ``git archive`` into a temporary directory.
 Both sides read the working tree's configs, so only the program differs.
-Every CSV either side writes is compared on its header and data rows; the
-``#`` metadata block (version string, resolved config) is left out.  One
-verdict line is printed per config.  The exit status is 0 when every config
-matches and 1 on any difference, including a differing CLI exit status.
+Every CSV either side writes is compared on its header and data rows and on
+its ``#`` metadata block (resolved config, rate report, variant), all but the
+``# version:`` line, which names the revision.  One verdict line is printed
+per config.  The exit status is 0 when every config matches and 1 on any
+difference, including a differing CLI exit status.
 """
 
 from __future__ import annotations
@@ -49,10 +50,13 @@ def _run(src: Path, config: Path, out: Path) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def _numeric_rows(path: Path) -> list[str] | None:
+def _parts(path: Path) -> tuple[list[str], list[str]] | None:
+    """The metadata lines but the version line, and the numeric rows, of a CSV."""
     if not path.exists():
         return None
-    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    lines = path.read_text().splitlines()
+    meta = [line for line in lines if line.startswith("#") and not line.startswith("# version:")]
+    return meta, [line for line in lines if not line.startswith("#")]
 
 
 def compare(root: Path, rev: str) -> bool:
@@ -75,12 +79,16 @@ def compare(root: Path, rev: str) -> bool:
             if not names:
                 problems.append("no CSV written")
             for name in names:
-                rows = [_numeric_rows(out / name) for out in outs.values()]
-                if rows[0] is None or rows[1] is None:
+                parts = [_parts(out / name) for out in outs.values()]
+                if parts[0] is None or parts[1] is None:
                     problems.append(f"{name} missing on one side")
-                elif rows[0] != rows[1]:
-                    first = next((i for i, (a, b) in enumerate(zip(*rows)) if a != b),
-                                 min(map(len, rows)))
+                    continue
+                (meta_a, rows_a), (meta_b, rows_b) = parts
+                if meta_a != meta_b:
+                    problems.append(f"{name} metadata differs")
+                if rows_a != rows_b:
+                    first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b),
+                                 min(len(rows_a), len(rows_b)))
                     problems.append(f"{name} differs from numeric line {first}")
             verdict = "identical" if not problems else "DIFFERENT: " + "; ".join(problems)
             print(f"{config.name}: {verdict} ({', '.join(names)}; exit {codes['tree']})")

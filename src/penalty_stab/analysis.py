@@ -191,10 +191,7 @@ class EpsilonStudyReport:
 
 def _rowwise_l2(mass: TridiagMatrix, states: np.ndarray) -> np.ndarray:
     """L2 norm of every row of a (rows, n_dof) array of states."""
-    mv = states * mass.diag
-    mv[:, :-1] += states[:, 1:] * mass.upper
-    mv[:, 1:] += states[:, :-1] * mass.lower
-    return np.sqrt(np.maximum(np.einsum("ij,ij->i", states, mv), 0.0))
+    return np.sqrt(np.maximum(np.einsum("ij,ij->i", states, mass.matvec(states)), 0.0))
 
 
 def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,

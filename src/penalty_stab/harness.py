@@ -226,9 +226,6 @@ def validate_config(cfg: dict, kind: str) -> dict:
             "c": _number(cfg, "experiment.epsilon_rule.c", default=0.01, positive=True),
             "l": _number(cfg, "experiment.epsilon_rule.l", positive=True),
         }
-        _, name = _gain_rule(_get(cfg, "experiment.gain_rule", "sqrt_eps"), "experiment.gain_rule")
-        exp["gain_rule"] = _get(cfg, "experiment.gain_rule", "sqrt_eps")
-        exp["gain_rule_resolved"] = name
 
     else:  # epsilon_study
         eps_list = _get(cfg, "experiment.epsilons")
@@ -241,11 +238,11 @@ def validate_config(cfg: dict, kind: str) -> dict:
         if any(b > a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("experiment.epsilons: must be descending")
         exp["epsilons"] = eps_list
-        _, name = _gain_rule(_get(cfg, "experiment.gain_rule", "sqrt_eps"), "experiment.gain_rule")
-        exp["gain_rule"] = _get(cfg, "experiment.gain_rule", "sqrt_eps")
-        exp["gain_rule_resolved"] = name
         resolved["mesh"] = {"n_elements": _integer(cfg, "mesh.n_elements", minimum=2)}
 
+    if kind != "decay":
+        exp["gain_rule"] = _get(cfg, "experiment.gain_rule", "sqrt_eps")
+        _, exp["gain_rule_resolved"] = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
     return resolved
 
 

@@ -18,7 +18,7 @@ problem.  All types are immutable values, safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import AdmissibilityError, ParameterDomainError
 
@@ -212,16 +212,7 @@ class RateReport:
     r_max_dirichlet: float
 
     def as_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "detail": self.detail,
-            "gamma_max": self.gamma_max,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "gamma_dirichlet_max": self.gamma_dirichlet_max,
-            "beta_star": self.beta_star,
-            "r_max_dirichlet": self.r_max_dirichlet,
-        }
+        return asdict(self)
 
 
 def rate_report(params: ModelParams) -> RateReport:

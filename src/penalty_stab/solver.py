@@ -19,18 +19,17 @@ row) and the rank-one feedback row, is a :class:`LinearPart` built once per
 run (once per stack of runs, restricted with ``take`` when members leave)
 and reused by every Newton iteration of every step; each iteration then adds
 ``delta C'(Y)`` in the same order of operations as a from-scratch build, so
-the iterates do not change.  The pinned baseline reuses the principal
-submatrix of its run's linear part the same way.
+the iterates do not change.
 
 The Dirichlet feedback variant imposes ``Y(1) = -r (w . Y)`` exactly: it is
 the penalized boundary row multiplied by ``eps/nu`` and taken at ``eps = 0``,
 the limit the penalized solutions converge to.  Its boundary residual row is
 ``Y(1) + r (w . Y)``; the Newton core gets the boundary row ``e_b`` (so it is
 no longer symmetric) and the rank-one row becomes ``r e_b w^T``.  Epsilon is
-ignored.  At ``r = 0`` it is the pinned problem.
-
-The uncontrolled baseline pins both endpoints to zero (the boundary DOF and
-all penalty terms are dropped) and steps the homogeneous problem.
+ignored.  At ``r = 0`` it is the pinned problem, and the uncontrolled
+baseline is exactly that: the Dirichlet feedback problem at zero gain,
+started from the initial state with its boundary value set to zero.  Every
+variant therefore steps through the one Newton loop, :func:`newton_solve`.
 
 A single simulation is strictly sequential in time.  Runs that share a mesh
 and a time grid are stepped together instead (:func:`step_ensemble`): their
@@ -44,7 +43,7 @@ its own convergence, so every run equals its separate run bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -118,11 +117,12 @@ class StateTrajectory:
     """Time series produced by :func:`simulate`.
 
     All arrays have one row/entry per recorded time level, including the
-    initial state.  ``controls[n]`` always equals ``-r * (moment . states[n])``
-    for the two feedback variants and 0 for the uncontrolled one.  If a Newton
-    step fails, the trajectory is truncated at the last converged level and
-    ``failed_at`` records the 1-based index of the failed step (its
-    diagnostic report is still appended).
+    initial state.  ``controls[n]`` always equals
+    ``0.0 - r * (moment . states[n])`` with the run's gain ``r``; the
+    uncontrolled baseline steps at ``r = 0``, so its controls are ``+0.0``,
+    never ``-0.0``.  If a Newton step fails, the trajectory is truncated at
+    the last converged level and ``failed_at`` records the 1-based index of
+    the failed step (its diagnostic report is still appended).
     """
 
     variant: str
@@ -388,7 +388,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
             p, linear = p.take(rows), linear.take(rows)
         if control_a is not None:
             control_a = control_a[rows]
-    controls = np.ravel(-params.r) * np.vecdot(y, system.moment)
+    controls = 0.0 - np.ravel(params.r) * np.vecdot(y, system.moment)
     reports = tuple(
         StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
                    control_value=control, converged=history[-1] <= tol,
@@ -413,11 +413,6 @@ class EnsembleLevel:
     members: np.ndarray
     states: np.ndarray
     reports: dict[int, StepReport]
-
-
-def _initial_report(control_value: float) -> StepReport:
-    return StepReport(newton_iterations=0, final_residual_norm=0.0,
-                      control_value=control_value, converged=True, residual_norms=(0.0,))
 
 
 def _march(step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Sequence[StepReport]]],
@@ -463,7 +458,10 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
             warnings.warn("stabilization conditions violated; decay is not certified "
                           f"({detail})", RuntimeWarning, stacklevel=2)
     moment_y0 = float(np.vecdot(y0, system.moment))
-    initial = [_initial_report(-params.r * moment_y0) for params in members]
+    initial = [StepReport(newton_iterations=0, final_residual_norm=0.0,
+                          control_value=0.0 - params.r * moment_y0, converged=True,
+                          residual_norms=(0.0,))
+               for params in members]
     options = dict(tol=newton_tol, max_iter=newton_max_iter, implicit_control=implicit_control,
                    hard_constraint=hard_constraint)
     k = time_grid.k
@@ -490,52 +488,6 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                   time_grid.n_steps)
 
 
-def _newton_uncontrolled(params: ModelParams, system: AssembledSystem,
-                         y_prev: np.ndarray, k: float, tol: float, max_iter: int,
-                         linear: LinearPart) -> tuple[np.ndarray, StepReport]:
-    """One step of the homogeneous problem with both endpoints pinned.
-
-    States are full-length vectors whose boundary entry stays exactly zero;
-    the Newton system acts on the interior DOFs only, so its core is the
-    principal submatrix of the run's ``linear`` part (any boundary row)
-    plus ``delta C'(y)``.
-    """
-    mesh = system.mesh
-
-    def f_red(y_full: np.ndarray) -> np.ndarray:
-        f = system.mass.matvec(y_full - y_prev) / k
-        f += params.nu * system.stiffness.matvec(y_full)
-        f -= params.alpha * system.mass.matvec(y_full)
-        f += params.delta * cubic_term(mesh, y_full)
-        return f[:-1]
-
-    y = y_prev.copy()
-    y[-1] = 0.0
-    f = f_red(y)
-    history = [float(np.linalg.norm(f))]
-    converged = False
-    for _ in range(max_iter):
-        jc = cubic_jacobian(mesh, y)
-        diag = params.delta * jc.diag[:-1]
-        diag += linear.diag[:-1]
-        off = params.delta * jc.lower[:-1]
-        off += linear.off[:-1]
-        y[:-1] -= TridiagMatrix.symmetric(diag, off).solve(f)
-        f = f_red(y)
-        history.append(float(np.linalg.norm(f)))
-        if history[-1] <= tol:
-            converged = True
-            break
-    report = StepReport(
-        newton_iterations=len(history) - 1,
-        final_residual_norm=history[-1],
-        control_value=0.0,
-        converged=converged,
-        residual_norms=tuple(history),
-    )
-    return y, report
-
-
 def simulate(params: ModelParams, mesh: MeshPartition,
              y0: Callable[[np.ndarray], np.ndarray], time_grid: TimeGrid,
              variant: str = "penalized_feedback", *, projection: str = "l2",
@@ -548,7 +500,9 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     ``variant="dirichlet_feedback"`` steps the same way but imposes the
     feedback boundary condition exactly (the ``eps -> 0`` limit; epsilon is
     ignored); ``variant="uncontrolled_dirichlet"`` pins both endpoints to
-    zero and drops every penalty and control term.  Penalized parameters that
+    zero and drops every penalty and control term, as the Dirichlet feedback
+    variant at ``r = 0`` from the initial state with its boundary value set
+    to zero (its controls are ``+0.0``).  Penalized parameters that
     violate the stabilization conditions trigger a warning, not an error;
     some study regimes violate them deliberately.
     """
@@ -556,21 +510,13 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         raise ParameterDomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     system = assemble(mesh)
     y = project_initial(mesh, y0, mode=projection)
-    if variant != "uncontrolled_dirichlet":
-        levels = step_ensemble([params], system, y, time_grid, newton_tol=newton_tol,
-                               newton_max_iter=newton_max_iter,
-                               implicit_control=implicit_control,
-                               hard_constraint=variant == "dirichlet_feedback")
-    else:
-        y[-1] = 0.0
-        linear = LinearPart.of(params, system, time_grid.k, implicit_control=False)
-
-        def step(_alive: np.ndarray, y_prev: np.ndarray):
-            state, report = _newton_uncontrolled(params, system, y_prev[0], time_grid.k,
-                                                 newton_tol, newton_max_iter, linear)
-            return state[None], (report,)
-
-        levels = _march(step, y[None], [_initial_report(0.0)], time_grid.n_steps)
+    if variant == "uncontrolled_dirichlet":
+        # the Dirichlet feedback problem at zero gain, from a pinned start
+        params = replace(params, r=0.0)
+        y[system.boundary_dof] = 0.0
+    levels = step_ensemble([params], system, y, time_grid, newton_tol=newton_tol,
+                           newton_max_iter=newton_max_iter, implicit_control=implicit_control,
+                           hard_constraint=variant != "penalized_feedback")
 
     n_levels = time_grid.n_steps + 1
     states = np.zeros((n_levels, system.n_dof))

@@ -483,13 +483,25 @@ def test_dirichlet_feedback_at_zero_gain_is_the_pinned_baseline():
                      projection="interpolation")
             for variant in ("dirichlet_feedback", "uncontrolled_dirichlet")]
     assert np.array_equal(runs[0].states, runs[1].states)
-    # the residual norms agree to round-off only: the baseline sums the N-1
-    # interior entries with np.linalg.norm, the feedback variant N entries
-    # (its boundary entry zero) with np.vecdot
     for hard, pinned in zip(runs[0].step_reports, runs[1].step_reports):
         assert hard.newton_iterations == pinned.newton_iterations
-        assert hard.residual_norms == pytest.approx(pinned.residual_norms, rel=1e-14,
-                                                    abs=1e-30)
+        assert hard.residual_norms == pinned.residual_norms
+
+
+def test_uncontrolled_matches_dense_oracle_from_pinned_projection():
+    # the L2 projection of sin(pi x) is nonzero at x = 1; the baseline starts
+    # from it with the boundary value zeroed, and pins it there
+    mesh = make_uniform_mesh(8)
+    grid = TimeGrid(k=0.1, n_steps=3)
+    y0 = project_initial(mesh, sin_pi)
+    assert y0[-1] != 0.0
+    y0[-1] = 0.0
+    traj = simulate(EXAMPLE, mesh, sin_pi, grid, "uncontrolled_dirichlet")
+    ref = oracles.dense_simulate(EXAMPLE.nu, EXAMPLE.alpha, EXAMPLE.delta, 0.0, 0.0,
+                                 mesh.nodes, y0, grid.k, grid.n_steps)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-10
+    assert np.array_equal(traj.states[:, -1], np.zeros(4))
+    assert not np.signbit(traj.controls).any()  # +0.0 at zero gain, never -0.0
 
 
 @pytest.mark.filterwarnings("ignore:stabilization conditions")
