@@ -11,8 +11,11 @@ Both sides read the working tree's configs, so only the program differs.
 Every CSV either side writes is compared on its header and data rows and on
 its ``#`` metadata block (resolved config, rate report, variant), all but the
 ``# version:`` line, which names the revision.  One verdict line is printed
-per config.  The exit status is 0 when every config matches and 1 on any
-difference, including a differing CLI exit status.
+per config.  When a CSV's rows differ but its header and row count agree,
+one more line per differing column gives the largest absolute and relative
+difference over its rows; a cell that is not a finite number on both sides
+counts as an infinite difference.  The exit status is 0 when every config
+matches and 1 on any difference, including a differing CLI exit status.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,6 +63,36 @@ def _parts(path: Path) -> tuple[list[str], list[str]] | None:
     return meta, [line for line in lines if not line.startswith("#")]
 
 
+def _column_sizes(rows_a: list[str], rows_b: list[str]) -> dict[str, tuple[float, float]]:
+    """The largest absolute and relative difference of each differing column.
+
+    Empty when the headers or the row counts differ, which the verdict line
+    already names.  The relative difference is taken against the larger
+    magnitude of the two cells.
+    """
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        return {}
+    header = rows_a[0].split(",")
+    sizes: dict[str, tuple[float, float]] = {}
+    for line_a, line_b in zip(rows_a[1:], rows_b[1:]):
+        for name, a, b in zip(header, line_a.split(","), line_b.split(",")):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+                size = abs(x - y)
+            except ValueError:
+                size = math.nan
+            if math.isfinite(size):
+                scale = max(abs(x), abs(y))
+                rel = size / scale if scale else 0.0
+            else:
+                size = rel = math.inf
+            old_size, old_rel = sizes.get(name, (0.0, 0.0))
+            sizes[name] = (max(old_size, size), max(old_rel, rel))
+    return sizes
+
+
 def compare(root: Path, rev: str) -> bool:
     """Print one verdict per config; return whether all of them match."""
     configs = sorted((root / "configs").glob("*.json"))
@@ -72,7 +106,7 @@ def compare(root: Path, rev: str) -> bool:
             for side, src in sides.items():
                 outs[side].parent.mkdir(parents=True, exist_ok=True)
                 codes[side] = _run(src, config, outs[side])
-            problems = []
+            problems, sizes = [], []
             if len(set(codes.values())) > 1:
                 problems.append(f"exit status {codes}")
             names = sorted({p.name for out in outs.values() for p in out.glob("*.csv")})
@@ -90,8 +124,12 @@ def compare(root: Path, rev: str) -> bool:
                     first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b),
                                  min(len(rows_a), len(rows_b)))
                     problems.append(f"{name} differs from numeric line {first}")
+                    sizes += [f"  {name} {column}: max abs {size:.3g}, max rel {rel:.3g}"
+                              for column, (size, rel) in _column_sizes(rows_a, rows_b).items()]
             verdict = "identical" if not problems else "DIFFERENT: " + "; ".join(problems)
             print(f"{config.name}: {verdict} ({', '.join(names)}; exit {codes['tree']})")
+            for line in sizes:
+                print(line)
             all_equal = all_equal and not problems
     return all_equal
 

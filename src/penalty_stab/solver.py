@@ -13,6 +13,13 @@ that structure via a tridiagonal elimination plus a Sherman-Morrison
 correction.  The Robin penalty itself is folded into the last diagonal entry
 of the tridiagonal core, so the banded solve is unmodified.
 
+Newton starts each step after the first from the linear extrapolation
+``2 Y_n - Y_{n-1}`` of the last two levels (the first starts from ``Y_0``),
+a predictor whose error is ``O(k^2)``, so one update usually converges.  It
+stops on the Euclidean residual norm with the penalized boundary entry
+divided by ``nu/eps``: that entry's round-off grows like ``1/eps``, and an
+absolute tolerance on it could not be met at small eps.
+
 Only ``delta C'(Y)`` in the Newton matrix depends on the state.  The rest,
 ``(1/k - alpha) M + nu K``, the boundary penalty (or the hard-constraint
 row) and the rank-one feedback row, is a :class:`LinearPart` built once per
@@ -36,8 +43,9 @@ and a time grid are stepped together instead (:func:`step_ensemble`): their
 states form a ``(B, N)`` stack, each Newton iteration evaluates one stacked
 residual and Jacobian, and one banded elimination solves all B cores, whose
 couplings in the stacked band are exactly zero.  The Sherman-Morrison
-correction is applied per member, and each member leaves the iteration at
-its own convergence, so every run equals its separate run bit for bit.
+correction is applied per member, each member leaves the iteration at its
+own convergence and extrapolates from its own levels, so every run equals
+its separate run bit for bit.
 """
 
 from __future__ import annotations
@@ -100,9 +108,10 @@ class StepReport:
     """Newton diagnostics for one time step.
 
     ``newton_iterations`` counts linearized solves; convergence is checked on
-    the post-update residual, so even an already-converged state performs one
-    (zero) update.  ``residual_norms`` holds the Euclidean residual norm
-    before the first update and after each one.
+    the post-update residual, so even an already-converged start performs one
+    update.  ``residual_norms`` holds the residual norm at the start and after
+    each update; it is Euclidean but for the penalized boundary entry, which
+    is divided by ``nu/eps`` (see :func:`newton_solve`).
     """
 
     newton_iterations: int
@@ -329,17 +338,35 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     return x_rhs - x_u * (np.vecdot(rank_one.v, x_rhs) / denom)[..., None]
 
 
+def _residual_norms(f: np.ndarray, linear: LinearPart, b: int) -> list[float]:
+    """Newton's convergence norm of each residual row in ``f``.
+
+    The penalized boundary entry carries the factor ``nu/eps`` (``linear.
+    penalty``), so its round-off grows like ``1/eps`` and can sit above any
+    absolute tolerance at small eps.  The norm divides that entry by the
+    factor, which tests the un-amplified boundary equation; the
+    hard-constrained row is taken as it is.
+    """
+    if not linear.hard_constraint:
+        f = f.copy()
+        f[..., b:b + 1] /= linear.penalty
+    return np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()
+
+
 def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
                  y_prev: np.ndarray, k: float, tol: float = 1e-12, max_iter: int = 25,
                  implicit_control: bool = True, hard_constraint: bool = False,
-                 *, linear: LinearPart | None = None
+                 *, linear: LinearPart | None = None, start: np.ndarray | None = None
                  ) -> tuple[np.ndarray, StepReport | tuple[StepReport, ...]]:
-    """Advance one backward Euler step by Newton iteration from ``y_prev``.
+    """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
-    Stops when the Euclidean norm of the residual drops to ``tol``.  A step
-    that exhausts ``max_iter`` returns its diagnostics with
-    ``converged=False`` instead of raising; linear-solve failures propagate.
-    Returns the new state and its :class:`StepReport`.
+    The iteration starts from ``start`` (``y_prev`` when not given); the
+    residual's previous level is ``y_prev`` either way.  It stops when the
+    norm of the residual drops to ``tol``, the Euclidean norm with the
+    penalized boundary entry divided by its amplification ``nu/eps`` (see
+    :func:`_residual_norms`).  A step that exhausts ``max_iter`` returns its
+    diagnostics with ``converged=False`` instead of raising; linear-solve
+    failures propagate.  Returns the new state and its :class:`StepReport`.
 
     With a ``(B, N)`` stack ``y_prev`` the B steps share each iteration's
     residual, Jacobian and stacked solve, and the result is the new stack and
@@ -348,18 +375,20 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     iteration once it converges, so it takes exactly the iterates of its
     own step.  ``hard_constraint`` selects the Dirichlet feedback problem
     (see :func:`residual`).  ``linear`` is the :class:`LinearPart` of
-    ``params`` at the same settings, built here when not given.
+    ``params`` at the same settings, built here when not given.  A stacked
+    ``start`` has one row per member.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     if linear is None:
         linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
-    y = y_prev.copy()
+    y = (y_prev if start is None else start).copy()
     p, y_a, prev_a = params, y, y_prev
     control_a = None if implicit_control else y_prev
     f = residual(p, system, y_a, prev_a, k, control_state=control_a,
                  hard_constraint=hard_constraint)
-    histories = [[norm] for norm in np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()]
+    b = system.boundary_dof
+    histories = [[norm] for norm in _residual_norms(f, linear, b)]
     active = list(range(len(histories)))  # members still iterating
     for iteration in range(max_iter):
         core, rank_one = jacobian(p, system, y_a, k, implicit_control=implicit_control,
@@ -368,7 +397,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
         f = residual(p, system, y_a, prev_a, k, control_state=control_a,
                      hard_constraint=hard_constraint)
         keep = []
-        for member, norm in zip(active, np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()):
+        for member, norm in zip(active, _residual_norms(f, linear, b)):
             histories[member].append(norm)
             keep.append(not norm <= tol)  # a NaN residual keeps iterating, as alone
         last = iteration == max_iter - 1
@@ -415,22 +444,29 @@ class EnsembleLevel:
     reports: dict[int, StepReport]
 
 
-def _march(step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Sequence[StepReport]]],
+def _march(step: Callable[[np.ndarray, np.ndarray, np.ndarray | None],
+                           tuple[np.ndarray, Sequence[StepReport]]],
            states: np.ndarray, initial: Sequence[StepReport],
            n_steps: int) -> Iterator[EnsembleLevel]:
-    """Yield the levels of ``n_steps`` steps of ``step(members, states)``.
+    """Yield the levels of ``n_steps`` steps of ``step(members, states, start)``.
 
-    A member whose step fails is dropped; the march ends when none is left.
+    ``start`` is the Newton start of each member: ``None`` at the first
+    step, then the linear extrapolation ``2 y_n - y_{n-1}`` of the member's
+    own last two levels.  A member whose step fails is dropped; the march
+    ends when none is left.
     """
     members = np.arange(states.shape[0])
     yield EnsembleLevel(0, members, states, dict(enumerate(initial)))
+    previous = None
     for n in range(1, n_steps + 1):
-        states, reports = step(members, states)
+        start = None if previous is None else 2.0 * states - previous
+        previous = states
+        states, reports = step(members, states, start)
         attempted = dict(zip(members.tolist(), reports))
         ok = [report.converged for report in reports]
         if not all(ok):
             rows = np.flatnonzero(ok)
-            members, states = members[rows], states[rows]
+            members, states, previous = members[rows], states[rows], previous[rows]
         yield EnsembleLevel(n, members, states, attempted)
         if not members.size:
             return
@@ -446,11 +482,12 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     one :class:`EnsembleLevel` per time level, initial level first.  Each
     run takes exactly the iterates it would take alone.  A run whose step
     does not converge is dropped at that level and the others keep
-    stepping; linear-solve failures propagate.  Only the current level is
-    held, so memory does not grow with the number of steps.  Each run that
-    violates the stabilization conditions triggers a warning.  With
-    ``hard_constraint=True`` the runs solve the Dirichlet feedback problem,
-    which has no epsilon and so no such conditions to check.
+    stepping; linear-solve failures propagate.  Each Newton solve after the
+    first starts from the extrapolation ``2 y_n - y_{n-1}``, so the last two
+    levels are held, and memory does not grow with the number of steps.
+    Each run that violates the stabilization conditions triggers a warning.
+    With ``hard_constraint=True`` the runs solve the Dirichlet feedback
+    problem, which has no epsilon and so no such conditions to check.
     """
     for params in members:
         admissible, detail = check_admissibility(params)
@@ -469,20 +506,21 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
         # a lone run steps as a 1-D state, which costs numpy less per call
         linear = LinearPart.of(members[0], system, k, implicit_control, hard_constraint)
 
-        def step(_alive: np.ndarray, y_prev: np.ndarray):
+        def step(_alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
             y, report = newton_solve(members[0], system, y_prev[0], k, linear=linear,
-                                     **options)
+                                     start=None if start is None else start[0], **options)
             return y[None], (report,)
     else:
         stack = ParamStack.of(members)
         stack_linear = LinearPart.of(stack, system, k, implicit_control, hard_constraint)
 
-        def step(alive: np.ndarray, y_prev: np.ndarray):
+        def step(alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
             if alive.size == len(members):
                 params, linear = stack, stack_linear
             else:
                 params, linear = stack.take(alive), stack_linear.take(alive)
-            return newton_solve(params, system, y_prev, k, linear=linear, **options)
+            return newton_solve(params, system, y_prev, k, linear=linear, start=start,
+                                **options)
 
     return _march(step, np.repeat(y0[None], len(members), axis=0), initial,
                   time_grid.n_steps)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +366,19 @@ def test_cli_solver_failure_exits_two(tmp_path, capsys):
     assert "run failure" in err
     # partial outputs are kept
     assert (tmp_path / "out" / "decay_penalized_feedback.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:stabilization conditions")
+def test_cli_fixed_gain_epsilon_study_finishes(tmp_path, capsys):
+    # with the gain held at 0.01 the eps = 1e-8 and 1e-9 runs used to stall
+    # at the round-off floor of the nu/eps-amplified boundary row (exit 2)
+    config = Path(__file__).resolve().parent.parent / "configs" / "epsilon_study.json"
+    code = main(["epsilon-study", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--override", "experiment.gain_rule=0.01", "--override", "experiment.svg=false"])
+    assert code == 0, capsys.readouterr().err
+    _, _, rows = read_csv(tmp_path / "out" / "epsilon_study.csv")
+    assert len(rows) == 10
+    assert all(row[10] == "0" for row in rows)
 
 
 @pytest.mark.parametrize("command, config, override", [

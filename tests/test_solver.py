@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from penalty_stab import (
     residual,
     simulate,
     solve_structured,
+    step_ensemble,
 )
 
 RNG = np.random.default_rng(987654)
@@ -377,6 +380,83 @@ def test_newton_stack_equals_separate_steps():
             assert reports[b] == report_b
 
 
+def test_newton_start_sets_the_first_iterate_only():
+    system = assemble(make_uniform_mesh(16))
+    y_prev = 0.5 * sin_pi(system.mesh.nodes[1:])
+    plain, plain_report = newton_solve(EXAMPLE, system, y_prev, k=0.01)
+    y, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, start=y_prev.copy())
+    assert np.array_equal(y, plain) and report == plain_report
+    start = 1.01 * y_prev
+    y, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, start=start)
+    assert np.array_equal(start, 1.01 * y_prev)  # not written into
+    f = residual(EXAMPLE, system, start, y_prev, k=0.01)
+    f[-1] /= EXAMPLE.nu / EXAMPLE.epsilon
+    assert report.residual_norms[0] == pytest.approx(np.linalg.norm(f), rel=1e-14)
+    assert report.converged
+    assert np.max(np.abs(y - plain)) <= 1e-12
+    with pytest.raises(MeshError):
+        newton_solve(EXAMPLE, system, y_prev, k=0.01, start=start[:-1])
+
+
+@pytest.mark.parametrize("hard_constraint", [False, True])
+def test_newton_norm_divides_only_the_penalized_boundary_entry(hard_constraint):
+    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.05, epsilon=1e-9)
+    system = assemble(make_uniform_mesh(32))
+    y_prev = sin_pi(system.mesh.nodes[1:])
+    y, report = newton_solve(params, system, y_prev, k=1e-3, hard_constraint=hard_constraint)
+    assert report.converged
+    f = residual(params, system, y, y_prev, k=1e-3, hard_constraint=hard_constraint)
+    if not hard_constraint:
+        f[-1] *= params.epsilon / params.nu
+    assert report.final_residual_norm == pytest.approx(np.linalg.norm(f), rel=1e-12)
+    assert report.final_residual_norm <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:stabilization conditions")
+@pytest.mark.parametrize("n_elements, epsilon, r, n_steps", [
+    (64, 1e-7, 0.05, 210),
+    (128, 1e-11, math.sqrt(1e-11), 1050),
+    (2048, 1e-11, math.sqrt(1e-11), 50),
+    (2048, 1e-12, math.sqrt(1e-12), 50),
+])
+def test_small_eps_runs_finish_at_default_tolerance(n_elements, epsilon, r, n_steps):
+    # the nu/eps-amplified boundary entry used to hold Newton at a round-off
+    # floor above 1e-12, failing these runs at steps 3, 10, 1 and 1
+    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=r, epsilon=epsilon)
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=n_steps)
+    traj = simulate(params, make_uniform_mesh(n_elements), sin_pi, grid)
+    assert traj.failed_at is None
+    assert all(report.converged for report in traj.step_reports)
+
+
+@pytest.mark.parametrize("variant", ["penalized_feedback", "uncontrolled_dirichlet"])
+def test_extrapolated_start_takes_one_newton_iteration_per_step(variant):
+    # the decay config's runs; from y_n alone every step took 2 iterations
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=1050)
+    traj = simulate(EXAMPLE, make_uniform_mesh(128), sin_pi, grid, variant)
+    assert traj.failed_at is None
+    assert sum(report.newton_iterations for report in traj.step_reports) <= 1.05 * 1050
+
+
+def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
+    system = assemble(make_uniform_mesh(32))
+    y0 = project_initial(system.mesh, sin_pi)
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=12)
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
+               for eps in (1e-1, 1e-4, 1e-8)]
+    stacked = list(step_ensemble(members, system, y0, grid))
+    # members leave the stacked iteration after one or after two updates
+    assert {r.newton_iterations for r in stacked[-1].reports.values()} == {1, 2}
+    for b, params in enumerate(members):
+        # Newton by hand, each step after the first from 2 y_n - y_{n-1}
+        previous, y = None, y0
+        for level in stacked[1:]:
+            start = None if previous is None else 2.0 * y - previous
+            previous, (y, report) = y, newton_solve(params, system, y, grid.k, start=start)
+            assert np.array_equal(level.states[b], y)
+            assert level.reports[b] == report
+
+
 def test_newton_nan_state_reported_not_raised():
     system = assemble(make_uniform_mesh(8))
     y_prev = np.ones(8)
@@ -506,8 +586,7 @@ def test_uncontrolled_matches_dense_oracle_from_pinned_projection():
 
 @pytest.mark.filterwarnings("ignore:stabilization conditions")
 def test_penalized_runs_approach_dirichlet_feedback_at_rate_eps():
-    # with the gain held fixed the penalty error is O(eps); eps = 1e-7 is
-    # already below the Newton round-off floor of the amplified boundary row
+    # with the gain held fixed the penalty error is O(eps)
     mesh = make_uniform_mesh(64)
     system = assemble(mesh)
     grid = TimeGrid(k=1.0 / 1050.0, n_steps=210)
@@ -520,7 +599,7 @@ def test_penalized_runs_approach_dirichlet_feedback_at_rate_eps():
 
     hard = run(1.0, "dirichlet_feedback")
     diffs = [max(norms(system, a - b).l2 for a, b in zip(run(eps, "penalized_feedback"), hard))
-             for eps in (1e-3, 1e-4, 1e-5, 1e-6)]
+             for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)]
     assert diffs[0] == pytest.approx(8.53e-4, rel=1e-3)
     for a, b in zip(diffs, diffs[1:]):
         assert a / b == pytest.approx(10.0, rel=0.01)
