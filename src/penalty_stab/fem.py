@@ -19,14 +19,56 @@ Assembly and evaluation are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import MeshError, ParameterDomainError, SingularCoreError
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_dgtsv() -> Callable:
+    """scipy's f2py wrapper of LAPACK ``dgtsv``, without running ``import scipy``.
+
+    ``scipy.linalg.lapack`` takes about 0.3 s to import, most of it in
+    ``scipy._lib`` star-importing numpy's testing, f2py, ma and random
+    subpackages, while this package needs one routine from one compiled
+    extension.  The extension is found through the spec of ``scipy``, which
+    locates the package without executing it, and loaded under its real
+    name, so a later ``import scipy.linalg`` reuses this very module and its
+    ``lapack.dgtsv`` is the function returned here (only the attribute
+    ``scipy.linalg._flapack`` stays unset; ``from scipy.linalg import
+    _flapack`` finds the module).  Where the extension cannot be found or
+    loaded, the ordinary import is used; either way it is the same wrapper of
+    the same compiled routine.
+    """
+    try:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            linalg = Path(scipy.submodule_search_locations[0], "linalg")
+            path = next(p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                        if (p := linalg / f"_flapack{suffix}").is_file())
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+        return module.dgtsv
+    except (AttributeError, StopIteration, ImportError):  # no scipy, no file, load failed
+        from scipy.linalg.lapack import dgtsv
+
+        return dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1];
 # exact for polynomials of degree <= 5.

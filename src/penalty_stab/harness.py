@@ -135,6 +135,13 @@ def _integer(cfg: dict, path: str, *, default=..., minimum=None) -> int:
     return value
 
 
+def _boolean(cfg: dict, path: str, default=...) -> bool:
+    value = _get(cfg, path, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _choice(cfg: dict, path: str, choices, *, default=...):
     value = _get(cfg, path, default)
     if value not in choices:
@@ -192,7 +199,7 @@ def validate_config(cfg: dict, kind: str) -> dict:
         "tol": _number(cfg, "newton.tol", default=1e-12, positive=True),
         "max_iter": _integer(cfg, "newton.max_iter", default=25, minimum=1),
     }
-    exp["svg"] = bool(_get(cfg, "experiment.svg", True))
+    exp["svg"] = _boolean(cfg, "experiment.svg", True)
 
     if kind == "decay":
         model["epsilon"] = _number(cfg, "model.epsilon", positive=True)
@@ -204,8 +211,8 @@ def validate_config(cfg: dict, kind: str) -> dict:
         else:
             model["r"] = _number(cfg, "model.r", nonnegative=True)
         resolved["mesh"] = {"n_elements": _integer(cfg, "mesh.n_elements", minimum=2)}
-        exp["include_uncontrolled"] = bool(_get(cfg, "experiment.include_uncontrolled", False))
-        exp["implicit_control"] = bool(_get(cfg, "experiment.implicit_control", True))
+        exp["include_uncontrolled"] = _boolean(cfg, "experiment.include_uncontrolled", False)
+        exp["implicit_control"] = _boolean(cfg, "experiment.implicit_control", True)
 
     elif kind == "space_convergence":
         ns = _get(cfg, "experiment.n_elements_list")

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from penalty_stab import fem
 from penalty_stab import (
     MeshError,
     ParameterDomainError,
@@ -335,3 +340,88 @@ def test_tridiag_zero_pivot_after_elimination_raises():
     core = TridiagMatrix.symmetric(np.array([1.0, 1.0, 5.0, 5.0]), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(SingularCoreError, match="row 2"):
         core.solve(np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK binding
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Solves the systems saved by ``tridiag_cases`` in a fresh interpreter in
+# which ``find_spec`` cannot see scipy, so fem takes the ordinary import, and
+# saves the solutions with the scipy modules that were loaded.
+SOLVE_WITH_FALLBACK = """
+import importlib.util, sys
+import numpy as np
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, package=None: (
+    None if name == "scipy" else find_spec(name, package))
+from penalty_stab import TridiagMatrix
+cases = np.load(sys.argv[1])
+np.savez(sys.argv[2], modules=sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+         **{name: TridiagMatrix(diag=cases[name + "_diag"], lower=cases[name + "_lower"],
+                                upper=cases[name + "_upper"]).solve(cases[name + "_rhs"])
+            for name in ("vector", "pair", "stack")})
+"""
+
+
+def tridiag_cases():
+    """A vector, an ``(n, 2)`` and a stacked ``(B, n)`` right-hand side."""
+    rng = np.random.default_rng(59)
+
+    def case(shape, rhs_shape):
+        n = shape[-1]
+        off = shape[:-1] + (n - 1,)
+        return (TridiagMatrix(diag=3.0 + rng.random(shape), lower=rng.uniform(-1, 1, off),
+                              upper=rng.uniform(-1, 1, off)), rng.standard_normal(rhs_shape))
+
+    return {"vector": case((11,), (11,)), "pair": case((11,), (11, 2)),
+            "stack": case((4, 11), (4, 11))}
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_only_the_flapack_extension():
+    # a plain ``import scipy.linalg`` costs more than the rest of start-up
+    loaded = run_python("-c", "import sys, penalty_stab.cli; "
+                              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.split() == ["scipy.linalg._flapack"]
+
+
+def test_scipy_linalg_reuses_the_loaded_extension_bit_for_bit():
+    import scipy.linalg
+    from scipy.linalg import _flapack, lapack
+
+    assert lapack.dgtsv is fem.dgtsv
+    assert _flapack is sys.modules["scipy.linalg._flapack"]
+    for name, (core, rhs) in tridiag_cases().items():
+        x = core.solve(rhs)
+        if name == "stack":
+            for b in range(rhs.shape[0]):
+                ref = lapack.dgtsv(core.lower[b], core.diag[b], core.upper[b], rhs[b])[3]
+                assert np.array_equal(x[b], ref)
+        else:
+            assert np.array_equal(x, lapack.dgtsv(core.lower, core.diag, core.upper, rhs)[3]), name
+        if name == "vector":
+            bands = np.stack([np.r_[0.0, core.upper], core.diag, np.r_[core.lower, 0.0]])
+            assert np.allclose(scipy.linalg.solve_banded((1, 1), bands, rhs), x,
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_ordinary_scipy_import_gives_the_same_bits(tmp_path):
+    cases = tridiag_cases()
+    np.savez(tmp_path / "cases.npz", **{f"{name}_{part}": array
+                                        for name, (core, rhs) in cases.items()
+                                        for part, array in [("diag", core.diag),
+                                                            ("lower", core.lower),
+                                                            ("upper", core.upper),
+                                                            ("rhs", rhs)]})
+    run_python("-c", SOLVE_WITH_FALLBACK, str(tmp_path / "cases.npz"), str(tmp_path / "x.npz"))
+    solved = np.load(tmp_path / "x.npz")
+    assert "scipy.linalg.lapack" in solved["modules"]
+    for name, (core, rhs) in cases.items():
+        assert np.array_equal(solved[name], core.solve(rhs)), name

@@ -397,6 +397,18 @@ def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, command, config, over
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["False", "1"])
+@pytest.mark.parametrize("field", ["experiment.svg", "experiment.include_uncontrolled",
+                                   "experiment.implicit_control"])
+def test_cli_boolean_fields_take_only_json_booleans(tmp_path, capsys, field, value):
+    # "False" is not JSON, so the override keeps the string, which is truthy
+    path = write_config(tmp_path, decay_config())
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--override", f"{field}={value}"])
+    assert code == 1
+    assert f"{field}: expected true or false" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("below", ["", "below"])
 def test_cli_out_not_creatable_exits_one(tmp_path, capsys, below):
     path = write_config(tmp_path, decay_config())

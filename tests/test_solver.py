@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from penalty_stab import (
@@ -293,6 +296,62 @@ def test_stacked_solve_singular_update_in_one_member_raises():
     systems[1] = (core_1, RankOneUpdate(u=u, v=-x_u / float(x_u @ x_u)), rhs_1)
     with pytest.raises(SingularUpdateError):
         solve_structured(*stacked(systems))
+
+
+@st.composite
+def dominant_structured_systems(draw, stacked):
+    """A diagonally dominant tridiagonal core, a rank-one term and a right-hand side.
+
+    Each diagonal entry exceeds the magnitudes of its row's off-diagonals by
+    a margin in [0.5, 4], with either sign; ``stacked`` draws a ``(B, n)``
+    stack.  The rank-one term is left free, so a system may be badly
+    conditioned; the test skips those.
+    """
+    n = draw(st.integers(2, 24))
+    shape = (draw(st.integers(1, 4)), n) if stacked else (n,)
+    off_shape = shape[:-1] + (n - 1,)
+    unit = st.floats(-1.0, 1.0)
+    lower = draw(hnp.arrays(float, off_shape, elements=unit))
+    upper = draw(hnp.arrays(float, off_shape, elements=unit))
+    margin = draw(hnp.arrays(float, shape, elements=st.floats(0.5, 4.0)))
+    sign = draw(hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 1.0])))
+    pad = [(0, 0)] * (len(shape) - 1)
+    row_sum = np.pad(np.abs(lower), pad + [(1, 0)]) + np.pad(np.abs(upper), pad + [(0, 1)])
+    core = TridiagMatrix(diag=sign * (row_sum + margin), lower=lower, upper=upper)
+    u, v, rhs = (draw(hnp.arrays(float, shape, elements=st.floats(-2.0, 2.0)))
+                 for _ in range(3))
+    return core, RankOneUpdate(u=u, v=v), rhs
+
+
+def assert_matches_dense_solve(core, rank_one, rhs, x):
+    dense = core.to_dense() + np.outer(rank_one.u, rank_one.v)
+    ref = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+def well_conditioned(core, rank_one):
+    return np.linalg.cond(core.to_dense() + np.outer(rank_one.u, rank_one.v)) <= 1e4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dominant_structured_systems(stacked=False))
+def test_structured_solve_property_matches_dense_solve(system):
+    core, rank_one, rhs = system
+    assume(well_conditioned(core, rank_one))
+    assert_matches_dense_solve(core, rank_one, rhs, solve_structured(core, rank_one, rhs))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(dominant_structured_systems(stacked=True))
+def test_stacked_structured_solve_property_matches_dense_solves(system):
+    core, rank_one, rhs = system
+    members = [(TridiagMatrix(diag=core.diag[b], lower=core.lower[b], upper=core.upper[b]),
+                RankOneUpdate(u=rank_one.u[b], v=rank_one.v[b])) for b in range(rhs.shape[0])]
+    assume(all(well_conditioned(*member) for member in members))
+    x = solve_structured(core, rank_one, rhs)
+    for b, member in enumerate(members):
+        assert_matches_dense_solve(*member, rhs[b], x[b])
+        assert np.array_equal(x[b], solve_structured(*member, rhs[b]))
 
 
 # ---------------------------------------------------------------------------
