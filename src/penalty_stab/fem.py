@@ -273,7 +273,7 @@ def _element_endpoint_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left, y
 
 
-def _gauss_values(y: np.ndarray) -> np.ndarray:
+def gauss_values(y: np.ndarray) -> np.ndarray:
     """Values of the P1 function at the 3 Gauss points of every element.
 
     Returns an array of shape ``(n_elements, 3)``, behind the leading axis of
@@ -295,18 +295,37 @@ def cubic_term(mesh: MeshPartition, y: np.ndarray) -> np.ndarray:
     The integrand is polynomial of degree 4 per element, so the 3-point Gauss
     rule is exact.  A ``(B, n_dof)`` stack of states gives one load per row.
     """
-    vals = _gauss_values(y) ** 3
+    vals = gauss_values(y) ** 3
     h = mesh.element_sizes
     return _scatter_element_loads(h * (vals @ _W_LEFT), h * (vals @ _W_RIGHT))
 
 
-def cubic_jacobian(mesh: MeshPartition, y: np.ndarray) -> TridiagMatrix:
+def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic) -> np.ndarray:
+    """Load vector of the reaction ``linear * y + cubic * y^3``.
+
+    Entries are ``integral((linear*y + cubic*y^3) * phi_i)``, by the 3-point
+    Gauss rule (exact, as for :func:`cubic_term`) from the state's values
+    ``gauss`` at the Gauss points (:func:`gauss_values`).  It equals
+    ``linear * M y + cubic * cubic_term(y)`` up to round-off, in one pass
+    over the elements.  For a stack the coefficients are ``(B, 1)`` columns.
+    """
+    linear, cubic = np.asarray(linear)[..., None], np.asarray(cubic)[..., None]
+    vals = gauss * (linear + cubic * (gauss * gauss))
+    h = mesh.element_sizes
+    return _scatter_element_loads(h * (vals @ _W_LEFT), h * (vals @ _W_RIGHT))
+
+
+def cubic_jacobian(mesh: MeshPartition, y: np.ndarray, *,
+                   gauss: np.ndarray | None = None) -> TridiagMatrix:
     """Derivative of :func:`cubic_term`: entries ``integral(3*y^2*phi_j*phi_i)``.
 
     Symmetric positive semidefinite; exact by the same degree argument.  A
-    ``(B, n_dof)`` stack of states gives a stack of matrices.
+    ``(B, n_dof)`` stack of states gives a stack of matrices.  ``gauss`` is
+    ``gauss_values(y)`` when the caller has it already.
     """
-    sq = 3.0 * _gauss_values(y) ** 2
+    if gauss is None:
+        gauss = gauss_values(y)
+    sq = 3.0 * gauss ** 2
     h = mesh.element_sizes
     return _scatter_element_matrix(h * (sq @ _W_LL), h * (sq @ _W_RR), h * (sq @ _W_LR))
 
@@ -353,11 +372,11 @@ def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
     """
     if y.shape != (system.n_dof,):
         raise MeshError(f"state has {y.shape[0]} DOFs, system expects {system.n_dof}")
-    quartic = _gauss_values(y) ** 4
+    quartic = gauss_values(y) ** 4
     integral_4 = float(system.mesh.element_sizes @ (quartic @ GAUSS3_WEIGHTS))
     return NormSet(
         l2=math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
-        linf=float(np.max(np.abs(y), initial=0.0)),
+        linf=float(np.abs(y).max()),
         l4=integral_4 ** 0.25,
         h1_semi=math.sqrt(max(float(y @ system.stiffness.matvec(y)), 0.0)),
     )

@@ -6,7 +6,17 @@ Each step of the penalized feedback scheme solves the nonlinear system
         - alpha M Y + (nu r / eps) (w . Y) e_b = 0
 
 where ``C`` is the cubic load vector, ``w`` the control moment vector, and
-``e_b`` selects the boundary DOF.  The control is treated implicitly (the
+``e_b`` selects the boundary DOF.  The residual evaluates it as
+
+    nu K Y + R(Y) - M Y_prev / k + (nu/eps) (Y(1) + r (w . Y)) e_b,
+
+with the reaction load ``R(Y) = integral(((1/k - alpha) Y + delta Y^3)
+phi_i)`` taken by the element Gauss rule, which is exact for it, in one pass
+over the Gauss values of ``Y``.  ``nu K Y`` stays an exact tridiagonal
+product: its entries of size ``nu/h`` set the residual's round-off floor,
+and folding ``K`` into one operator with ``M`` raises that floor.  A Newton
+step forms ``M Y_prev / k`` once, and each iterate's Gauss values serve both
+its residual and its Jacobian.  The control is treated implicitly (the
 feedback functional is evaluated at the unknown state), which adds a rank-one
 row to the otherwise tridiagonal Newton matrix; the linear solves exploit
 that structure via a tridiagonal elimination plus a Sherman-Morrison
@@ -63,9 +73,11 @@ from .fem import (
     TridiagMatrix,
     assemble,
     cubic_jacobian,
-    cubic_term,
+    cubic_term,  # no longer called here, but still looked up as solver.cubic_term
+    gauss_values,
     norms,
     project_initial,
+    reaction_load,
 )
 from .params import ModelParams, check_admissibility
 
@@ -182,38 +194,58 @@ class ParamStack:
         return ParamStack(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
+def _check_states(system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray) -> None:
+    if y.shape[-1:] != (system.n_dof,) or y_prev.shape != y.shape:
+        raise MeshError("state vectors do not match the assembled system")
+
+
 def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
              y_prev: np.ndarray, k: float,
              control_state: np.ndarray | None = None,
-             hard_constraint: bool = False) -> np.ndarray:
+             hard_constraint: bool = False, *, linear: LinearPart | None = None,
+             prev_load: np.ndarray | None = None, gauss: np.ndarray | None = None
+             ) -> np.ndarray:
     """Residual of one backward Euler step of the penalized feedback scheme.
 
-    ``control_state`` selects the state the feedback functional acts on;
-    the default (``None``) is the implicit choice ``y`` itself.  With a
+    The interior rows are ``nu K y + R(y) - M y_prev / k`` with the reaction
+    load ``R(y) = integral(((1/k - alpha) y + delta y^3) phi_i)``, which
+    :func:`fem.reaction_load` integrates by the exact Gauss rule in one pass;
+    ``nu K y`` stays an exact tridiagonal product.  ``control_state``
+    selects the state the feedback functional acts on; the default
+    (``None``) is the implicit choice ``y`` itself.  With a
     :class:`ParamStack` the states are ``(B, N)`` stacks and each row gets
     its own residual.  ``hard_constraint=True`` replaces the boundary row by
     the feedback condition ``y(1) + r (w . y)`` itself (the Dirichlet
     feedback problem, ``eps -> 0``); epsilon is then not read.
+
+    The keywords carry pieces a Newton step computes once: ``linear``, the
+    :class:`LinearPart` of ``params`` at the same ``k`` and
+    ``hard_constraint``; ``prev_load``, the previous level's load
+    ``M y_prev / k``; and ``gauss``, ``fem.gauss_values(y)``.  Each one not
+    given is built here, with the same bits.
     """
-    n = system.n_dof
-    if y.shape[-1:] != (n,) or y_prev.shape != y.shape:
-        raise MeshError("state vectors do not match the assembled system")
+    _check_states(system, y, y_prev)
     if k <= 0.0:
         raise ParameterDomainError(f"time step must be positive, got {k!r}")
-    m = system.mass
-    f = m.matvec(y - y_prev) / k
+    if linear is None:
+        linear = LinearPart.of(params, system, k, implicit_control=False,
+                               hard_constraint=hard_constraint)
+    if prev_load is None:
+        prev_load = system.mass.matvec(y_prev) / k
+    if gauss is None:
+        gauss = gauss_values(y)
+    f = reaction_load(system.mesh, gauss, linear.weight, params.delta)
+    f -= prev_load
     f += params.nu * system.stiffness.matvec(y)
-    f -= params.alpha * m.matvec(y)
-    f += params.delta * cubic_term(system.mesh, y)
     yc = y if control_state is None else control_state
     b = slice(system.boundary_dof, system.boundary_dof + 1)
     constraint = y[..., b] + params.r * np.vecdot(yc, system.moment)[..., None]
-    if hard_constraint:
+    if linear.hard_constraint:
         f[..., b] = constraint
     else:
         # Penalty and feedback combined before the 1/eps amplification keeps
         # the boundary equation accurate at very small eps.
-        f[..., b] += (params.nu / params.epsilon) * constraint
+        f[..., b] += linear.penalty * constraint
     return f
 
 
@@ -223,14 +255,16 @@ class LinearPart:
 
     Every Newton matrix of a run shares the tridiagonal ``(1/k - alpha) M +
     nu K`` (``diag``, ``off``), the boundary row and the rank-one feedback
-    row; only ``delta C'(y)`` changes with the state.  ``penalty`` is the
-    ``nu/eps`` that :func:`jacobian` adds to the boundary diagonal after
-    ``delta C'(y)``, and ``None`` with ``hard_constraint``, where the core's
-    boundary row is ``e_b``.  ``rank_one`` is ``None`` when every gain is 0
-    or the control is lagged.  Built from a :class:`ParamStack`, every field
-    has one row per member.
+    row; only ``delta C'(y)`` changes with the state.  ``weight`` is the
+    ``1/k - alpha`` that :func:`residual` integrates with the cubic term.
+    ``penalty`` is the ``nu/eps`` that :func:`jacobian` adds to the boundary
+    diagonal after ``delta C'(y)``, and ``None`` with ``hard_constraint``,
+    where the core's boundary row is ``e_b``.  ``rank_one`` is ``None`` when
+    every gain is 0 or the control is lagged.  Built from a
+    :class:`ParamStack`, every field has one row per member.
     """
 
+    weight: np.ndarray | float
     diag: np.ndarray
     off: np.ndarray
     penalty: np.ndarray | float | None
@@ -252,7 +286,7 @@ class LinearPart:
             u = np.zeros(diag.shape)
             u[..., system.boundary_dof] = 1.0
             rank_one = RankOneUpdate(u=u, v=coupling * system.moment)
-        return cls(diag=diag, off=off, penalty=penalty, rank_one=rank_one)
+        return cls(weight=weight, diag=diag, off=off, penalty=penalty, rank_one=rank_one)
 
     @property
     def hard_constraint(self) -> bool:
@@ -264,13 +298,13 @@ class LinearPart:
         if rank_one is not None:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
         penalty = None if self.hard_constraint else self.penalty[index]
-        return LinearPart(diag=self.diag[index], off=self.off[index], penalty=penalty,
-                          rank_one=rank_one)
+        return LinearPart(weight=self.weight[index], diag=self.diag[index],
+                          off=self.off[index], penalty=penalty, rank_one=rank_one)
 
 
 def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
              k: float, implicit_control: bool = True, hard_constraint: bool = False,
-             *, linear: LinearPart | None = None
+             *, linear: LinearPart | None = None, gauss: np.ndarray | None = None
              ) -> tuple[TridiagMatrix, RankOneUpdate | None]:
     """Newton matrix of :func:`residual`, split into tridiagonal + rank-one.
 
@@ -285,11 +319,12 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     ``linear`` is the run's :class:`LinearPart`, built from the same
     ``params``, ``k``, ``implicit_control`` and ``hard_constraint``; without
     it the call builds its own.  Only ``delta C'(y)`` is computed here, and
-    the returned rank-one part is the linear part's own.
+    the returned rank-one part is the linear part's own.  ``gauss`` is
+    ``fem.gauss_values(y)`` when the caller has it already.
     """
     if linear is None:
         linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
-    jc = cubic_jacobian(system.mesh, y)
+    jc = cubic_jacobian(system.mesh, y, gauss=gauss)
     diag = params.delta * jc.diag
     diag += linear.diag
     off = params.delta * jc.lower
@@ -383,19 +418,24 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     if linear is None:
         linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
     y = (y_prev if start is None else start).copy()
+    _check_states(system, y, y_prev)
     p, y_a, prev_a = params, y, y_prev
+    load_a = system.mass.matvec(y_prev) / k
     control_a = None if implicit_control else y_prev
+    gauss = gauss_values(y_a)
     f = residual(p, system, y_a, prev_a, k, control_state=control_a,
-                 hard_constraint=hard_constraint)
+                 hard_constraint=hard_constraint, linear=linear, prev_load=load_a, gauss=gauss)
     b = system.boundary_dof
     histories = [[norm] for norm in _residual_norms(f, linear, b)]
     active = list(range(len(histories)))  # members still iterating
     for iteration in range(max_iter):
         core, rank_one = jacobian(p, system, y_a, k, implicit_control=implicit_control,
-                                  hard_constraint=hard_constraint, linear=linear)
+                                  hard_constraint=hard_constraint, linear=linear, gauss=gauss)
         y_a = y_a - solve_structured(core, rank_one, f)
+        gauss = gauss_values(y_a)
         f = residual(p, system, y_a, prev_a, k, control_state=control_a,
-                     hard_constraint=hard_constraint)
+                     hard_constraint=hard_constraint, linear=linear, prev_load=load_a,
+                     gauss=gauss)
         keep = []
         for member, norm in zip(active, _residual_norms(f, linear, b)):
             histories[member].append(norm)
@@ -412,7 +452,8 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
             break
         rows = np.flatnonzero(keep)
         active = [active[j] for j in rows]
-        y_a, prev_a, f = y_a[rows], prev_a[rows], f[rows]
+        y_a, prev_a, load_a, gauss, f = (y_a[rows], prev_a[rows], load_a[rows], gauss[rows],
+                                         f[rows])
         if isinstance(p, ParamStack):
             p, linear = p.take(rows), linear.take(rows)
         if control_a is not None:

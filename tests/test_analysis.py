@@ -352,9 +352,11 @@ def test_epsilon_study_equals_separate_runs_bit_for_bit():
     assert [t.failed_at for t in trajectories] == [None] * 5
 
     # a tolerance below round-off makes runs stall mid-march, so members
-    # leave the stack (with their extrapolation levels) at different steps
+    # leave the stack (with their extrapolation levels) at different steps;
+    # which steps stall depends on the residual's round-off, so the tolerance
+    # is chosen to give all three cases asserted below
     trajectories = assert_study_equals_separate_runs(
-        [1.0, 1e-1, 1e-3, 1e-6, 1e-10, 1e-11, 1e-12], 1e-14)
+        [1.0, 1e-1, 1e-3, 1e-6, 1e-10, 1e-11, 1e-12], 9e-15)
     failed_at = [t.failed_at for t in trajectories]
     assert None in failed_at and 1 in failed_at
     assert any(step is not None and step >= 2 for step in failed_at)

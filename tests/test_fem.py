@@ -264,6 +264,24 @@ def test_cubic_jacobian_is_directional_derivative():
     assert errors[1] / errors[2] == pytest.approx(10.0, rel=0.15)
 
 
+@pytest.mark.parametrize("mesh_factory", [lambda: make_uniform_mesh(16), graded_mesh],
+                         ids=["uniform", "graded"])
+def test_reaction_load_equals_mass_product_plus_cubic_term(mesh_factory):
+    # the linear part dominates at k = 1/1050, the cubic one at k = 1 and
+    # amplitude 3; the last row is linear only
+    mesh = mesh_factory()
+    mass = assemble(mesh).mass
+    y = RNG.standard_normal((3, mesh.n_dof)) * np.array([[1.0], [3.0], [0.1]])
+    weight = 1.0 / np.array([[1.0 / 1050.0], [1.0], [0.01]]) - np.array([[0.13], [0.5], [1.0]])
+    delta = np.array([[0.13], [2.0], [0.0]])
+    stacked = fem.reaction_load(mesh, fem.gauss_values(y), weight, delta)
+    for b in range(3):
+        lone = fem.reaction_load(mesh, fem.gauss_values(y[b]), weight[b, 0], delta[b, 0])
+        assert np.array_equal(stacked[b], lone)
+        ref = weight[b, 0] * mass.matvec(y[b]) + delta[b, 0] * cubic_term(mesh, y[b])
+        assert np.max(np.abs(lone - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # norms
 

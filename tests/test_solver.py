@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from penalty_stab import fem
 from penalty_stab import (
     LinearPart,
     MeshError,
@@ -30,6 +31,7 @@ from penalty_stab import (
     solve_structured,
     step_ensemble,
 )
+from penalty_stab.solver import _residual_norms
 
 RNG = np.random.default_rng(987654)
 
@@ -114,6 +116,38 @@ def test_residual_rejects_mismatched_states():
     system = assemble(make_uniform_mesh(8))
     with pytest.raises(MeshError):
         residual(EXAMPLE, system, np.zeros(7), np.zeros(8), 0.1)
+
+
+@pytest.mark.parametrize("case", ["penalized", "hard_constraint", "lagged", "stack_take"])
+def test_residual_with_precomputed_pieces_is_bit_identical(case):
+    system = assemble(make_uniform_mesh(12))
+    x = system.mesh.nodes[1:]
+    y, y_prev = 0.7 * sin_pi(x) + 0.1 * x, 0.8 * sin_pi(x)
+    params, options, k = EXAMPLE, {}, 0.01
+    if case == "hard_constraint":
+        options = {"hard_constraint": True}
+    elif case == "lagged":
+        options = {"control_state": y_prev}
+    elif case == "stack_take":
+        stack = ParamStack.of([EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3,
+                                                    epsilon=0.05),
+                               ModelParams(nu=0.1, alpha=0.05, delta=0.5, r=0.01, epsilon=1e-4)])
+        rows = np.array([0, 2])
+        params, linear = stack.take(rows), LinearPart.of(stack, system, k).take(rows)
+        y, y_prev = np.stack([y, -2.0 * y]), np.stack([y_prev, 1.5 * y_prev])
+    if case != "stack_take":
+        linear = LinearPart.of(params, system, k, hard_constraint=case == "hard_constraint")
+    pieces = {"linear": linear, "prev_load": system.mass.matvec(y_prev) / k,
+              "gauss": fem.gauss_values(y)}
+    expected = residual(params, system, y, y_prev, k, **options)
+    assert np.array_equal(residual(params, system, y, y_prev, k, **options, **pieces), expected)
+    for name, piece in pieces.items():
+        assert np.array_equal(residual(params, system, y, y_prev, k, **options, **{name: piece}),
+                              expected), name
+    # the previous level enters only through its load
+    wrong_level = system.mass.matvec(y) / k
+    assert not np.array_equal(
+        residual(params, system, y, y_prev, k, **options, prev_load=wrong_level), expected)
 
 
 def test_jacobian_matches_finite_differences_columnwise():
@@ -207,7 +241,8 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
     saved = [np.copy(a) for a in prebuilt]
     # compared after both calls: the second must not write into the first's arrays
     states = (y, -1.5 * y)
-    results = [(jacobian(params, system, state, k, **options, linear=linear),
+    results = [(jacobian(params, system, state, k, **options, linear=linear,
+                         gauss=fem.gauss_values(state)),
                 jacobian(params, system, state, k, **options)) for state in states]
     for state, ((core, rank_one), (ref_core, ref_rank_one)) in zip(states, results):
         expected = from_scratch_core(params, system, state, k, **options)
@@ -514,6 +549,47 @@ def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
             previous, (y, report) = y, newton_solve(params, system, y, grid.k, start=start)
             assert np.array_equal(level.states[b], y)
             assert level.reports[b] == report
+
+
+@st.composite
+def newton_steps(draw):
+    """One Newton step, lone or stacked, penalized or Dirichlet feedback."""
+    n = draw(st.integers(4, 64))
+    n_members = draw(st.sampled_from([1, 2, 3]))
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=draw(st.floats(0.0, 2.0)),
+                           r=draw(st.floats(0.0, 1.0)),
+                           epsilon=10.0 ** draw(st.floats(-12.0, 0.0)))
+               for _ in range(n_members)]
+    amplitudes = [draw(st.floats(-2.0, 2.0)) for _ in members]
+    k = draw(st.sampled_from([1.0 / 1050.0, 1e-2, 0.1]))
+    start_scale = draw(st.one_of(st.none(), st.floats(0.9, 1.1)))
+    return n, members, amplitudes, k, start_scale, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(newton_steps())
+def test_residual_at_the_returned_state_is_within_tolerance(step):
+    n, members, amplitudes, k, start_scale, hard_constraint = step
+    system = assemble(make_uniform_mesh(n))
+    x = system.mesh.nodes[1:]
+    y_prev = np.stack([a * sin_pi(x) + 0.1 * a * x * (1.0 - x) for a in amplitudes])
+    start = None if start_scale is None else start_scale * y_prev
+    tol, options = 1e-12, {"hard_constraint": hard_constraint}
+    if len(members) == 1:
+        y, report = newton_solve(members[0], system, y_prev[0], k, tol=tol, **options,
+                                 start=None if start is None else start[0])
+        y, reports = y[None], (report,)
+    else:
+        y, reports = newton_solve(ParamStack.of(members), system, y_prev, k, tol=tol,
+                                  **options, start=start)
+    for params, y_b, prev_b, report in zip(members, y, y_prev, reports):
+        # recomputed by the public residual, with no precomputed piece
+        f = residual(params, system, y_b, prev_b, k, hard_constraint=hard_constraint)
+        linear = LinearPart.of(params, system, k, hard_constraint=hard_constraint)
+        [norm] = _residual_norms(f, linear, system.boundary_dof)
+        assert report.converged
+        assert norm <= tol
+        assert norm == report.final_residual_norm
 
 
 def test_newton_nan_state_reported_not_raised():
