@@ -2,12 +2,14 @@
 
 Usage::
 
-    python3 scripts/csv_identity.py REV
+    python3 scripts/csv_identity.py REV [--override KEY=VALUE ...]
 
 Each config in ``configs/`` of the working tree is run through the CLI twice:
 once with the package of the working tree and once with the package of
 revision ``REV``, exported by ``git archive`` into a temporary directory.
 Both sides read the working tree's configs, so only the program differs.
+Each ``--override`` is passed to every CLI call on both sides, for example
+``--override newton.tol=1e-14`` to compare studies whose runs fail.
 Every CSV either side writes is compared on its header and data rows and on
 its ``#`` metadata block (resolved config, rate report, variant), all but the
 ``# version:`` line, which names the revision.  One verdict line is printed
@@ -44,12 +46,13 @@ def _export(root: Path, rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def _run(src: Path, config: Path, out: Path) -> int:
+def _run(src: Path, config: Path, out: Path, overrides: list[str]) -> int:
     """Run the CLI of the package under ``src`` on ``config``; return its exit status."""
     kind = json.loads(config.read_text())["experiment"]["kind"]
     env = dict(os.environ, PYTHONPATH=str(src))
+    extra = [arg for item in overrides for arg in ("--override", item)]
     return subprocess.run([sys.executable, "-m", "penalty_stab", COMMANDS[kind],
-                           "--config", str(config), "--out", str(out)],
+                           "--config", str(config), "--out", str(out), *extra],
                           cwd=out.parent, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
@@ -93,7 +96,7 @@ def _column_sizes(rows_a: list[str], rows_b: list[str]) -> dict[str, tuple[float
     return sizes
 
 
-def compare(root: Path, rev: str) -> bool:
+def compare(root: Path, rev: str, overrides: list[str]) -> bool:
     """Print one verdict per config; return whether all of them match."""
     configs = sorted((root / "configs").glob("*.json"))
     all_equal = True
@@ -105,7 +108,7 @@ def compare(root: Path, rev: str) -> bool:
             codes = {}
             for side, src in sides.items():
                 outs[side].parent.mkdir(parents=True, exist_ok=True)
-                codes[side] = _run(src, config, outs[side])
+                codes[side] = _run(src, config, outs[side], overrides)
             problems, sizes = [], []
             if len(set(codes.values())) > 1:
                 problems.append(f"exit status {codes}")
@@ -137,8 +140,10 @@ def compare(root: Path, rev: str) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
+                        help="config override passed to every CLI call (repeatable)")
     args = parser.parse_args(argv)
-    return 0 if compare(Path(__file__).resolve().parent.parent, args.rev) else 1
+    return 0 if compare(Path(__file__).resolve().parent.parent, args.rev, args.override) else 1
 
 
 if __name__ == "__main__":

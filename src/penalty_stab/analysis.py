@@ -189,9 +189,19 @@ class EpsilonStudyReport:
     rows: tuple[EpsilonRow, ...]
 
 
+#: Bytes of states the epsilon study buffers before it reduces them in one pass.
+#: Larger blocks cut no further per-call overhead, but they cost memory.
+_FOLD_BLOCK_BYTES = 65536
+
+
+def _fold_block_length(n_runs: int, n_dof: int) -> int:
+    """Time levels per block of ``n_runs`` states of ``n_dof`` doubles each."""
+    return max(1, _FOLD_BLOCK_BYTES // (8 * n_runs * n_dof))
+
+
 def _rowwise_l2(mass: TridiagMatrix, states: np.ndarray) -> np.ndarray:
-    """L2 norm of every row of a (rows, n_dof) array of states."""
-    return np.sqrt(np.maximum(np.einsum("ij,ij->i", states, mass.matvec(states)), 0.0))
+    """L2 norm of every state (last axis) of an array of states."""
+    return np.sqrt(np.maximum(np.einsum("...j,...j->...", states, mass.matvec(states)), 0.0))
 
 
 def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
@@ -207,9 +217,13 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     state differences.  The gain of each run is ``gain_rule(epsilon)``.
     A failed run marks its row and poisons the adjacent difference entries.
 
-    The runs are stepped together by :func:`step_ensemble`, and each level
-    is folded into the running maxima of the rows as it arrives, so memory
-    does not grow with the number of runs or of time levels.
+    The B runs are stepped together by :func:`step_ensemble` as one
+    ``(B, N)`` stack.  Their levels are copied into an ``(L, B, N)`` block
+    of about 64 KiB (``L = max(1, 65536 // (8 B N))``), and each full
+    block is reduced in one pass and folded into the running maxima of the
+    rows; a block is also flushed when a run drops out and after the last
+    level.  Every reduction is per state, so the rows equal a level-by-level
+    fold bit for bit, and memory does not grow with the number of levels.
     """
     epsilons = [float(e) for e in epsilons]
     if any(e2 > e1 for e1, e2 in zip(epsilons, epsilons[1:])):
@@ -227,27 +241,50 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     # running sup-over-time maxima; entry i - 1 of the diff arrays pairs runs i - 1 and i
     l2_sup, linf_sup, control_sup = (np.full(n, -np.inf) for _ in range(3))
     diff_l2, diff_linf, control_diff = (np.full(n - 1, -np.inf) for _ in range(3))
-    levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),
-                           time_grid, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
-    for level in levels:
-        for i, report in level.reports.items():
-            failed[i] |= not report.converged
-        alive, states = level.members, level.states
-        controls = np.array([level.reports[i].control_value for i in alive.tolist()])
+    block_length = _fold_block_length(n, system.n_dof)
+    block_states = np.empty((block_length, n, system.n_dof))
+    block_controls = np.empty((block_length, n))
+
+    def flush(alive: np.ndarray, filled: int) -> None:
+        states = block_states[:filled, :alive.size]
+        controls = block_controls[:filled, :alive.size]
         # reduced like fem.norms, so the columns match a run's own l2 history
-        state_l2[alive] = np.sqrt(np.maximum(np.vecdot(states, mass.matvec(states)), 0.0))
-        state_linf[alive] = np.max(np.abs(states), axis=1, initial=0.0)
-        l2_sup[alive] = np.maximum(l2_sup[alive], state_l2[alive])
-        linf_sup[alive] = np.maximum(linf_sup[alive], state_linf[alive])
-        control_sup[alive] = np.maximum(control_sup[alive], np.abs(controls))
+        l2 = np.sqrt(np.maximum(np.vecdot(states, mass.matvec(states)), 0.0))
+        linf = np.max(np.abs(states), axis=-1, initial=0.0)
+        state_l2[alive], state_linf[alive] = l2[-1], linf[-1]
+        l2_sup[alive] = np.maximum(l2_sup[alive], l2.max(axis=0))
+        linf_sup[alive] = np.maximum(linf_sup[alive], linf.max(axis=0))
+        control_sup[alive] = np.maximum(control_sup[alive], np.abs(controls).max(axis=0))
         pairs = np.flatnonzero(np.diff(alive) == 1)  # rows j, j + 1 hold runs i - 1, i
         if pairs.size:
             i_prev = alive[pairs]
-            d = states[pairs + 1] - states[pairs]
-            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], _rowwise_l2(mass, d))
-            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], np.max(np.abs(d), axis=1))
-            control_diff[i_prev] = np.maximum(control_diff[i_prev],
-                                              np.abs(controls[pairs + 1] - controls[pairs]))
+            d = states[:, pairs + 1] - states[:, pairs]
+            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], _rowwise_l2(mass, d).max(axis=0))
+            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], np.abs(d).max(axis=(0, 2)))
+            dc = np.abs(controls[:, pairs + 1] - controls[:, pairs]).max(axis=0)
+            control_diff[i_prev] = np.maximum(control_diff[i_prev], dc)
+
+    levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),
+                           time_grid, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
+    alive, filled = np.arange(n), 0
+    for level in levels:
+        reports = level.reports
+        if level.members.size < len(reports):  # a run dropped out at this level
+            for i, report in reports.items():
+                failed[i] |= not report.converged
+            flush(alive, filled)
+            alive, filled = level.members, 0
+            reports = {i: reports[i] for i in alive.tolist()}
+        if not alive.size:
+            break
+        if filled == block_length:
+            flush(alive, filled)
+            filled = 0
+        block_states[filled, :alive.size] = level.states
+        block_controls[filled, :alive.size] = [r.control_value for r in reports.values()]
+        filled += 1
+    if filled:
+        flush(alive, filled)
 
     rows: list[EpsilonRow] = []
     for i, params in enumerate(members):

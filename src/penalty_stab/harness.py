@@ -149,16 +149,21 @@ def _choice(cfg: dict, path: str, choices, *, default=...):
     return value
 
 
+def _gain(rule) -> Callable[[float], float]:
+    """The gain function of a rule that :func:`_gain_rule` has accepted."""
+    return GAIN_RULES[rule] if isinstance(rule, str) else (lambda _eps, _r=float(rule): _r)
+
+
 def _gain_rule(value, path: str) -> tuple[Callable[[float], float], str]:
     if isinstance(value, str):
         if value not in GAIN_RULES:
             raise ConfigError(f"{path}: unknown gain rule {value!r}; "
                               f"expected one of {sorted(GAIN_RULES)} or a number")
-        return GAIN_RULES[value], value
+        return _gain(value), value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if not 0 <= value < math.inf:
             raise ConfigError(f"{path}: constant gain must be finite and >= 0, got {value!r}")
-        return (lambda _eps, _r=float(value): _r), f"constant:{float(value):.17g}"
+        return _gain(value), f"constant:{float(value):.17g}"
     raise ConfigError(f"{path}: expected a rule name or a number, got {value!r}")
 
 
@@ -396,11 +401,35 @@ def emit_svg(path, x: np.ndarray, series: dict[str, np.ndarray], *,
 # runners
 
 
-def _common_pieces(resolved: dict):
-    grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
-    profile = INITIAL_PROFILES[resolved["initial"]]
-    newton = resolved["newton"]
-    return grid, profile, newton["tol"], newton["max_iter"]
+class _Run:
+    """What every runner starts from, and the outputs it collects.
+
+    ``solve`` holds the keyword arguments that :func:`simulate` and
+    :func:`epsilon_cauchy_study` share: the projection and Newton options.
+    """
+
+    def __init__(self, resolved: dict, out_dir) -> None:
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
+        self.profile = INITIAL_PROFILES[resolved["initial"]]
+        newton = resolved["newton"]
+        self.solve = {"projection": resolved["projection"], "newton_tol": newton["tol"],
+                      "newton_max_iter": newton["max_iter"]}
+        self.files: list[Path] = []
+        self.failures: list[str] = []
+        self.notes: list[str] = []
+
+    def svg(self, name: str, x, series, **kwargs) -> None:
+        """Chart ``name`` in the output directory; a failure only adds a note."""
+        try:
+            self.files.append(emit_svg(self.out_dir / name, x, series, **kwargs))
+        except Exception as exc:  # decoration only; never fail the run for it
+            self.notes.append(f"svg {self.out_dir / name}: {exc}")
+
+    def result(self) -> HarnessResult:
+        return HarnessResult(files=tuple(self.files), failures=tuple(self.failures),
+                             notes=tuple(self.notes))
 
 
 def _model_params(model: dict, r: float, epsilon: float) -> ModelParams:
@@ -409,21 +438,12 @@ def _model_params(model: dict, r: float, epsilon: float) -> ModelParams:
                        r=r, epsilon=epsilon)
 
 
-def _try_svg(files: list[Path], notes: list[str], path, x, series, **kwargs) -> None:
-    try:
-        files.append(emit_svg(path, x, series, **kwargs))
-    except Exception as exc:  # decoration only; never fail the run for it
-        notes.append(f"svg {path}: {exc}")
-
-
 def run_decay_experiment(resolved: dict, out_dir) -> HarnessResult:
     """Simulate the controlled scheme (and optionally the pinned baseline).
 
     Emits one CSV per variant with columns ``t, l2_norm, linf_norm, control``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid, profile, tol, max_iter = _common_pieces(resolved)
+    run = _Run(resolved, out_dir)
     model = resolved["model"]
     params = _model_params(model, model["r"], model["epsilon"])
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
@@ -431,31 +451,25 @@ def run_decay_experiment(resolved: dict, out_dir) -> HarnessResult:
     if resolved["experiment"]["include_uncontrolled"]:
         variants.append("uncontrolled_dirichlet")
 
-    files: list[Path] = []
-    failures: list[str] = []
-    notes: list[str] = []
     rates = rate_report(params).as_dict()
     for variant in variants:
-        traj = simulate(params, mesh, profile, grid, variant,
-                        projection=resolved["projection"], newton_tol=tol,
-                        newton_max_iter=max_iter,
+        traj = simulate(params, mesh, run.profile, run.grid, variant, **run.solve,
                         implicit_control=resolved["experiment"]["implicit_control"])
         metadata = {"config": resolved, "rates": rates, "variant": variant}
         if traj.failed_at is not None:
             msg = (f"{variant}: newton did not converge at step {traj.failed_at} "
                    f"(residual {traj.step_reports[-1].final_residual_norm:.3e})")
-            failures.append(msg)
+            run.failures.append(msg)
             metadata["failure"] = msg
         rows = list(zip(traj.times.tolist(), traj.l2.tolist(),
                         traj.linf.tolist(), traj.controls.tolist()))
-        files.append(emit_csv(out_dir / f"decay_{variant}.csv",
-                              ["t", "l2_norm", "linf_norm", "control"], rows, metadata))
+        run.files.append(emit_csv(run.out_dir / f"decay_{variant}.csv",
+                                  ["t", "l2_norm", "linf_norm", "control"], rows, metadata))
         if resolved["experiment"]["svg"] and traj.n_recorded > 1:
             log_ok = bool(np.all(traj.l2 > 0.0))
-            _try_svg(files, notes, out_dir / f"decay_{variant}.svg",
-                     traj.times, {"l2_norm": traj.l2}, title=f"decay ({variant})",
-                     x_label="t", y_label="l2 norm", log_y=log_ok)
-    return HarnessResult(files=tuple(files), failures=tuple(failures), notes=tuple(notes))
+            run.svg(f"decay_{variant}.svg", traj.times, {"l2_norm": traj.l2},
+                    title=f"decay ({variant})", x_label="t", y_label="l2 norm", log_y=log_ok)
+    return run.result()
 
 
 def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
@@ -473,27 +487,20 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
     scaling and reproduces the expected ``l/2`` control orders.  Observed
     orders are appended between rows.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid, profile, tol, max_iter = _common_pieces(resolved)
+    run = _Run(resolved, out_dir)
+    grid, failures = run.grid, run.failures
     model = resolved["model"]
     exp = resolved["experiment"]
     rule_c, rule_l = exp["epsilon_rule"]["c"], exp["epsilon_rule"]["l"]
-    gain, _ = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
+    gain = _gain(exp["gain_rule"])
     n_ref = exp["reference_n_elements"]
     ref_mesh = make_uniform_mesh(n_ref)
-
-    files: list[Path] = []
-    failures: list[str] = []
-    notes: list[str] = []
     raw_rows = []
     rates_per_row = []
 
     eps_ref = rule_c * (1.0 / n_ref) ** rule_l
     control_ref_params = _model_params(model, float(gain(eps_ref)), eps_ref)
-    control_reference = simulate(control_ref_params, ref_mesh, profile, grid,
-                                 projection=resolved["projection"], newton_tol=tol,
-                                 newton_max_iter=max_iter)
+    control_reference = simulate(control_ref_params, ref_mesh, run.profile, grid, **run.solve)
     if control_reference.failed_at is not None:
         failures.append(f"control reference (epsilon={eps_ref:g}): newton failure "
                         f"at step {control_reference.failed_at}")
@@ -507,11 +514,9 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
         rates_per_row.append({"h": h, "epsilon": eps, "r": params.r,
                               "admissible": rate_report(params).admissible})
         mesh = make_uniform_mesh(n)
-        coarse = simulate(params, mesh, profile, grid, projection=resolved["projection"],
-                          newton_tol=tol, newton_max_iter=max_iter)
-        reference = simulate(params, ref_mesh, profile, grid, "dirichlet_feedback",
-                             projection=resolved["projection"], newton_tol=tol,
-                             newton_max_iter=max_iter)
+        coarse = simulate(params, mesh, run.profile, grid, **run.solve)
+        reference = simulate(params, ref_mesh, run.profile, grid, "dirichlet_feedback",
+                             **run.solve)
         if coarse.failed_at is not None or reference.failed_at is not None:
             failures.append(f"h=1/{n}: newton failure "
                             f"(coarse step {coarse.failed_at}, reference step {reference.failed_at})")
@@ -552,43 +557,37 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
               "control_error_linf", "control_order_linf"]
     rows = [[r.h, r.epsilon, r.k, r.error_l2, r.order_l2, r.error_linf, r.order_linf,
              r.control_error_linf, r.control_order_linf] for r in report.rows]
-    files.append(emit_csv(out_dir / "convergence.csv", header, rows, metadata))
+    run.files.append(emit_csv(run.out_dir / "convergence.csv", header, rows, metadata))
     if resolved["experiment"]["svg"] and len(report.rows) >= 2:
-        _try_svg(files, notes, out_dir / "convergence.svg",
-                 np.array(hs),
-                 {"error_l2": np.array([r.error_l2 for r in report.rows]),
-                  "error_linf": np.array([r.error_linf for r in report.rows]),
-                  "control_error_linf": np.array([r.control_error_linf for r in report.rows])},
-                 title="errors vs h", x_label="h", y_label="error",
-                 log_x=True, log_y=True)
-    return HarnessResult(files=tuple(files), failures=tuple(failures), notes=tuple(notes))
+        run.svg("convergence.svg", np.array(hs),
+                {"error_l2": np.array([r.error_l2 for r in report.rows]),
+                 "error_linf": np.array([r.error_linf for r in report.rows]),
+                 "control_error_linf": np.array([r.control_error_linf for r in report.rows])},
+                title="errors vs h", x_label="h", y_label="error", log_x=True, log_y=True)
+    return run.result()
 
 
 def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
     """Penalty-continuation study on a fixed space-time grid."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid, profile, tol, max_iter = _common_pieces(resolved)
+    run = _Run(resolved, out_dir)
     model = resolved["model"]
     exp = resolved["experiment"]
-    gain, _ = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
     base = _model_params(model, 0.0, exp["epsilons"][0])
 
     report: EpsilonStudyReport = epsilon_cauchy_study(
-        base, mesh, grid, exp["epsilons"], gain, y0=profile,
-        projection=resolved["projection"], newton_tol=tol,
-        newton_max_iter=max_iter)
+        base, mesh, run.grid, exp["epsilons"], _gain(exp["gain_rule"]), y0=run.profile,
+        **run.solve)
 
-    failures = [f"epsilon={row.epsilon:g}: newton failure" for row in report.rows if row.failed]
-    notes: list[str] = []
+    run.failures.extend(f"epsilon={row.epsilon:g}: newton failure"
+                        for row in report.rows if row.failed)
     rates_per_row = [{"epsilon": row.epsilon, "r": row.r,
                       "admissible": rate_report(_model_params(model, row.r,
                                                               row.epsilon)).admissible}
                      for row in report.rows]
     metadata = {"config": resolved, "rates_per_row": rates_per_row}
-    if failures:
-        metadata["failures"] = failures
+    if run.failures:
+        metadata["failures"] = run.failures
     header = ["epsilon", "r", "state_l2", "state_linf", "control_linf",
               "diff_l2", "diff_linf", "control_diff_linf",
               "state_l2_sup", "state_linf_sup", "failed"]
@@ -596,17 +595,16 @@ def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
              row.diff_l2, row.diff_linf, row.control_diff_linf,
              row.state_l2_sup, row.state_linf_sup, int(row.failed)]
             for row in report.rows]
-    files: list[Path] = [emit_csv(out_dir / "epsilon_study.csv", header, rows, metadata)]
+    run.files.append(emit_csv(run.out_dir / "epsilon_study.csv", header, rows, metadata))
     if resolved["experiment"]["svg"] and len(report.rows) >= 2:
         eps = np.array([row.epsilon for row in report.rows])
         diffs = np.array([np.nan if row.diff_l2 is None else row.diff_l2
                           for row in report.rows])
         controls = np.array([row.control_linf for row in report.rows])
-        _try_svg(files, notes, out_dir / "epsilon_study.svg", eps,
-                 {"diff_l2": diffs, "control_linf": controls},
-                 title="continuation in epsilon", x_label="epsilon", y_label="value",
-                 log_x=True, log_y=True)
-    return HarnessResult(files=tuple(files), failures=tuple(failures), notes=tuple(notes))
+        run.svg("epsilon_study.svg", eps, {"diff_l2": diffs, "control_linf": controls},
+                title="continuation in epsilon", x_label="epsilon", y_label="value",
+                log_x=True, log_y=True)
+    return run.result()
 
 
 RUNNERS = {

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -23,6 +24,10 @@ from penalty_stab import (
     simulate,
     step_ensemble,
 )
+from penalty_stab import solver
+from penalty_stab.analysis import _fold_block_length
+
+REAL_NEWTON_SOLVE = solver.newton_solve
 
 RNG = np.random.default_rng(321)
 
@@ -281,7 +286,7 @@ def test_epsilon_study_diffs_nonnegative_and_finite():
         assert row.diff_linf > 0.0 and np.isfinite(row.diff_linf)
 
 
-def serial_epsilon_rows(base, mesh, grid, epsilons, gain_rule, y0, newton_tol=1e-12):
+def serial_epsilon_rows(base, mesh, grid, epsilons, gain_rule, y0):
     """Study rows rebuilt from one simulate per epsilon (the serial formulas)."""
     mass = assemble(mesh).mass
 
@@ -294,7 +299,7 @@ def serial_epsilon_rows(base, mesh, grid, epsilons, gain_rule, y0, newton_tol=1e
     rows, trajectories, prev = [], [], None
     for i, eps in enumerate(epsilons):
         params = dataclasses.replace(base, r=float(gain_rule(eps)), epsilon=eps)
-        traj = simulate(params, mesh, y0, grid, newton_tol=newton_tol)
+        traj = simulate(params, mesh, y0, grid)
         failed = traj.failed_at is not None
         diffs = (None, None, None)
         if i > 0:
@@ -316,16 +321,49 @@ def serial_epsilon_rows(base, mesh, grid, epsilons, gain_rule, y0, newton_tol=1e
     return rows, trajectories
 
 
-def assert_study_equals_separate_runs(epsilons, newton_tol):
-    """Check the stacked study against one simulate per epsilon; return those runs."""
-    mesh = make_uniform_mesh(128)
-    grid = TimeGrid(k=1.0 / 40.0, n_steps=40)
-    base = study_base()
-    expected, trajectories = serial_epsilon_rows(base, mesh, grid, epsilons, math.sqrt, sin_pi,
-                                                 newton_tol=newton_tol)
+class FailAt:
+    """Test double for ``solver.newton_solve`` that fails chosen steps.
 
-    report = epsilon_cauchy_study(base, mesh, grid, epsilons, math.sqrt, y0=sin_pi,
-                                  newton_tol=newton_tol)
+    ``fail_at`` maps an epsilon to the step (counted from 1) whose report is
+    marked unconverged; the state and every other field are the real solve's.
+    Steps are counted per epsilon, so an epsilon given a step must belong to
+    one run only.
+    """
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.steps = collections.Counter()
+
+    def __call__(self, params, *args, **kwargs):
+        y, reports = REAL_NEWTON_SOLVE(params, *args, **kwargs)
+        lone = y.ndim == 1
+        reports = [reports] if lone else list(reports)
+        for j, eps in enumerate(np.ravel(params.epsilon).tolist()):
+            self.steps[eps] += 1
+            if self.fail_at.get(eps) == self.steps[eps]:
+                reports[j] = dataclasses.replace(reports[j], converged=False)
+        return (y, reports[0]) if lone else (y, tuple(reports))
+
+
+def assert_study_equals_separate_runs(monkeypatch, epsilons, fail_at=None, *,
+                                      n_elements=128, n_steps=40):
+    """Check the stacked study against one simulate per epsilon; return those runs.
+
+    Every field of every row must be equal bit for bit, and so must every
+    step report.  ``fail_at`` is passed to a fresh :class:`FailAt` for the
+    study, for the separate runs, and for the stepped reports alike.
+    """
+    def inject_failures():
+        monkeypatch.setattr(solver, "newton_solve", FailAt(fail_at or {}))
+
+    mesh = make_uniform_mesh(n_elements)
+    grid = TimeGrid(k=1.0 / n_steps, n_steps=n_steps)
+    base = study_base()
+    inject_failures()
+    expected, trajectories = serial_epsilon_rows(base, mesh, grid, epsilons, math.sqrt, sin_pi)
+
+    inject_failures()
+    report = epsilon_cauchy_study(base, mesh, grid, epsilons, math.sqrt, y0=sin_pi)
     for row, want in zip(report.rows, expected, strict=True):
         for field in dataclasses.fields(EpsilonRow):
             got, ref = getattr(row, field.name), getattr(want, field.name)
@@ -333,11 +371,11 @@ def assert_study_equals_separate_runs(epsilons, newton_tol):
                 math.isnan(got) and math.isnan(ref)
             assert both_nan or got == ref, (row.epsilon, field.name, got, ref)
 
+    inject_failures()
     members = [dataclasses.replace(base, r=math.sqrt(eps), epsilon=eps) for eps in epsilons]
     reports = [[] for _ in members]
     system = assemble(mesh)
-    for level in step_ensemble(members, system, project_initial(mesh, sin_pi), grid,
-                               newton_tol=newton_tol):
+    for level in step_ensemble(members, system, project_initial(mesh, sin_pi), grid):
         for i, step_report in level.reports.items():
             reports[i].append(step_report)
     for got, traj in zip(reports, trajectories, strict=True):
@@ -345,18 +383,45 @@ def assert_study_equals_separate_runs(epsilons, newton_tol):
     return trajectories
 
 
-def test_epsilon_study_equals_separate_runs_bit_for_bit():
+def test_epsilon_study_equals_separate_runs_bit_for_bit(monkeypatch):
     # down to eps = 1e-12 every run finishes: Newton's stopping test divides
     # the nu/eps-amplified boundary entry by its factor
-    trajectories = assert_study_equals_separate_runs([1e-3, 1e-10, 1e-11, 1e-12, 1e-12], 1e-12)
+    trajectories = assert_study_equals_separate_runs(
+        monkeypatch, [1e-3, 1e-10, 1e-11, 1e-12, 1e-12])
     assert [t.failed_at for t in trajectories] == [None] * 5
 
-    # a tolerance below round-off makes runs stall mid-march, so members
-    # leave the stack (with their extrapolation levels) at different steps;
-    # which steps stall depends on the residual's round-off, so the tolerance
-    # is chosen to give all three cases asserted below
+    # members leave the stack (with their extrapolation levels) at chosen steps
     trajectories = assert_study_equals_separate_runs(
-        [1.0, 1e-1, 1e-3, 1e-6, 1e-10, 1e-11, 1e-12], 9e-15)
+        monkeypatch, [1.0, 1e-1, 1e-3, 1e-6, 1e-10, 1e-11, 1e-12],
+        {1.0: 5, 1e-1: 1, 1e-6: 1, 1e-10: 7, 1e-12: 2})
     failed_at = [t.failed_at for t in trajectories]
+    assert failed_at == [5, 1, None, 1, 7, None, 2]
     assert None in failed_at and 1 in failed_at
     assert any(step is not None and step >= 2 for step in failed_at)
+
+
+TEN_EPSILONS = [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
+
+
+def test_epsilon_study_blocks_equal_separate_runs_bit_for_bit(monkeypatch):
+    # 41 levels in blocks of 6: the last block is partial
+    block = _fold_block_length(len(TEN_EPSILONS), 128)
+    assert block == 6 and 41 % block
+    assert_study_equals_separate_runs(monkeypatch, TEN_EPSILONS)
+
+    # a drop-out mid-block flushes the levels before it and starts a block
+    # at its level, so a drop-out one block later falls on a block's first
+    # level; a third one ends the march with a partial block
+    mid, first = block // 2, block // 2 + block
+    trajectories = assert_study_equals_separate_runs(
+        monkeypatch, TEN_EPSILONS, {1e-2: mid, 1e-5: first, 1e-6: first, 1e-8: 40})
+    failed_at = [t.failed_at for t in trajectories]
+    assert failed_at == [None, None, mid, None, None, first, first, None, 40, None]
+
+
+def test_epsilon_study_block_of_one_level_equals_separate_runs(monkeypatch):
+    # 10 states of N=1024 exceed the block budget, so each level is a block
+    assert _fold_block_length(len(TEN_EPSILONS), 1024) == 1
+    trajectories = assert_study_equals_separate_runs(
+        monkeypatch, TEN_EPSILONS, {1e-3: 4}, n_elements=1024, n_steps=12)
+    assert [t.failed_at for t in trajectories] == [None] * 3 + [4] + [None] * 6
