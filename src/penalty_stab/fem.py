@@ -12,7 +12,9 @@ Conventions used throughout the package:
 * Every nonlinear or load integral uses 3-point Gauss-Legendre per element,
   which integrates the degree-4 polynomials arising from cubic terms of P1
   functions exactly, so quadrature contributes no error to convergence
-  studies.
+  studies.  Values at the Gauss points are point-major, of shape
+  ``(3, ..., n_elements)``: one contiguous row of the state's shape per
+  point (see :func:`gauss_values`).
 
 Assembly and evaluation are pure functions of immutable inputs.
 """
@@ -77,12 +79,15 @@ GAUSS3_POINTS = np.array([0.5 * (1.0 - _G), 0.5, 0.5 * (1.0 + _G)])
 GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 # Weights times the hat functions at the Gauss points: ``_W_LEFT``/``_W_RIGHT``
 # integrate against the element's left/right hat, ``_W_LL``/``_W_RR``/``_W_LR``
-# against products of two hats.
+# against products of two hats.  ``_W_LOAD`` and ``_W_JAC`` stack them, so
+# one product with point-major Gauss values gives every element integral.
 _W_LEFT = GAUSS3_WEIGHTS * (1.0 - GAUSS3_POINTS)
 _W_RIGHT = GAUSS3_WEIGHTS * GAUSS3_POINTS
 _W_LL = GAUSS3_WEIGHTS * (1.0 - GAUSS3_POINTS) ** 2
 _W_RR = GAUSS3_WEIGHTS * GAUSS3_POINTS ** 2
 _W_LR = GAUSS3_WEIGHTS * GAUSS3_POINTS * (1.0 - GAUSS3_POINTS)
+_W_LOAD = np.stack([_W_LEFT, _W_RIGHT])
+_W_JAC = np.stack([_W_LL, _W_RR, _W_LR])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,11 +281,24 @@ def _element_endpoint_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gauss_values(y: np.ndarray) -> np.ndarray:
     """Values of the P1 function at the 3 Gauss points of every element.
 
-    Returns an array of shape ``(n_elements, 3)``, behind the leading axis of
-    a ``(B, n_dof)`` stack.
+    Point-major: returns an array of shape ``(3, ..., n_elements)``, that is
+    ``(3,) + y.shape``, ``(3, B, n_elements)`` for a ``(B, n_dof)`` stack;
+    row ``j`` holds every element's value at Gauss point ``j``, ``left +
+    GAUSS3_POINTS[j] * (right - left)``, as one contiguous array.
     """
     left, right = _element_endpoint_values(y)
-    return left[..., None] + (right - left)[..., None] * GAUSS3_POINTS
+    vals = np.multiply.outer(GAUSS3_POINTS, right - left)
+    vals += left
+    return vals
+
+
+def _element_integrals(mesh: MeshPartition, weights: np.ndarray,
+                       vals: np.ndarray) -> np.ndarray:
+    """Per-element integrals of point-major Gauss values ``vals`` against the
+    rows of ``weights``: shape ``(len(weights),) + vals.shape[1:]``."""
+    out = (weights @ vals.reshape(3, -1)).reshape(weights.shape[:1] + vals.shape[1:])
+    out *= mesh.element_sizes
+    return out
 
 
 def evaluate(mesh: MeshPartition, y: np.ndarray, x) -> np.ndarray:
@@ -295,9 +313,8 @@ def cubic_term(mesh: MeshPartition, y: np.ndarray) -> np.ndarray:
     The integrand is polynomial of degree 4 per element, so the 3-point Gauss
     rule is exact.  A ``(B, n_dof)`` stack of states gives one load per row.
     """
-    vals = gauss_values(y) ** 3
-    h = mesh.element_sizes
-    return _scatter_element_loads(h * (vals @ _W_LEFT), h * (vals @ _W_RIGHT))
+    left, right = _element_integrals(mesh, _W_LOAD, gauss_values(y) ** 3)
+    return _scatter_element_loads(left, right)
 
 
 def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic) -> np.ndarray:
@@ -305,14 +322,17 @@ def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic) -> np.n
 
     Entries are ``integral((linear*y + cubic*y^3) * phi_i)``, by the 3-point
     Gauss rule (exact, as for :func:`cubic_term`) from the state's values
-    ``gauss`` at the Gauss points (:func:`gauss_values`).  It equals
-    ``linear * M y + cubic * cubic_term(y)`` up to round-off, in one pass
-    over the elements.  For a stack the coefficients are ``(B, 1)`` columns.
+    ``gauss`` at the Gauss points (:func:`gauss_values`, point-major, shape
+    ``(3, ..., n_elements)``).  It equals ``linear * M y + cubic *
+    cubic_term(y)`` up to round-off, in one pass over the elements.  For a
+    stack the coefficients are ``(B, 1)`` columns.
     """
-    linear, cubic = np.asarray(linear)[..., None], np.asarray(cubic)[..., None]
-    vals = gauss * (linear + cubic * (gauss * gauss))
-    h = mesh.element_sizes
-    return _scatter_element_loads(h * (vals @ _W_LEFT), h * (vals @ _W_RIGHT))
+    vals = gauss * gauss
+    vals *= cubic
+    vals += linear
+    vals *= gauss
+    left, right = _element_integrals(mesh, _W_LOAD, vals)
+    return _scatter_element_loads(left, right)
 
 
 def cubic_jacobian(mesh: MeshPartition, y: np.ndarray, *,
@@ -321,13 +341,14 @@ def cubic_jacobian(mesh: MeshPartition, y: np.ndarray, *,
 
     Symmetric positive semidefinite; exact by the same degree argument.  A
     ``(B, n_dof)`` stack of states gives a stack of matrices.  ``gauss`` is
-    ``gauss_values(y)`` when the caller has it already.
+    ``gauss_values(y)``, point-major of shape ``(3, ..., n_elements)``, when
+    the caller has it already.
     """
     if gauss is None:
         gauss = gauss_values(y)
-    sq = 3.0 * gauss ** 2
-    h = mesh.element_sizes
-    return _scatter_element_matrix(h * (sq @ _W_LL), h * (sq @ _W_RR), h * (sq @ _W_LR))
+    sq = gauss * gauss
+    sq *= 3.0
+    return _scatter_element_matrix(*_element_integrals(mesh, _W_JAC, sq))
 
 
 def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
@@ -373,7 +394,7 @@ def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
     if y.shape != (system.n_dof,):
         raise MeshError(f"state has {y.shape[0]} DOFs, system expects {system.n_dof}")
     quartic = gauss_values(y) ** 4
-    integral_4 = float(system.mesh.element_sizes @ (quartic @ GAUSS3_WEIGHTS))
+    integral_4 = float(system.mesh.element_sizes @ (GAUSS3_WEIGHTS @ quartic))
     return NormSet(
         l2=math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
         linf=float(np.abs(y).max()),

@@ -28,7 +28,7 @@ from .analysis import (
     error_vs_reference,
     observed_orders,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterDomainError
 from .fem import assemble, make_uniform_mesh
 from .params import ModelParams, rate_report
 from .solver import TimeGrid, simulate
@@ -172,7 +172,11 @@ def _time_grid(cfg: dict) -> TimeGrid:
     if _get(cfg, "time.n_steps", None) is not None:
         n_steps = _integer(cfg, "time.n_steps", minimum=1)
         return TimeGrid(k=T / n_steps, n_steps=n_steps)
-    return TimeGrid.from_final_time(_number(cfg, "time.k", positive=True), T)
+    k = _number(cfg, "time.k", positive=True)
+    try:
+        return TimeGrid.from_final_time(k, T)
+    except ParameterDomainError as exc:  # k does not reach T in whole steps
+        raise ConfigError(f"time.k: {exc}") from None
 
 
 def validate_config(cfg: dict, kind: str) -> dict:

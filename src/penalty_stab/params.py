@@ -84,7 +84,7 @@ def check_admissibility(params: ModelParams) -> tuple[bool, str]:
         each condition with both sides evaluated, marking any failure.
     """
     three_eps = 3.0 * params.epsilon
-    r_sq = params.r ** 2
+    r_sq = params.r * params.r  # a product overflows to inf; ``** 2`` raises
     gain_ok = r_sq < three_eps
     ratio = params.alpha / params.nu
     ratio_bound = 2.0 * (three_eps - r_sq) / three_eps
@@ -111,7 +111,8 @@ def max_decay_rate(params: ModelParams) -> float:
     AdmissibilityError
         If the value is not positive (no admissible decay rate).
     """
-    value = 2.0 * params.nu - 2.0 * params.nu * params.r ** 2 / (3.0 * params.epsilon) - params.alpha
+    r_sq = params.r * params.r
+    value = 2.0 * params.nu - 2.0 * params.nu * r_sq / (3.0 * params.epsilon) - params.alpha
     if value <= 0.0:
         raise AdmissibilityError(
             f"no admissible decay rate: 2*nu - 2*nu*r^2/(3*epsilon) - alpha = {value:.6g} <= 0"
@@ -134,7 +135,8 @@ def energy_constant(params: ModelParams, gamma: float) -> float:
         raise AdmissibilityError(
             f"gamma must lie in (0, {gamma_max:.6g}], got {gamma!r}"
         )
-    first = 2.0 * params.nu - gamma - 2.0 * params.nu * params.r ** 2 / (3.0 * params.epsilon) - params.alpha
+    r_sq = params.r * params.r
+    first = 2.0 * params.nu - gamma - 2.0 * params.nu * r_sq / (3.0 * params.epsilon) - params.alpha
     return min(first, params.nu / params.epsilon)
 
 

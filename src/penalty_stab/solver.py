@@ -60,6 +60,7 @@ its separate run bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Sequence
@@ -109,6 +110,8 @@ class TimeGrid:
         """Grid with step ``k`` reaching ``T``; ``k`` must divide ``T``."""
         if not (k > 0.0 and T > 0.0):
             raise ParameterDomainError("k and T must be positive")
+        if not math.isfinite(T / k):
+            raise ParameterDomainError(f"time step {k!r} is too small for the final time {T!r}")
         n = round(T / k)
         if n < 1 or abs(n * k - T) > 1e-9 * max(1.0, T):
             raise ParameterDomainError(f"time step {k!r} does not divide the final time {T!r}")
@@ -452,7 +455,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
             break
         rows = np.flatnonzero(keep)
         active = [active[j] for j in rows]
-        y_a, prev_a, load_a, gauss, f = (y_a[rows], prev_a[rows], load_a[rows], gauss[rows],
+        y_a, prev_a, load_a, gauss, f = (y_a[rows], prev_a[rows], load_a[rows], gauss[:, rows],
                                          f[rows])
         if isinstance(p, ParamStack):
             p, linear = p.take(rows), linear.take(rows)

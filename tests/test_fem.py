@@ -192,6 +192,16 @@ def test_evaluate_is_zero_at_origin():
 # cubic term and its jacobian
 
 
+def test_gauss_values_are_point_major_closed_form():
+    y = RNG.standard_normal((4, 7))
+    vals = fem.gauss_values(y)
+    assert vals.shape == (3, 4, 7)
+    left = np.concatenate([np.zeros((4, 1)), y[:, :-1]], axis=1)  # pinned node is zero
+    for j, point in enumerate(fem.GAUSS3_POINTS):
+        assert np.array_equal(vals[j], left + point * (y - left))
+    assert np.array_equal(fem.gauss_values(y[1]), vals[:, 1])
+
+
 def test_cubic_term_of_zero_state():
     mesh = make_uniform_mesh(8)
     assert np.array_equal(cubic_term(mesh, np.zeros(8)), np.zeros(8))
@@ -218,6 +228,14 @@ def test_cubic_term_is_odd():
 def test_cubic_term_matches_quadrature_oracle(n):
     mesh = make_uniform_mesh(n)
     y = RNG.standard_normal(n)
+    ours = cubic_term(mesh, y)
+    ref = oracles.dense_cubic_term(mesh.nodes, y)
+    assert np.max(np.abs(ours - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_cubic_term_matches_quadrature_oracle_on_graded_mesh():
+    mesh = graded_mesh()
+    y = RNG.standard_normal(mesh.n_dof)
     ours = cubic_term(mesh, y)
     ref = oracles.dense_cubic_term(mesh.nodes, y)
     assert np.max(np.abs(ours - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -282,6 +300,26 @@ def test_reaction_load_equals_mass_product_plus_cubic_term(mesh_factory):
         assert np.max(np.abs(lone - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("b", [2, 3, 10])
+@pytest.mark.parametrize("n", [2, 3, 7, 128, 1025])
+def test_stacked_gauss_kernels_equal_lone_calls_bit_for_bit(n, b):
+    # one matrix product over the B*N point-major columns must round each
+    # member's columns exactly as its own call does
+    mesh = make_uniform_mesh(n)
+    y = RNG.standard_normal((b, n))
+    weight, delta = RNG.uniform(1.0, 1e3, (b, 1)), RNG.uniform(0.0, 2.0, (b, 1))
+    load = fem.reaction_load(mesh, fem.gauss_values(y), weight, delta)
+    term = cubic_term(mesh, y)
+    jac = cubic_jacobian(mesh, y)
+    for row in range(b):
+        lone = fem.reaction_load(mesh, fem.gauss_values(y[row]), weight[row, 0], delta[row, 0])
+        assert np.array_equal(load[row], lone)
+        assert np.array_equal(term[row], cubic_term(mesh, y[row]))
+        lone_jac = cubic_jacobian(mesh, y[row])
+        for band in ("diag", "lower", "upper"):
+            assert np.array_equal(getattr(jac, band)[row], getattr(lone_jac, band))
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -310,6 +348,17 @@ def test_norms_match_quadrature_oracle():
     y = RNG.standard_normal(32)
     f = oracles.p1_function(mesh.nodes, y)
     ns = norms(system, y)
+    assert ns.l2 == pytest.approx(math.sqrt(oracles.quad50(mesh.nodes, lambda x: f(x) ** 2)),
+                                  rel=1e-13)
+    assert ns.l4 == pytest.approx(oracles.quad50(mesh.nodes, lambda x: f(x) ** 4) ** 0.25,
+                                  rel=1e-13)
+
+
+def test_norms_match_quadrature_oracle_on_graded_mesh():
+    mesh = graded_mesh()
+    y = RNG.standard_normal(mesh.n_dof)
+    f = oracles.p1_function(mesh.nodes, y)
+    ns = norms(assemble(mesh), y)
     assert ns.l2 == pytest.approx(math.sqrt(oracles.quad50(mesh.nodes, lambda x: f(x) ** 2)),
                                   rel=1e-13)
     assert ns.l4 == pytest.approx(oracles.quad50(mesh.nodes, lambda x: f(x) ** 4) ** 0.25,

@@ -397,6 +397,31 @@ def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, command, config, over
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [0.3, 1e-320])  # does not divide T; T/k overflows
+def test_cli_time_step_that_cannot_reach_T_exits_one(tmp_path, capsys, k):
+    cfg = decay_config()
+    cfg["time"] = {"T": 1.0, "k": k}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "time.k" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:stabilization conditions")
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, config, override", [
+    ("simulate", decay_config, "model.r=1e300"),
+    ("epsilon-study", epsilon_config, "experiment.gain_rule=1e300"),
+])
+def test_cli_gain_whose_square_overflows_exits_cleanly(tmp_path, capsys, command, config,
+                                                        override):
+    # r^2 overflows to inf in the admissibility check; the runs then fail
+    path = write_config(tmp_path, config())
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--override", override, "--override", "experiment.svg=false"])
+    assert code in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["False", "1"])
 @pytest.mark.parametrize("field", ["experiment.svg", "experiment.include_uncontrolled",
                                    "experiment.implicit_control"])
