@@ -25,7 +25,8 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -374,30 +375,46 @@ def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
     return _mass_matrix(mesh).solve(load)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormSet:
-    """L2, max-nodal, L4, and H1-seminorm of a discrete state."""
+    """L2, max-nodal, L4, and H1-seminorm of a discrete state.
+
+    :func:`norms` computes ``l2`` and ``linf``; ``l4`` and ``h1_semi`` are
+    computed the first time they are read, from the copy of the state that
+    :func:`norms` took, and then kept.  Sets compare by identity.
+    """
 
     l2: float
     linf: float
-    l4: float
-    h1_semi: float
+    _system: AssembledSystem = field(repr=False)
+    _y: np.ndarray = field(repr=False)
+
+    @cached_property
+    def l4(self) -> float:
+        quartic = gauss_values(self._y) ** 4
+        integral_4 = float(self._system.mesh.element_sizes @ (GAUSS3_WEIGHTS @ quartic))
+        return integral_4 ** 0.25
+
+    @cached_property
+    def h1_semi(self) -> float:
+        return math.sqrt(max(float(self._y @ self._system.stiffness.matvec(self._y)), 0.0))
 
 
 def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
-    """Evaluate all norms of a state on the system's mesh.
+    """Norms of a state on the system's mesh, as a :class:`NormSet`.
 
     ``l2 = sqrt(y' M y)`` and ``h1_semi = sqrt(y' K y)`` are exact; ``l4``
     uses the (exact) 3-point Gauss rule; ``linf`` is the max nodal magnitude,
-    which for P1 functions coincides with the true sup-norm.
+    which for P1 functions coincides with the true sup-norm.  Only ``l2`` and
+    ``linf`` are computed in the call; ``l4`` and ``h1_semi`` are computed on
+    first access from a copy of ``y`` taken here, so changing ``y`` after the
+    call does not change them.
     """
     if y.shape != (system.n_dof,):
         raise MeshError(f"state has {y.shape[0]} DOFs, system expects {system.n_dof}")
-    quartic = gauss_values(y) ** 4
-    integral_4 = float(system.mesh.element_sizes @ (GAUSS3_WEIGHTS @ quartic))
     return NormSet(
         l2=math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
         linf=float(np.abs(y).max()),
-        l4=integral_4 ** 0.25,
-        h1_semi=math.sqrt(max(float(y @ system.stiffness.matvec(y)), 0.0)),
+        _system=system,
+        _y=y.copy(),
     )

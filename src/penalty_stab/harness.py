@@ -35,6 +35,11 @@ from .solver import TimeGrid, simulate
 
 KINDS = ("decay", "space_convergence", "epsilon_study")
 
+# Largest number of state values, ``(n_steps + 1) x n_elements`` on the
+# finest mesh, that a config may ask for: a full trajectory of them is 2 GB
+# of doubles, over 100 times the shipped maximum (1051 x 2048, convergence).
+MAX_GRID_VALUES = 250_000_000
+
 INITIAL_PROFILES: dict[str, Callable] = {
     "sin_pi_x": lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
     "x_one_minus_x": lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
@@ -89,7 +94,7 @@ def apply_overrides(cfg: dict, overrides: Sequence[str]) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer literal too long to convert
             value = raw
         node = cfg
         parts = key.split(".")
@@ -112,12 +117,21 @@ def _get(cfg: dict, path: str, default=...):
     return node
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a JSON number is a finite float: NaN, Infinity (which json
+    accepts) and integers beyond the float range are not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(cfg: dict, path: str, *, default=..., positive=False,
             nonnegative=False) -> float:
     value = _get(cfg, path, default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):  # json accepts NaN and Infinity
+    if not _finite(value):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"{path}: must be positive, got {value!r}")
@@ -126,12 +140,14 @@ def _number(cfg: dict, path: str, *, default=..., positive=False,
     return float(value)
 
 
-def _integer(cfg: dict, path: str, *, default=..., minimum=None) -> int:
+def _integer(cfg: dict, path: str, *, default=..., minimum=None, maximum=None) -> int:
     value = _get(cfg, path, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -161,7 +177,7 @@ def _gain_rule(value, path: str) -> tuple[Callable[[float], float], str]:
                               f"expected one of {sorted(GAIN_RULES)} or a number")
         return _gain(value), value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not 0 <= value < math.inf:
+        if not (_finite(value) and value >= 0):
             raise ConfigError(f"{path}: constant gain must be finite and >= 0, got {value!r}")
         return _gain(value), f"constant:{float(value):.17g}"
     raise ConfigError(f"{path}: expected a rule name or a number, got {value!r}")
@@ -170,7 +186,8 @@ def _gain_rule(value, path: str) -> tuple[Callable[[float], float], str]:
 def _time_grid(cfg: dict) -> TimeGrid:
     T = _number(cfg, "time.T", positive=True)
     if _get(cfg, "time.n_steps", None) is not None:
-        n_steps = _integer(cfg, "time.n_steps", minimum=1)
+        # bounded here so that T / n_steps cannot overflow; see _check_size
+        n_steps = _integer(cfg, "time.n_steps", minimum=1, maximum=MAX_GRID_VALUES)
         return TimeGrid(k=T / n_steps, n_steps=n_steps)
     k = _number(cfg, "time.k", positive=True)
     try:
@@ -179,11 +196,28 @@ def _time_grid(cfg: dict) -> TimeGrid:
         raise ConfigError(f"time.k: {exc}") from None
 
 
+def _check_size(cfg: dict, resolved: dict) -> None:
+    """Reject a run whose ``(n_steps + 1) x n_elements`` on its finest mesh
+    exceeds :data:`MAX_GRID_VALUES`, before anything is allocated."""
+    if resolved["experiment"]["kind"] == "space_convergence":
+        mesh_field, n_elements = ("experiment.reference_n_elements",
+                                  resolved["experiment"]["reference_n_elements"])
+    else:
+        mesh_field, n_elements = "mesh.n_elements", resolved["mesh"]["n_elements"]
+    n_steps = resolved["time"]["n_steps"]
+    if (n_steps + 1) * n_elements > MAX_GRID_VALUES:
+        time_field = "time.k" if _get(cfg, "time.n_steps", None) is None else "time.n_steps"
+        raise ConfigError(f"{time_field} and {mesh_field}: (n_steps + 1) x n_elements must be "
+                          f"<= {MAX_GRID_VALUES}, got n_steps = {n_steps} and "
+                          f"n_elements = {n_elements}")
+
+
 def validate_config(cfg: dict, kind: str) -> dict:
     """Validate a raw config against ``kind`` and return it with defaults filled.
 
     The returned dict is the "resolved" config echoed into output metadata;
-    re-running it reproduces the experiment exactly.
+    re-running it reproduces the experiment exactly.  A run larger than
+    :data:`MAX_GRID_VALUES` state values is rejected (:func:`_check_size`).
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -247,7 +281,7 @@ def validate_config(cfg: dict, kind: str) -> dict:
         eps_list = _get(cfg, "experiment.epsilons")
         if (not isinstance(eps_list, list) or not eps_list
                 or any(not isinstance(e, (int, float)) or isinstance(e, bool)
-                       or not 0 < e < math.inf for e in eps_list)):
+                       or not (_finite(e) and e > 0) for e in eps_list)):
             raise ConfigError("experiment.epsilons: expected a non-empty list of positive "
                               "finite numbers")
         eps_list = [float(e) for e in eps_list]
@@ -259,6 +293,7 @@ def validate_config(cfg: dict, kind: str) -> dict:
     if kind != "decay":
         exp["gain_rule"] = _get(cfg, "experiment.gain_rule", "sqrt_eps")
         _, exp["gain_rule_resolved"] = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
+    _check_size(cfg, resolved)
     return resolved
 
 

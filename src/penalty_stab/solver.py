@@ -141,7 +141,10 @@ class StateTrajectory:
     """Time series produced by :func:`simulate`.
 
     All arrays have one row/entry per recorded time level, including the
-    initial state.  ``controls[n]`` always equals
+    initial state.  ``l2`` and ``linf`` hold the state's L2 and max-nodal
+    norms, the ``l2``/``linf`` of :func:`fem.norms`; the L4 and H1-seminorm
+    of a level are ``norms(assemble(mesh), states[n]).l4``/``.h1_semi``.
+    ``controls[n]`` always equals
     ``0.0 - r * (moment . states[n])`` with the run's gain ``r``; the
     uncontrolled baseline steps at ``r = 0``, so its controls are ``+0.0``,
     never ``-0.0``.  If a Newton step fails, the trajectory is truncated at
@@ -155,8 +158,6 @@ class StateTrajectory:
     controls: np.ndarray
     l2: np.ndarray
     linf: np.ndarray
-    l4: np.ndarray
-    h1_semi: np.ndarray
     step_reports: list[StepReport]
     failed_at: int | None = None
 
@@ -584,7 +585,9 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     ignored); ``variant="uncontrolled_dirichlet"`` pins both endpoints to
     zero and drops every penalty and control term, as the Dirichlet feedback
     variant at ``r = 0`` from the initial state with its boundary value set
-    to zero (its controls are ``+0.0``).  Penalized parameters that
+    to zero (its controls are ``+0.0``).  Every recorded level keeps its
+    state, its control and the ``l2`` and ``linf`` of one :func:`fem.norms`
+    call.  Penalized parameters that
     violate the stabilization conditions trigger a warning, not an error;
     some study regimes violate them deliberately.
     """
@@ -603,7 +606,8 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     n_levels = time_grid.n_steps + 1
     states = np.zeros((n_levels, system.n_dof))
     controls = np.zeros(n_levels)
-    norm_arrays = {name: np.zeros(n_levels) for name in ("l2", "linf", "l4", "h1_semi")}
+    l2 = np.zeros(n_levels)
+    linf = np.zeros(n_levels)
     reports: list[StepReport] = []
     failed_at = None
     for level in levels:
@@ -615,8 +619,8 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         states[level.index] = level.states[0]
         controls[level.index] = report.control_value
         ns = norms(system, level.states[0])
-        for name, values in norm_arrays.items():
-            values[level.index] = getattr(ns, name)
+        l2[level.index] = ns.l2
+        linf[level.index] = ns.linf
 
     recorded = n_levels if failed_at is None else failed_at
     return StateTrajectory(
@@ -624,10 +628,8 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         times=time_grid.times()[:recorded],
         states=states[:recorded],
         controls=controls[:recorded],
-        l2=norm_arrays["l2"][:recorded],
-        linf=norm_arrays["linf"][:recorded],
-        l4=norm_arrays["l4"][:recorded],
-        h1_semi=norm_arrays["h1_semi"][:recorded],
+        l2=l2[:recorded],
+        linf=linf[:recorded],
         step_reports=reports,
         failed_at=failed_at,
     )

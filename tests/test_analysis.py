@@ -42,8 +42,7 @@ def synthetic_trajectory(times, l2):
     n = times.shape[0]
     return StateTrajectory(
         variant="penalized_feedback", times=times, states=np.zeros((n, 2)),
-        controls=np.zeros(n), l2=l2, linf=l2.copy(), l4=l2.copy(),
-        h1_semi=l2.copy(), step_reports=[], failed_at=None,
+        controls=np.zeros(n), l2=l2, linf=l2.copy(), step_reports=[], failed_at=None,
     )
 
 

@@ -365,6 +365,35 @@ def test_norms_match_quadrature_oracle_on_graded_mesh():
                                   rel=1e-13)
 
 
+def eager_norms(system, y):
+    """``(l2, linf, l4, h1_semi)`` of ``y``, all computed at once as ``norms`` did."""
+    quartic = fem.gauss_values(y) ** 4
+    integral_4 = float(system.mesh.element_sizes @ (fem.GAUSS3_WEIGHTS @ quartic))
+    return (math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
+            float(np.abs(y).max()),
+            integral_4 ** 0.25,
+            math.sqrt(max(float(y @ system.stiffness.matvec(y)), 0.0)))
+
+
+@pytest.mark.parametrize("mesh", [make_uniform_mesh(2), make_uniform_mesh(128), graded_mesh()],
+                         ids=["uniform2", "uniform128", "graded"])
+def test_norms_read_on_access_equal_eager_expressions_bit_for_bit(mesh):
+    system = assemble(mesh)
+    for y in RNG.standard_normal((5, mesh.n_dof)):
+        ns = norms(system, y)
+        assert (ns.l2, ns.linf, ns.l4, ns.h1_semi) == eager_norms(system, y)
+        assert (ns.l4, ns.h1_semi) == eager_norms(system, y)[2:]  # a second read, kept
+
+
+def test_norms_do_not_see_the_state_change_after_the_call():
+    system = assemble(graded_mesh())
+    levels = RNG.standard_normal((2, system.n_dof))
+    expected = eager_norms(system, levels[0].copy())
+    ns = norms(system, levels[0])  # a view, as simulate passes
+    levels[0] = levels[1]
+    assert (ns.l2, ns.linf, ns.l4, ns.h1_semi) == expected
+
+
 def test_norms_reject_mismatched_state():
     system = assemble(make_uniform_mesh(8))
     with pytest.raises(MeshError):

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from penalty_stab import (
     ModelParams,
@@ -17,6 +23,8 @@ from penalty_stab.cli import main
 from penalty_stab.errors import ConfigError
 from penalty_stab.harness import (
     INITIAL_PROFILES,
+    MAX_GRID_VALUES,
+    RUNNERS,
     apply_overrides,
     emit_csv,
     emit_svg,
@@ -459,3 +467,81 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# run size bound and override fuzzing
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COMMANDS = {"decay": "simulate", "space_convergence": "convergence",
+            "epsilon_study": "epsilon-study"}
+
+
+@pytest.mark.parametrize("overrides, fields", [
+    (["time.n_steps=null", "time.k=1e-300"], "time.k and mesh.n_elements"),
+    (["mesh.n_elements=100000000000"], "time.n_steps and mesh.n_elements"),
+])
+def test_cli_rejects_a_run_beyond_the_size_bound_before_running(tmp_path, capsys, monkeypatch,
+                                                                overrides, fields):
+    def runner_not_reached(resolved, out_dir):
+        raise AssertionError("the runner was called")
+
+    monkeypatch.setitem(RUNNERS, "decay", runner_not_reached)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(CONFIGS / "decay_controlled.json"),
+                 "--out", str(out), *[arg for o in overrides for arg in ("--override", o)]])
+    assert code == 1
+    assert f"error: {fields}: (n_steps + 1) x n_elements must be <= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, mesh_field", [("decay", "mesh.n_elements"),
+                                              ("epsilon_study", "mesh.n_elements"),
+                                              ("space_convergence",
+                                               "experiment.reference_n_elements")])
+def test_size_bound_checks_the_finest_mesh_of_each_kind(kind, mesh_field):
+    cfg = {"decay": decay_config, "epsilon_study": epsilon_config,
+           "space_convergence": convergence_config}[kind]()
+    n_elements = 2 ** 12
+    cfg = apply_overrides(cfg, [f"{mesh_field}={n_elements}"])
+    n_steps = MAX_GRID_VALUES // n_elements - 1  # (n_steps + 1) x n_elements at the bound
+    cfg["time"] = {"T": 1.0, "n_steps": n_steps}
+    assert validate_config(cfg, kind)["time"]["n_steps"] == n_steps
+    cfg["time"]["n_steps"] = n_steps + 1
+    with pytest.raises(ConfigError, match=f"time.n_steps and {mesh_field}"):
+        validate_config(cfg, kind)
+
+
+# Edge values for the fuzzed field, as the raw text of an override.  The
+# step and element counts are kept small in every example; as the fuzzed
+# field, every value here is invalid or small for them.
+EDGE_VALUES = ["0", "-1", "1", "2", "1e-320", "1e-300", "1e300", "null", "true", '"x"', "x",
+               "[]", str(2 ** 63), str(10 ** 400), "9" * 5000]
+FUZZ_KEYS = ["time.T", "time.n_steps", "time.k", "mesh.n_elements", "model.nu", "model.alpha",
+             "model.delta", "model.epsilon", "model.r", "newton.tol", "newton.max_iter"]
+SMALL = {"time.n_steps": "4", "mesh.n_elements": "8", "experiment.n_elements_list": "[2, 4]",
+         "experiment.reference_n_elements": "8", "experiment.svg": "false"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))),
+       key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(EDGE_VALUES))
+@example(config="decay_controlled.json", key="time.k", value="1e-300")
+@example(config="decay_controlled.json", key="mesh.n_elements", value="100000000000")
+@example(config="epsilon_study.json", key="time.n_steps", value=str(10 ** 400))
+@example(config="decay_quadratic_profile.json", key="model.nu", value=str(10 ** 400))
+def test_cli_override_fuzzing_never_ends_in_a_traceback(config, key, value):
+    # one fuzzed field per example: a huge newton.max_iter together with a
+    # run that cannot converge would iterate for as long as it asks
+    overrides = {**SMALL, key: value}
+    if key == "time.k":
+        overrides["time.n_steps"] = "null"  # k is read only without n_steps
+    kind = json.loads((CONFIGS / config).read_text())["experiment"]["kind"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main([COMMANDS[kind], "--config", str(CONFIGS / config), "--out", tmp,
+                     *[arg for item in overrides.items() for arg in ("--override", "=".join(item))]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
