@@ -410,8 +410,8 @@ def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
     first access from a copy of ``y`` taken here, so changing ``y`` after the
     call does not change them.
     """
-    if y.shape != (system.n_dof,):
-        raise MeshError(f"state has {y.shape[0]} DOFs, system expects {system.n_dof}")
+    if y.shape != system.moment.shape:
+        raise MeshError(f"state of shape {y.shape}, system expects {system.moment.shape}")
     return NormSet(
         l2=math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
         linf=float(np.abs(y).max()),

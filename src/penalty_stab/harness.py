@@ -40,6 +40,11 @@ KINDS = ("decay", "space_convergence", "epsilon_study")
 # of doubles, over 100 times the shipped maximum (1051 x 2048, convergence).
 MAX_GRID_VALUES = 250_000_000
 
+# Largest ``newton.max_iter``.  A step that cannot converge runs every
+# iteration allowed; shipped runs take one or two, and a thousand at N=2048
+# is under a second.
+MAX_NEWTON_ITER = 1000
+
 INITIAL_PROFILES: dict[str, Callable] = {
     "sin_pi_x": lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
     "x_one_minus_x": lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
@@ -240,7 +245,8 @@ def validate_config(cfg: dict, kind: str) -> dict:
     resolved["projection"] = _choice(cfg, "projection", ("l2", "interpolation"), default="l2")
     resolved["newton"] = {
         "tol": _number(cfg, "newton.tol", default=1e-12, positive=True),
-        "max_iter": _integer(cfg, "newton.max_iter", default=25, minimum=1),
+        "max_iter": _integer(cfg, "newton.max_iter", default=25, minimum=1,
+                             maximum=MAX_NEWTON_ITER),
     }
     exp["svg"] = _boolean(cfg, "experiment.svg", True)
 

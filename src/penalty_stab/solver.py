@@ -30,13 +30,24 @@ stops on the Euclidean residual norm with the penalized boundary entry
 divided by ``nu/eps``: that entry's round-off grows like ``1/eps``, and an
 absolute tolerance on it could not be met at small eps.
 
-Only ``delta C'(Y)`` in the Newton matrix depends on the state.  The rest,
-``(1/k - alpha) M + nu K``, the boundary penalty (or the hard-constraint
-row) and the rank-one feedback row, is a :class:`LinearPart` built once per
-run (once per stack of runs, restricted with ``take`` when members leave)
-and reused by every Newton iteration of every step; each iteration then adds
-``delta C'(Y)`` in the same order of operations as a from-scratch build, so
-the iterates do not change.
+Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
+does not depend on the iterate is built as rarely as it can be:
+
+* once per run, a :class:`LinearPart` (once per stack of runs, restricted
+  with ``take`` when members leave): ``(1/k - alpha) M + nu K``, the boundary
+  penalty (or the hard-constraint row), the gain of the boundary row, the
+  rank-one feedback row with its right-hand-side buffer
+  (:attr:`RankOneUpdate.pair`), and the gains as floats for the controls;
+* once per step, in :func:`newton_solve`: the checks of ``y_prev`` and the
+  start, ``M Y_prev / k``, and at the end the controls, from one ``w . Y``
+  per run in Python floats;
+* per iteration: the Gauss values of the iterate, its residual and stopping
+  norm, and ``delta C'(Y)``, to whose own bands the linear part is added in
+  the same order of operations as a from-scratch build, so the iterates do
+  not change.
+
+Newton never writes into ``Y_prev`` or its start: each iterate is a new
+array, and so is the result.
 
 The Dirichlet feedback variant imposes ``Y(1) = -r (w . Y)`` exactly: it is
 the penalized boundary row multiplied by ``eps/nu`` and taken at ``eps = 0``,
@@ -63,6 +74,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -173,6 +185,18 @@ class RankOneUpdate:
     u: np.ndarray
     v: np.ndarray
 
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """Right-hand sides of :func:`solve_structured`, shape ``u.shape + (2,)``.
+
+        Column 1 holds ``u``, filled once; each solve writes its right-hand
+        side into column 0.  The elimination copies its input, so the
+        buffer is only ever read after that write.
+        """
+        pair = np.empty(self.u.shape + (2,))
+        pair[..., 1] = self.u
+        return pair
+
 
 @dataclass(frozen=True, eq=False)
 class ParamStack:
@@ -198,8 +222,13 @@ class ParamStack:
         return ParamStack(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
+def _boundary_scale(column: np.ndarray | float) -> np.ndarray | float:
+    """A ``(B, 1)`` parameter column as a ``(B,)`` vector; a float stays one."""
+    return column.reshape(-1) if isinstance(column, np.ndarray) else column
+
+
 def _check_states(system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray) -> None:
-    if y.shape[-1:] != (system.n_dof,) or y_prev.shape != y.shape:
+    if y.shape[-1:] != system.moment.shape or y_prev.shape != y.shape:
         raise MeshError("state vectors do not match the assembled system")
 
 
@@ -242,8 +271,8 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     f -= prev_load
     f += params.nu * system.stiffness.matvec(y)
     yc = y if control_state is None else control_state
-    b = slice(system.boundary_dof, system.boundary_dof + 1)
-    constraint = y[..., b] + params.r * np.vecdot(yc, system.moment)[..., None]
+    b = system.boundary_dof
+    constraint = y[..., b] + linear.gain * np.vecdot(yc, system.moment)
     if linear.hard_constraint:
         f[..., b] = constraint
     else:
@@ -263,16 +292,24 @@ class LinearPart:
     ``1/k - alpha`` that :func:`residual` integrates with the cubic term.
     ``penalty`` is the ``nu/eps`` that :func:`jacobian` adds to the boundary
     diagonal after ``delta C'(y)``, and ``None`` with ``hard_constraint``,
-    where the core's boundary row is ``e_b``.  ``rank_one`` is ``None`` when
-    every gain is 0 or the control is lagged.  Built from a
-    :class:`ParamStack`, every field has one row per member.
+    where the core's boundary row is ``e_b``.  ``gain`` is the ``r`` of the
+    boundary row of :func:`residual`.  ``rank_one`` is ``None`` when every
+    gain is 0 or the control is lagged.  Built from a :class:`ParamStack`,
+    every field has one row per member; ``penalty`` and ``gain``, which
+    scale the boundary entries ``[..., b]``, are then ``(B,)`` vectors.
     """
 
     weight: np.ndarray | float
     diag: np.ndarray
     off: np.ndarray
     penalty: np.ndarray | float | None
+    gain: np.ndarray | float
     rank_one: RankOneUpdate | None
+
+    @cached_property
+    def gains(self) -> list[float]:
+        """The gain of each member as a float, for the controls."""
+        return np.ravel(self.gain).tolist()
 
     @classmethod
     def of(cls, params: ModelParams | ParamStack, system: AssembledSystem, k: float,
@@ -283,14 +320,15 @@ class LinearPart:
         if hard_constraint:
             penalty, coupling = None, params.r
         else:
-            penalty = params.nu / params.epsilon
+            penalty = _boundary_scale(params.nu / params.epsilon)
             coupling = params.nu * params.r / params.epsilon
         rank_one = None
         if implicit_control and np.count_nonzero(params.r):
             u = np.zeros(diag.shape)
             u[..., system.boundary_dof] = 1.0
             rank_one = RankOneUpdate(u=u, v=coupling * system.moment)
-        return cls(weight=weight, diag=diag, off=off, penalty=penalty, rank_one=rank_one)
+        return cls(weight=weight, diag=diag, off=off, penalty=penalty,
+                   gain=_boundary_scale(params.r), rank_one=rank_one)
 
     @property
     def hard_constraint(self) -> bool:
@@ -303,7 +341,8 @@ class LinearPart:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
         penalty = None if self.hard_constraint else self.penalty[index]
         return LinearPart(weight=self.weight[index], diag=self.diag[index],
-                          off=self.off[index], penalty=penalty, rank_one=rank_one)
+                          off=self.off[index], penalty=penalty, gain=self.gain[index],
+                          rank_one=rank_one)
 
 
 def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
@@ -328,10 +367,12 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     """
     if linear is None:
         linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
+    # the bands of delta C'(y) are this call's own, so the core is built in them
     jc = cubic_jacobian(system.mesh, y, gauss=gauss)
-    diag = params.delta * jc.diag
+    diag, off = jc.diag, jc.lower
+    diag *= params.delta
     diag += linear.diag
-    off = params.delta * jc.lower
+    off *= params.delta
     off += linear.off
     b = system.boundary_dof
     if linear.hard_constraint:
@@ -339,8 +380,8 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
         lower = off.copy()
         lower[..., b - 1] = 0.0
         return TridiagMatrix(diag=diag, lower=lower, upper=off), linear.rank_one
-    diag[..., b:b + 1] += linear.penalty
-    return TridiagMatrix.symmetric(diag, off), linear.rank_one
+    diag[..., b] += linear.penalty
+    return jc, linear.rank_one
 
 
 def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
@@ -361,20 +402,20 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     """
     if rank_one is None:
         return core.solve(rhs)
-    both = np.empty(rhs.shape + (2,))
+    if rhs.shape == rank_one.u.shape:
+        both = rank_one.pair
+    else:  # one update shared by a stack of right-hand sides
+        both = np.empty(rhs.shape + (2,))
+        both[..., 1] = rank_one.u
     both[..., 0] = rhs
-    both[..., 1] = rank_one.u
     both = core.solve(both)
     x_rhs, x_u = both[..., 0], both[..., 1]
     v_xu = np.vecdot(rank_one.v, x_u)
-    denom = 1.0 + v_xu
-    singular = np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(v_xu))
-    if singular.any():
-        raise SingularUpdateError(
-            f"rank-one update is singular: 1 + v.core^-1.u = "
-            f"{np.ravel(denom)[np.argmax(singular)]:.3e}"
-        )
-    return x_rhs - x_u * (np.vecdot(rank_one.v, x_rhs) / denom)[..., None]
+    for s in v_xu.reshape(-1).tolist():
+        if abs(1.0 + s) <= 1e-12 * max(1.0, abs(s)):
+            raise SingularUpdateError(
+                f"rank-one update is singular: 1 + v.core^-1.u = {1.0 + s:.3e}")
+    return x_rhs - x_u * (np.vecdot(rank_one.v, x_rhs) / (1.0 + v_xu))[..., None]
 
 
 def _residual_norms(f: np.ndarray, linear: LinearPart, b: int) -> list[float]:
@@ -388,7 +429,7 @@ def _residual_norms(f: np.ndarray, linear: LinearPart, b: int) -> list[float]:
     """
     if not linear.hard_constraint:
         f = f.copy()
-        f[..., b:b + 1] /= linear.penalty
+        f[..., b] /= linear.penalty
     return np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()
 
 
@@ -421,55 +462,54 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     if linear is None:
         linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
-    y = (y_prev if start is None else start).copy()
+    y = y_prev if start is None else start  # never written: each iterate is a new array
     _check_states(system, y, y_prev)
-    p, y_a, prev_a = params, y, y_prev
-    load_a = system.mass.matvec(y_prev) / k
-    control_a = None if implicit_control else y_prev
-    gauss = gauss_values(y_a)
-    f = residual(p, system, y_a, prev_a, k, control_state=control_a,
-                 hard_constraint=hard_constraint, linear=linear, prev_load=load_a, gauss=gauss)
+    p, prev, control = params, y_prev, None if implicit_control else y_prev
+    load = system.mass.matvec(y_prev) / k
+    gauss = gauss_values(y)
+    f = residual(p, system, y, prev, k, control, hard_constraint, linear=linear,
+                 prev_load=load, gauss=gauss)
     b = system.boundary_dof
     histories = [[norm] for norm in _residual_norms(f, linear, b)]
+    gains = linear.gains
+    if len(gains) != len(histories):  # one ModelParams shared by a stack
+        gains = gains * len(histories)
     active = list(range(len(histories)))  # members still iterating
-    for iteration in range(max_iter):
-        core, rank_one = jacobian(p, system, y_a, k, implicit_control=implicit_control,
-                                  hard_constraint=hard_constraint, linear=linear, gauss=gauss)
-        y_a = y_a - solve_structured(core, rank_one, f)
-        gauss = gauss_values(y_a)
-        f = residual(p, system, y_a, prev_a, k, control_state=control_a,
-                     hard_constraint=hard_constraint, linear=linear, prev_load=load_a,
-                     gauss=gauss)
+    result = None
+    for iteration in range(1, max_iter + 1):
+        core, rank_one = jacobian(p, system, y, k, implicit_control, hard_constraint,
+                                  linear=linear, gauss=gauss)
+        y = y - solve_structured(core, rank_one, f)
+        gauss = gauss_values(y)
+        f = residual(p, system, y, prev, k, control, hard_constraint, linear=linear,
+                     prev_load=load, gauss=gauss)
         keep = []
         for member, norm in zip(active, _residual_norms(f, linear, b)):
             histories[member].append(norm)
             keep.append(not norm <= tol)  # a NaN residual keeps iterating, as alone
-        last = iteration == max_iter - 1
-        if all(keep) and not last:
+        if all(keep) and iteration < max_iter:
             continue
         # members leave the iteration: store their states
-        if len(active) == len(histories):
-            y = y_a
+        if result is None:  # every member is still here
+            result = y
         else:
-            y[active] = y_a
-        if last or not any(keep):
+            result[active] = y
+        if iteration == max_iter or not any(keep):
             break
         rows = np.flatnonzero(keep)
         active = [active[j] for j in rows]
-        y_a, prev_a, load_a, gauss, f = (y_a[rows], prev_a[rows], load_a[rows], gauss[:, rows],
-                                         f[rows])
+        y, prev, load, gauss, f = y[rows], prev[rows], load[rows], gauss[:, rows], f[rows]
         if isinstance(p, ParamStack):
             p, linear = p.take(rows), linear.take(rows)
-        if control_a is not None:
-            control_a = control_a[rows]
-    controls = 0.0 - np.ravel(params.r) * np.vecdot(y, system.moment)
-    reports = tuple(
-        StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
-                   control_value=control, converged=history[-1] <= tol,
-                   residual_norms=tuple(history))
-        for history, control in zip(histories, controls.tolist())
-    )
-    return (y, reports[0]) if y.ndim == 1 else (y, reports)
+        if control is not None:
+            control = control[rows]
+    moments = np.vecdot(result, system.moment).reshape(-1).tolist()
+    # StepReport(newton_iterations, final_residual_norm, control_value, converged,
+    # residual_norms)
+    reports = tuple([StepReport(len(history) - 1, history[-1], 0.0 - gain * moment,
+                                history[-1] <= tol, tuple(history))
+                     for history, gain, moment in zip(histories, gains, moments)])
+    return (result, reports[0]) if result.ndim == 1 else (result, reports)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,19 +541,21 @@ def _march(step: Callable[[np.ndarray, np.ndarray, np.ndarray | None],
     ends when none is left.
     """
     members = np.arange(states.shape[0])
+    keys = members.tolist()
     yield EnsembleLevel(0, members, states, dict(enumerate(initial)))
     previous = None
     for n in range(1, n_steps + 1):
         start = None if previous is None else 2.0 * states - previous
         previous = states
         states, reports = step(members, states, start)
-        attempted = dict(zip(members.tolist(), reports))
+        attempted = dict(zip(keys, reports))
         ok = [report.converged for report in reports]
         if not all(ok):
             rows = np.flatnonzero(ok)
             members, states, previous = members[rows], states[rows], previous[rows]
+            keys = members.tolist()
         yield EnsembleLevel(n, members, states, attempted)
-        if not members.size:
+        if not keys:
             return
 
 
@@ -544,16 +586,16 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                           control_value=0.0 - params.r * moment_y0, converged=True,
                           residual_norms=(0.0,))
                for params in members]
-    options = dict(tol=newton_tol, max_iter=newton_max_iter, implicit_control=implicit_control,
-                   hard_constraint=hard_constraint)
+    settings = (newton_tol, newton_max_iter, implicit_control, hard_constraint)
     k = time_grid.k
     if len(members) == 1:
         # a lone run steps as a 1-D state, which costs numpy less per call
-        linear = LinearPart.of(members[0], system, k, implicit_control, hard_constraint)
+        [params] = members
+        linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
 
         def step(_alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
-            y, report = newton_solve(members[0], system, y_prev[0], k, linear=linear,
-                                     start=None if start is None else start[0], **options)
+            y, report = newton_solve(params, system, y_prev[0], k, *settings, linear=linear,
+                                     start=None if start is None else start[0])
             return y[None], (report,)
     else:
         stack = ParamStack.of(members)
@@ -564,8 +606,8 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                 params, linear = stack, stack_linear
             else:
                 params, linear = stack.take(alive), stack_linear.take(alive)
-            return newton_solve(params, system, y_prev, k, linear=linear, start=start,
-                                **options)
+            return newton_solve(params, system, y_prev, k, *settings, linear=linear,
+                                start=start)
 
     return _march(step, np.repeat(y0[None], len(members), axis=0), initial,
                   time_grid.n_steps)
@@ -603,12 +645,11 @@ def simulate(params: ModelParams, mesh: MeshPartition,
                            newton_max_iter=newton_max_iter, implicit_control=implicit_control,
                            hard_constraint=variant != "penalized_feedback")
 
-    n_levels = time_grid.n_steps + 1
-    states = np.zeros((n_levels, system.n_dof))
-    controls = np.zeros(n_levels)
-    l2 = np.zeros(n_levels)
-    linf = np.zeros(n_levels)
+    states = np.zeros((time_grid.n_steps + 1, system.n_dof))
     reports: list[StepReport] = []
+    controls: list[float] = []
+    l2: list[float] = []
+    linf: list[float] = []
     failed_at = None
     for level in levels:
         report = level.reports[0]
@@ -616,20 +657,20 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         if not level.members.size:
             failed_at = level.index
             break
-        states[level.index] = level.states[0]
-        controls[level.index] = report.control_value
-        ns = norms(system, level.states[0])
-        l2[level.index] = ns.l2
-        linf[level.index] = ns.linf
+        y = states[level.index] = level.states[0]
+        controls.append(report.control_value)
+        ns = norms(system, y)
+        l2.append(ns.l2)
+        linf.append(ns.linf)
 
-    recorded = n_levels if failed_at is None else failed_at
+    recorded = len(controls)
     return StateTrajectory(
         variant=variant,
         times=time_grid.times()[:recorded],
         states=states[:recorded],
-        controls=controls[:recorded],
-        l2=l2[:recorded],
-        linf=linf[:recorded],
+        controls=np.array(controls),
+        l2=np.array(l2),
+        linf=np.array(linf),
         step_reports=reports,
         failed_at=failed_at,
     )

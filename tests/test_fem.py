@@ -398,6 +398,11 @@ def test_norms_reject_mismatched_state():
     system = assemble(make_uniform_mesh(8))
     with pytest.raises(MeshError):
         norms(system, np.zeros(7))
+    system = assemble(make_uniform_mesh(4))
+    # a scalar and a stack of states are not one state; the message names the shape
+    for y, shape in ((np.float64(1.0), r"\(\)"), (np.zeros((2, 4)), r"\(2, 4\)")):
+        with pytest.raises(MeshError, match=f"state of shape {shape}, system expects \\(4,\\)"):
+            norms(system, np.asarray(y))
 
 
 # ---------------------------------------------------------------------------

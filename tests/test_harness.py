@@ -5,6 +5,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from penalty_stab.errors import ConfigError
 from penalty_stab.harness import (
     INITIAL_PROFILES,
     MAX_GRID_VALUES,
+    MAX_NEWTON_ITER,
     RUNNERS,
     apply_overrides,
     emit_csv,
@@ -99,6 +101,18 @@ def test_validate_reports_field_paths():
     cfg["initial"] = "gaussian"
     with pytest.raises(ConfigError, match="initial"):
         validate_config(cfg, "decay")
+
+
+@pytest.mark.parametrize("kind, config", [("decay", decay_config),
+                                          ("epsilon_study", epsilon_config),
+                                          ("space_convergence", convergence_config)])
+def test_validate_bounds_newton_max_iter(kind, config):
+    cfg = config()
+    cfg["newton"] = {"max_iter": MAX_NEWTON_ITER}
+    assert validate_config(cfg, kind)["newton"]["max_iter"] == MAX_NEWTON_ITER
+    cfg["newton"]["max_iter"] = MAX_NEWTON_ITER + 1
+    with pytest.raises(ConfigError, match=f"newton.max_iter: must be <= {MAX_NEWTON_ITER}"):
+        validate_config(cfg, kind)
 
 
 def test_validate_kind_mismatch():
@@ -525,23 +539,38 @@ SMALL = {"time.n_steps": "4", "mesh.n_elements": "8", "experiment.n_elements_lis
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(config=st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))),
-       key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(EDGE_VALUES))
-@example(config="decay_controlled.json", key="time.k", value="1e-300")
-@example(config="decay_controlled.json", key="mesh.n_elements", value="100000000000")
-@example(config="epsilon_study.json", key="time.n_steps", value=str(10 ** 400))
-@example(config="decay_quadratic_profile.json", key="model.nu", value=str(10 ** 400))
-def test_cli_override_fuzzing_never_ends_in_a_traceback(config, key, value):
-    # one fuzzed field per example: a huge newton.max_iter together with a
-    # run that cannot converge would iterate for as long as it asks
-    overrides = {**SMALL, key: value}
+       key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(EDGE_VALUES), rejected=st.just({}))
+@example(config="decay_controlled.json", key="time.k", value="1e-300", rejected={})
+@example(config="decay_controlled.json", key="mesh.n_elements", value="100000000000",
+         rejected={})
+@example(config="epsilon_study.json", key="time.n_steps", value=str(10 ** 400), rejected={})
+@example(config="decay_quadratic_profile.json", key="model.nu", value=str(10 ** 400),
+         rejected={})
+@example(config="decay_controlled.json", key="newton.max_iter", value=str(10 ** 12),
+         rejected={"newton.tol": "1e-320"})
+def test_cli_override_fuzzing_never_ends_in_a_traceback(config, key, value, rejected):
+    # One fuzzed field per drawn example.  Explicit examples may add the
+    # fields in ``rejected``: validation must turn those configs down with
+    # exit 1 before any run, here a tolerance no step can meet with a
+    # newton.max_iter above harness.MAX_NEWTON_ITER, which would otherwise
+    # iterate for as long as it asks.
+    overrides = {**SMALL, **rejected, key: value}
     if key == "time.k":
         overrides["time.n_steps"] = "null"  # k is read only without n_steps
     kind = json.loads((CONFIGS / config).read_text())["experiment"]["kind"]
+    run = RUNNERS[kind]
+
+    def runner(resolved, out_dir):
+        if rejected:
+            raise AssertionError("the runner was called")
+        return run(resolved, out_dir)
+
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.dict(RUNNERS, {kind: runner}):
         warnings.simplefilter("ignore")
         code = main([COMMANDS[kind], "--config", str(CONFIGS / config), "--out", tmp,
                      *[arg for item in overrides.items() for arg in ("--override", "=".join(item))]])
-    assert code in (0, 1, 2)
+    assert code in ((1,) if rejected else (0, 1, 2))
     assert "Traceback" not in err.getvalue()

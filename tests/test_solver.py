@@ -474,6 +474,32 @@ def test_newton_stack_equals_separate_steps():
             assert reports[b] == report_b
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_newton_writes_into_neither_y_prev_nor_start(stacked):
+    # stacked, the linear member leaves after one update and the others iterate
+    # on, one of them to max_iter: the only path that writes rows into the result
+    system = assemble(make_uniform_mesh(16))
+    x = system.mesh.nodes[1:]
+    members = [(ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.3, epsilon=0.01), sin_pi(x)),
+               (ModelParams(nu=0.1, alpha=0.5, delta=2.0, r=0.3, epsilon=0.05), 3.0 * sin_pi(x)),
+               (ModelParams(nu=0.1, alpha=0.5, delta=2.0, r=0.3, epsilon=0.05), 2.0 * sin_pi(x))]
+    if not stacked:
+        members = members[1:2]
+    params = ParamStack.of([p for p, _ in members]) if stacked else members[0][0]
+    y_prev = np.stack([y for _, y in members]) if stacked else members[0][1]
+    for start in (None, 1.01 * y_prev):
+        inputs = [y_prev] if start is None else [y_prev, start]
+        saved = [a.copy() for a in inputs]
+        y, reports = newton_solve(params, system, y_prev, k=0.5, tol=1e-13, max_iter=4,
+                                  start=start)
+        for array, copy in zip(inputs, saved):
+            assert np.array_equal(array, copy)
+            assert not np.shares_memory(y, array)
+        if stacked:
+            assert len({r.newton_iterations for r in reports}) > 1
+            assert not all(r.converged for r in reports)
+
+
 def test_newton_start_sets_the_first_iterate_only():
     system = assemble(make_uniform_mesh(16))
     y_prev = 0.5 * sin_pi(system.mesh.nodes[1:])
