@@ -447,6 +447,8 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     :func:`_residual_norms`).  A step that exhausts ``max_iter`` returns its
     diagnostics with ``converged=False`` instead of raising; linear-solve
     failures propagate.  Returns the new state and its :class:`StepReport`.
+    Neither ``y_prev`` nor ``start`` is written, and the new state is a new
+    array.
 
     With a ``(B, N)`` stack ``y_prev`` the B steps share each iteration's
     residual, Jacobian and stacked solve, and the result is the new stack and
@@ -504,11 +506,12 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
         if control is not None:
             control = control[rows]
     moments = np.vecdot(result, system.moment).reshape(-1).tolist()
-    # StepReport(newton_iterations, final_residual_norm, control_value, converged,
-    # residual_norms)
-    reports = tuple([StepReport(len(history) - 1, history[-1], 0.0 - gain * moment,
-                                history[-1] <= tol, tuple(history))
-                     for history, gain, moment in zip(histories, gains, moments)])
+    reports = tuple([
+        StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
+                   control_value=0.0 - gain * moment, converged=history[-1] <= tol,
+                   residual_norms=tuple(history))
+        for history, gain, moment in zip(histories, gains, moments)
+    ])
     return (result, reports[0]) if result.ndim == 1 else (result, reports)
 
 

@@ -472,6 +472,14 @@ def test_newton_stack_equals_separate_steps():
         for b, (y_b, report_b) in enumerate(separate):
             assert np.array_equal(y[b], y_b)
             assert reports[b] == report_b
+    # one ModelParams shared by every member: its update and gain serve each row
+    shared, y_prev = members[1][0], np.stack([0.1 * x, 3.0 * sin_pi(x)])
+    y, reports = newton_solve(shared, system, y_prev, k=0.5, tol=1e-13, max_iter=4)
+    assert len({r.newton_iterations for r in reports}) > 1
+    for b, y0 in enumerate(y_prev):
+        y_b, report_b = newton_solve(shared, system, y0, k=0.5, tol=1e-13, max_iter=4)
+        assert np.array_equal(y[b], y_b)
+        assert reports[b] == report_b
 
 
 @pytest.mark.parametrize("stacked", [False, True])
