@@ -40,9 +40,9 @@ KINDS = ("decay", "space_convergence", "epsilon_study")
 # of doubles, over 100 times the shipped maximum (1051 x 2048, convergence).
 MAX_GRID_VALUES = 250_000_000
 
-# Largest ``newton.max_iter``.  A step that cannot converge runs every
-# iteration allowed; shipped runs take one or two, and a thousand at N=2048
-# is under a second.
+# Largest ``newton.max_iter``.  A step that cannot meet ``newton.tol`` runs
+# every iteration allowed, so an unbounded value could run for years; the
+# shipped runs take one or two iterations per step.
 MAX_NEWTON_ITER = 1000
 
 INITIAL_PROFILES: dict[str, Callable] = {
