@@ -27,9 +27,10 @@ batch of calls divided by the batch size, in microseconds per call:
                       residual;
 ``norms``             ``fem.norms`` of one state (stacks do not call it, so
                       the B=10 column shows ``-``);
-``newton iteration``  one more Newton iteration: ``newton_solve`` at
-                      ``max_iter=2`` minus ``max_iter=1``, with a tolerance
-                      no step meets;
+``newton iteration``  one Newton iteration: ``newton_solve`` at
+                      ``max_iter=6`` minus ``max_iter=1``, divided by 5, with
+                      a tolerance no step meets (one more iteration alone is
+                      within the noise of two minima);
 ``time step``         one level of ``solver.step_ensemble`` (about one
                       Newton iteration from the extrapolated start), averaged
                       over the first 50 steps, set-up included.
@@ -121,7 +122,7 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
             "solve_structured": best(lambda: solve_structured(core, rank_one, f),
                                      batch, repeats),
             "norms": best(lambda: norms(system, y), batch, repeats) if n_runs == 1 else None,
-            "newton iteration": newton(2) - newton(1),
+            "newton iteration": (newton(6) - newton(1)) / 5,
             "time step": best(steps, 1, repeats) / N_STEPS,
         }
 
