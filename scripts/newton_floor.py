@@ -8,7 +8,7 @@ For every mesh size in ``SIZES``, every variant and epsilon in ``EPSILONS``
 (gain ``r = sqrt(eps)``, the decay config's other coefficients, ``k =
 1/1050``, ``y0 = sin(pi x)``), 30 steps are simulated at a Newton tolerance
 of 1e-9, loose enough that every step stops after its first update from the
-extrapolated start.  The final residual norm of a step (see
+extrapolated start.  The final residual norm of a step (the Euclidean norm,
 ``solver._residual_norms``) is then the round-off floor of the residual at
 the computed state, or the start's error if that is larger.  One line per
 run gives the largest and the median final residual over the 30 steps.

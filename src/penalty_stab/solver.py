@@ -6,9 +6,12 @@ Each step of the penalized feedback scheme solves the nonlinear system
         - alpha M Y + (nu r / eps) (w . Y) e_b = 0
 
 where ``C`` is the cubic load vector, ``w`` the control moment vector, and
-``e_b`` selects the boundary DOF.  The residual evaluates it as
+``e_b`` selects the boundary DOF.  The residual evaluates it with the
+boundary row multiplied by ``eps/nu``, as the paper's boundary condition
+``eps y_x(1) + y(1) = u`` is written:
 
-    nu K Y + R(Y) - M Y_prev / k + (nu/eps) (Y(1) + r (w . Y)) e_b,
+    F(Y) = nu K Y + R(Y) - M Y_prev / k,  except
+    F_b(Y) = (eps/nu) (nu K Y + R(Y) - M Y_prev / k)_b + Y(1) + r (w . Y),
 
 with the reaction load ``R(Y) = integral(((1/k - alpha) Y + delta Y^3)
 phi_i)`` taken by the element Gauss rule, which is exact for it, in one pass
@@ -17,27 +20,36 @@ product: its entries of size ``nu/h`` set the residual's round-off floor,
 and folding ``K`` into one operator with ``M`` raises that floor.  A Newton
 step forms ``M Y_prev / k`` once, and each iterate's Gauss values serve both
 its residual and its Jacobian.  The control is treated implicitly (the
-feedback functional is evaluated at the unknown state), which adds a rank-one
-row to the otherwise tridiagonal Newton matrix; the linear solves exploit
-that structure via a tridiagonal elimination plus a Sherman-Morrison
-correction.  The Robin penalty itself is folded into the last diagonal entry
-of the tridiagonal core, so the banded solve is unmodified.
+feedback functional is evaluated at the unknown state), which adds the
+rank-one row ``r e_b w^T`` to the otherwise tridiagonal Newton matrix; the
+linear solves exploit that structure via a tridiagonal elimination plus a
+Sherman-Morrison correction.  The boundary row's scale and its constraint
+are folded into the last row of the tridiagonal core, so the banded solve
+is unmodified.
+
+One boundary row serves every variant: its scale is ``eps/nu`` for the
+penalized problem, and 0 for the Dirichlet feedback problem, which imposes
+``Y(1) = -r (w . Y)`` exactly, the ``eps -> 0`` limit the penalized
+solutions converge to.  At ``r = 0`` that is the pinned problem, and the
+uncontrolled baseline is exactly that: the Dirichlet feedback problem at
+zero gain, started from the initial state with its boundary value set to
+zero.  Every variant steps through the one Newton loop, :func:`newton_solve`,
+and the variant is the ``scale`` of its :class:`LinearPart`.
 
 Newton starts each step after the first from the linear extrapolation
 ``2 Y_n - Y_{n-1}`` of the last two levels (the first starts from ``Y_0``),
 a predictor whose error is ``O(k^2)``, so one update usually converges.  It
-stops on the Euclidean residual norm with the penalized boundary entry
-divided by ``nu/eps``: that entry's round-off grows like ``1/eps``, and an
-absolute tolerance on it could not be met at small eps.
+stops on the Euclidean residual norm.  The boundary row carries no ``nu/eps``
+amplification, so its round-off does not grow as eps shrinks.
 
 Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
 does not depend on the iterate is built as rarely as it can be:
 
 * once per run, a :class:`LinearPart` (once per stack of runs, restricted
   with ``take`` when members leave): ``(1/k - alpha) M + nu K``, the boundary
-  penalty (or the hard-constraint row), the gain of the boundary row, the
-  rank-one feedback row with its right-hand-side buffer
-  (:attr:`RankOneUpdate.pair`), and the gains as floats for the controls;
+  row's scale and gain, the rank-one feedback row with its right-hand-side
+  buffer (:attr:`RankOneUpdate.pair`), and the gains as floats for the
+  controls;
 * once per step, in :func:`newton_solve`: the checks of ``y_prev`` and the
   start, ``M Y_prev / k``, and at the end the controls, from one ``w . Y``
   per run in Python floats;
@@ -48,16 +60,6 @@ does not depend on the iterate is built as rarely as it can be:
 
 Newton never writes into ``Y_prev`` or its start: each iterate is a new
 array, and so is the result.
-
-The Dirichlet feedback variant imposes ``Y(1) = -r (w . Y)`` exactly: it is
-the penalized boundary row multiplied by ``eps/nu`` and taken at ``eps = 0``,
-the limit the penalized solutions converge to.  Its boundary residual row is
-``Y(1) + r (w . Y)``; the Newton core gets the boundary row ``e_b`` (so it is
-no longer symmetric) and the rank-one row becomes ``r e_b w^T``.  Epsilon is
-ignored.  At ``r = 0`` it is the pinned problem, and the uncontrolled
-baseline is exactly that: the Dirichlet feedback problem at zero gain,
-started from the initial state with its boundary value set to zero.  Every
-variant therefore steps through the one Newton loop, :func:`newton_solve`.
 
 A single simulation is strictly sequential in time.  Runs that share a mesh
 and a time grid are stepped together instead (:func:`step_ensemble`): their
@@ -136,9 +138,8 @@ class StepReport:
 
     ``newton_iterations`` counts linearized solves; convergence is checked on
     the post-update residual, so even an already-converged start performs one
-    update.  ``residual_norms`` holds the residual norm at the start and after
-    each update; it is Euclidean but for the penalized boundary entry, which
-    is divided by ``nu/eps`` (see :func:`newton_solve`).
+    update.  ``residual_norms`` holds the Euclidean residual norm at the start
+    and after each update.
     """
 
     newton_iterations: int
@@ -234,35 +235,33 @@ def _check_states(system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray) ->
 
 def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
              y_prev: np.ndarray, k: float,
-             control_state: np.ndarray | None = None,
-             hard_constraint: bool = False, *, linear: LinearPart | None = None,
+             control_state: np.ndarray | None = None, *, linear: LinearPart | None = None,
              prev_load: np.ndarray | None = None, gauss: np.ndarray | None = None
              ) -> np.ndarray:
-    """Residual of one backward Euler step of the penalized feedback scheme.
+    """Residual of one backward Euler step of the boundary feedback scheme.
 
     The interior rows are ``nu K y + R(y) - M y_prev / k`` with the reaction
     load ``R(y) = integral(((1/k - alpha) y + delta y^3) phi_i)``, which
     :func:`fem.reaction_load` integrates by the exact Gauss rule in one pass;
-    ``nu K y`` stays an exact tridiagonal product.  ``control_state``
-    selects the state the feedback functional acts on; the default
-    (``None``) is the implicit choice ``y`` itself.  With a
-    :class:`ParamStack` the states are ``(B, N)`` stacks and each row gets
-    its own residual.  ``hard_constraint=True`` replaces the boundary row by
-    the feedback condition ``y(1) + r (w . y)`` itself (the Dirichlet
-    feedback problem, ``eps -> 0``); epsilon is then not read.
+    ``nu K y`` stays an exact tridiagonal product.  The boundary row is the
+    interior formula times ``linear.scale`` plus the feedback condition
+    ``y(1) + r (w . y)``: the penalized row times ``eps/nu``, and at scale 0
+    the Dirichlet feedback row.  ``control_state`` selects the state the
+    feedback functional acts on; the default (``None``) is the implicit
+    choice ``y`` itself.  With a :class:`ParamStack` the states are ``(B, N)``
+    stacks and each row gets its own residual.
 
     The keywords carry pieces a Newton step computes once: ``linear``, the
-    :class:`LinearPart` of ``params`` at the same ``k`` and
-    ``hard_constraint``; ``prev_load``, the previous level's load
-    ``M y_prev / k``; and ``gauss``, ``fem.gauss_values(y)``.  Each one not
-    given is built here, with the same bits.
+    :class:`LinearPart` of ``params`` at the same ``k``, which also selects
+    the variant (penalized when not given); ``prev_load``, the previous
+    level's load ``M y_prev / k``; and ``gauss``, ``fem.gauss_values(y)``.
+    Each one not given is built here, with the same bits.
     """
     _check_states(system, y, y_prev)
     if k <= 0.0:
         raise ParameterDomainError(f"time step must be positive, got {k!r}")
     if linear is None:
-        linear = LinearPart.of(params, system, k, implicit_control=False,
-                               hard_constraint=hard_constraint)
+        linear = LinearPart.of(params, system, k, implicit_control=False)
     if prev_load is None:
         prev_load = system.mass.matvec(y_prev) / k
     if gauss is None:
@@ -272,13 +271,9 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     f += params.nu * system.stiffness.matvec(y)
     yc = y if control_state is None else control_state
     b = system.boundary_dof
-    constraint = y[..., b] + linear.gain * np.vecdot(yc, system.moment)
-    if linear.hard_constraint:
-        f[..., b] = constraint
-    else:
-        # Penalty and feedback combined before the 1/eps amplification keeps
-        # the boundary equation accurate at very small eps.
-        f[..., b] += linear.penalty * constraint
+    # .T[b] is column b of a stack and entry b of a lone state, a numpy
+    # scalar, whose arithmetic costs a tenth of that of the 0-d view [..., b]
+    f.T[b] = linear.scale * f.T[b] + (y.T[b] + linear.gain * np.vecdot(yc, system.moment))
     return f
 
 
@@ -290,19 +285,19 @@ class LinearPart:
     nu K`` (``diag``, ``off``), the boundary row and the rank-one feedback
     row; only ``delta C'(y)`` changes with the state.  ``weight`` is the
     ``1/k - alpha`` that :func:`residual` integrates with the cubic term.
-    ``penalty`` is the ``nu/eps`` that :func:`jacobian` adds to the boundary
-    diagonal after ``delta C'(y)``, and ``None`` with ``hard_constraint``,
-    where the core's boundary row is ``e_b``.  ``gain`` is the ``r`` of the
-    boundary row of :func:`residual`.  ``rank_one`` is ``None`` when every
-    gain is 0 or the control is lagged.  Built from a :class:`ParamStack`,
-    every field has one row per member; ``penalty`` and ``gain``, which
-    scale the boundary entries ``[..., b]``, are then ``(B,)`` vectors.
+    ``scale`` multiplies the boundary row's interior terms: ``eps/nu`` for
+    the penalized problem and 0 for the Dirichlet feedback problem.  ``gain``
+    is the ``r`` of the boundary row's feedback condition ``y(1) + r (w .
+    y)``.  ``rank_one`` is ``None`` when every gain is 0 or the control is
+    lagged.  Built from a :class:`ParamStack`, every field has one row per
+    member; ``scale`` and ``gain``, which act on the boundary entries
+    ``[..., b]``, are then ``(B,)`` vectors, so a stack may mix variants.
     """
 
     weight: np.ndarray | float
     diag: np.ndarray
     off: np.ndarray
-    penalty: np.ndarray | float | None
+    scale: np.ndarray | float
     gain: np.ndarray | float
     rank_one: RankOneUpdate | None
 
@@ -314,59 +309,53 @@ class LinearPart:
     @classmethod
     def of(cls, params: ModelParams | ParamStack, system: AssembledSystem, k: float,
            implicit_control: bool = True, hard_constraint: bool = False) -> "LinearPart":
+        """The linear part of ``params``; ``hard_constraint`` selects Dirichlet feedback."""
         weight = 1.0 / k - params.alpha
         diag = weight * system.mass.diag + params.nu * system.stiffness.diag
         off = weight * system.mass.lower + params.nu * system.stiffness.lower
-        if hard_constraint:
-            penalty, coupling = None, params.r
-        else:
-            penalty = _boundary_scale(params.nu / params.epsilon)
-            coupling = params.nu * params.r / params.epsilon
+        # 0.0 * epsilon: a stack gets one zero per member
+        scale = 0.0 * params.epsilon if hard_constraint else params.epsilon / params.nu
         rank_one = None
         if implicit_control and np.count_nonzero(params.r):
             u = np.zeros(diag.shape)
             u[..., system.boundary_dof] = 1.0
-            rank_one = RankOneUpdate(u=u, v=coupling * system.moment)
-        return cls(weight=weight, diag=diag, off=off, penalty=penalty,
+            rank_one = RankOneUpdate(u=u, v=params.r * system.moment)
+        return cls(weight=weight, diag=diag, off=off, scale=_boundary_scale(scale),
                    gain=_boundary_scale(params.r), rank_one=rank_one)
-
-    @property
-    def hard_constraint(self) -> bool:
-        return self.penalty is None
 
     def take(self, index: np.ndarray) -> "LinearPart":
         """The linear part of the members ``index`` of a stack."""
         rank_one = self.rank_one
         if rank_one is not None:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
-        penalty = None if self.hard_constraint else self.penalty[index]
         return LinearPart(weight=self.weight[index], diag=self.diag[index],
-                          off=self.off[index], penalty=penalty, gain=self.gain[index],
+                          off=self.off[index], scale=self.scale[index], gain=self.gain[index],
                           rank_one=rank_one)
 
 
 def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-             k: float, implicit_control: bool = True, hard_constraint: bool = False,
+             k: float, implicit_control: bool = True,
              *, linear: LinearPart | None = None, gauss: np.ndarray | None = None
              ) -> tuple[TridiagMatrix, RankOneUpdate | None]:
     """Newton matrix of :func:`residual`, split into tridiagonal + rank-one.
 
-    The tridiagonal core is ``M/k + nu K - alpha M + delta C'(y)`` with the
-    penalty ``nu/eps`` folded into the boundary diagonal entry.  The implicit
-    feedback contributes the dense boundary row ``(nu r / eps) e_b w^T``,
-    returned separately (``None`` when every gain is 0 or the control is
-    lagged).  A ``(B, N)`` stack of states gives stacks of both parts.  With
-    ``hard_constraint=True`` the core's boundary row is ``e_b`` and the
-    rank-one row ``r e_b w^T``.
+    The tridiagonal core is ``M/k + nu K - alpha M + delta C'(y)`` with its
+    boundary row (diagonal and lower entry) multiplied by ``linear.scale``
+    and 1 added to the boundary diagonal; the upper entry of the row above
+    is not scaled, so the core is not symmetric.  The implicit feedback
+    contributes the dense boundary row ``r e_b w^T``, returned separately
+    (``None`` when every gain is 0 or the control is lagged).  A ``(B, N)``
+    stack of states gives stacks of both parts.
 
     ``linear`` is the run's :class:`LinearPart`, built from the same
-    ``params``, ``k``, ``implicit_control`` and ``hard_constraint``; without
-    it the call builds its own.  Only ``delta C'(y)`` is computed here, and
-    the returned rank-one part is the linear part's own.  ``gauss`` is
-    ``fem.gauss_values(y)`` when the caller has it already.
+    ``params``, ``k`` and ``implicit_control``, which also selects the
+    variant; without it the call builds the penalized one.  Only ``delta
+    C'(y)`` is computed here, and the returned rank-one part is the linear
+    part's own.  ``gauss`` is ``fem.gauss_values(y)`` when the caller has it
+    already.
     """
     if linear is None:
-        linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
+        linear = LinearPart.of(params, system, k, implicit_control)
     # the bands of delta C'(y) are this call's own, so the core is built in them
     jc = cubic_jacobian(system.mesh, y, gauss=gauss)
     diag, off = jc.diag, jc.lower
@@ -375,13 +364,10 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     off *= params.delta
     off += linear.off
     b = system.boundary_dof
-    if linear.hard_constraint:
-        diag[..., b] = 1.0
-        lower = off.copy()
-        lower[..., b - 1] = 0.0
-        return TridiagMatrix(diag=diag, lower=lower, upper=off), linear.rank_one
-    diag[..., b] += linear.penalty
-    return jc, linear.rank_one
+    lower = off.copy()  # off[..., b - 1] is also row b - 1's upper entry
+    lower.T[b - 1] *= linear.scale  # .T: see residual
+    diag.T[b] = linear.scale * diag.T[b] + 1.0
+    return TridiagMatrix(diag=diag, lower=lower, upper=off), linear.rank_one
 
 
 def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
@@ -418,35 +404,23 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     return x_rhs - x_u * (np.vecdot(rank_one.v, x_rhs) / (1.0 + v_xu))[..., None]
 
 
-def _residual_norms(f: np.ndarray, linear: LinearPart, b: int) -> list[float]:
-    """Newton's convergence norm of each residual row in ``f``.
-
-    The penalized boundary entry carries the factor ``nu/eps`` (``linear.
-    penalty``), so its round-off grows like ``1/eps`` and can sit above any
-    absolute tolerance at small eps.  The norm divides that entry by the
-    factor, which tests the un-amplified boundary equation; the
-    hard-constrained row is taken as it is.
-    """
-    if not linear.hard_constraint:
-        f = f.copy()
-        f[..., b] /= linear.penalty
+def _residual_norms(f: np.ndarray) -> list[float]:
+    """Newton's convergence norm, the Euclidean norm, of each residual row in ``f``."""
     return np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()
 
 
 def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
                  y_prev: np.ndarray, k: float, tol: float = 1e-12, max_iter: int = 25,
-                 implicit_control: bool = True, hard_constraint: bool = False,
-                 *, linear: LinearPart | None = None, start: np.ndarray | None = None
+                 implicit_control: bool = True, *, linear: LinearPart | None = None,
+                 start: np.ndarray | None = None
                  ) -> tuple[np.ndarray, StepReport | tuple[StepReport, ...]]:
     """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
     The iteration starts from ``start`` (``y_prev`` when not given); the
     residual's previous level is ``y_prev`` either way.  It stops when the
-    norm of the residual drops to ``tol``, the Euclidean norm with the
-    penalized boundary entry divided by its amplification ``nu/eps`` (see
-    :func:`_residual_norms`).  A step that exhausts ``max_iter`` returns its
-    diagnostics with ``converged=False`` instead of raising; linear-solve
-    failures propagate.  Returns the new state and its :class:`StepReport`.
+    Euclidean norm of the residual drops to ``tol``.  A step that exhausts
+    ``max_iter`` returns its diagnostics with ``converged=False`` instead of
+    raising; linear-solve failures propagate.  Returns the new state and its :class:`StepReport`.
     Neither ``y_prev`` nor ``start`` is written, and the new state is a new
     array.
 
@@ -455,38 +429,35 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     a tuple of B reports.  ``params`` is then a :class:`ParamStack`, or one
     :class:`ModelParams` shared by every member.  A member leaves the
     iteration once it converges, so it takes exactly the iterates of its
-    own step.  ``hard_constraint`` selects the Dirichlet feedback problem
-    (see :func:`residual`).  ``linear`` is the :class:`LinearPart` of
-    ``params`` at the same settings, built here when not given.  A stacked
-    ``start`` has one row per member.
+    own step.  ``linear`` is the :class:`LinearPart` of ``params`` at the
+    same settings, which selects the variant; without it the step is
+    penalized.  A stacked ``start`` has one row per member.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     if linear is None:
-        linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
+        linear = LinearPart.of(params, system, k, implicit_control)
     y = y_prev if start is None else start  # never written: each iterate is a new array
     _check_states(system, y, y_prev)
     p, prev, control = params, y_prev, None if implicit_control else y_prev
     load = system.mass.matvec(y_prev) / k
     gauss = gauss_values(y)
-    f = residual(p, system, y, prev, k, control, hard_constraint, linear=linear,
-                 prev_load=load, gauss=gauss)
-    b = system.boundary_dof
-    histories = [[norm] for norm in _residual_norms(f, linear, b)]
+    f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load, gauss=gauss)
+    histories = [[norm] for norm in _residual_norms(f)]
     gains = linear.gains
     if len(gains) != len(histories):  # one ModelParams shared by a stack
         gains = gains * len(histories)
     active = list(range(len(histories)))  # members still iterating
     result = None
     for iteration in range(1, max_iter + 1):
-        core, rank_one = jacobian(p, system, y, k, implicit_control, hard_constraint,
-                                  linear=linear, gauss=gauss)
+        core, rank_one = jacobian(p, system, y, k, implicit_control, linear=linear,
+                                  gauss=gauss)
         y = y - solve_structured(core, rank_one, f)
         gauss = gauss_values(y)
-        f = residual(p, system, y, prev, k, control, hard_constraint, linear=linear,
-                     prev_load=load, gauss=gauss)
+        f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load,
+                     gauss=gauss)
         keep = []
-        for member, norm in zip(active, _residual_norms(f, linear, b)):
+        for member, norm in zip(active, _residual_norms(f)):
             histories[member].append(norm)
             keep.append(not norm <= tol)  # a NaN residual keeps iterating, as alone
         if all(keep) and iteration < max_iter:
@@ -566,7 +537,7 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                   y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = 1e-12,
                   newton_max_iter: int = 25, implicit_control: bool = True,
                   hard_constraint: bool = False) -> Iterator[EnsembleLevel]:
-    """Step penalized runs that share a mesh, a time grid and ``y0`` together.
+    """Step runs that share a mesh, a time grid, ``y0`` and a variant together.
 
     The runs advance as one ``(B, N)`` stack through :func:`newton_solve`,
     one :class:`EnsembleLevel` per time level, initial level first.  Each
@@ -577,7 +548,8 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     levels are held, and memory does not grow with the number of steps.
     Each run that violates the stabilization conditions triggers a warning.
     With ``hard_constraint=True`` the runs solve the Dirichlet feedback
-    problem, which has no epsilon and so no such conditions to check.
+    problem (boundary scale 0, see :class:`LinearPart`), which has no
+    epsilon and so no such conditions to check.
     """
     for params in members:
         admissible, detail = check_admissibility(params)
@@ -589,7 +561,7 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                           control_value=0.0 - params.r * moment_y0, converged=True,
                           residual_norms=(0.0,))
                for params in members]
-    settings = (newton_tol, newton_max_iter, implicit_control, hard_constraint)
+    settings = (newton_tol, newton_max_iter, implicit_control)
     k = time_grid.k
     if len(members) == 1:
         # a lone run steps as a 1-D state, which costs numpy less per call

@@ -383,8 +383,8 @@ def assert_study_equals_separate_runs(monkeypatch, epsilons, fail_at=None, *,
 
 
 def test_epsilon_study_equals_separate_runs_bit_for_bit(monkeypatch):
-    # down to eps = 1e-12 every run finishes: Newton's stopping test divides
-    # the nu/eps-amplified boundary entry by its factor
+    # down to eps = 1e-12 every run finishes: the boundary row is taken times
+    # eps/nu, so its round-off does not grow as eps shrinks
     trajectories = assert_study_equals_separate_runs(
         monkeypatch, [1e-3, 1e-10, 1e-11, 1e-12, 1e-12])
     assert [t.failed_at for t in trajectories] == [None] * 5

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,11 +94,13 @@ def test_residual_matches_dense_oracle():
     ours = residual(EXAMPLE, system, y, y_prev, 0.1)
     ref = oracles.dense_residual(EXAMPLE.nu, EXAMPLE.alpha, EXAMPLE.delta, EXAMPLE.r,
                                  EXAMPLE.epsilon, mesh.nodes, y, y_prev, 0.1)
+    ref[-1] *= EXAMPLE.epsilon / EXAMPLE.nu  # the boundary row is taken times eps/nu
     assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_linear_heat_residual_matches_dense_matrices():
-    # delta = 0 and r = 0 reduce to (M/k + nu K + (nu/eps) e e' - alpha M) y - M y_prev / k
+    # delta = 0 and r = 0 reduce to (M/k + nu K + (nu/eps) e e' - alpha M) y - M y_prev / k,
+    # whose boundary row the residual takes times eps/nu
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.0, epsilon=0.01)
     mesh = make_uniform_mesh(6)
     system = assemble(mesh)
@@ -109,6 +112,7 @@ def test_linear_heat_residual_matches_dense_matrices():
     a = m / k + params.nu * kk - params.alpha * m
     a[-1, -1] += params.nu / params.epsilon
     expected = a @ y - m @ y_prev / k
+    expected[-1] *= params.epsilon / params.nu
     assert np.allclose(residual(params, system, y, y_prev, k), expected, rtol=1e-12, atol=1e-14)
 
 
@@ -124,9 +128,7 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
     x = system.mesh.nodes[1:]
     y, y_prev = 0.7 * sin_pi(x) + 0.1 * x, 0.8 * sin_pi(x)
     params, options, k = EXAMPLE, {}, 0.01
-    if case == "hard_constraint":
-        options = {"hard_constraint": True}
-    elif case == "lagged":
+    if case == "lagged":
         options = {"control_state": y_prev}
     elif case == "stack_take":
         stack = ParamStack.of([EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3,
@@ -139,6 +141,8 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
         linear = LinearPart.of(params, system, k, hard_constraint=case == "hard_constraint")
     pieces = {"linear": linear, "prev_load": system.mass.matvec(y_prev) / k,
               "gauss": fem.gauss_values(y)}
+    if case == "hard_constraint":  # the variant is read from the linear part
+        options = {"linear": pieces.pop("linear")}
     expected = residual(params, system, y, y_prev, k, **options)
     assert np.array_equal(residual(params, system, y, y_prev, k, **options, **pieces), expected)
     for name, piece in pieces.items():
@@ -178,6 +182,7 @@ def test_jacobian_matches_dense_oracle():
     dense = core.to_dense() + np.outer(rank_one.u, rank_one.v)
     ref = oracles.dense_jacobian(EXAMPLE.nu, EXAMPLE.alpha, EXAMPLE.delta, EXAMPLE.r,
                                  EXAMPLE.epsilon, mesh.nodes, y, 0.1)
+    ref[-1] *= EXAMPLE.epsilon / EXAMPLE.nu  # the boundary row is taken times eps/nu
     assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -186,7 +191,9 @@ def test_jacobian_zero_gain_has_no_rank_one_part():
     system = assemble(make_uniform_mesh(8))
     core, rank_one = jacobian(params, system, RNG.standard_normal(8), 0.1)
     assert rank_one is None
-    assert np.array_equal(core.lower, core.upper)
+    # symmetric but for the boundary row, which is taken times eps/nu
+    assert np.array_equal(core.lower[:-1], core.upper[:-1])
+    assert core.lower[-1] == core.upper[-1] * (params.epsilon / params.nu)
 
 
 def test_jacobian_linear_problem_is_state_independent():
@@ -198,18 +205,17 @@ def test_jacobian_linear_problem_is_state_independent():
     assert np.array_equal(core1.lower, core2.lower)
 
 
-def from_scratch_core(params, system, y, k, hard_constraint=False, **_):
+def from_scratch_core(params, system, y, k, hard_constraint=False):
     """Tridiagonal Newton core built in one pass, the order the hoisting must keep."""
     jc = cubic_jacobian(system.mesh, y)
     weight = 1.0 / k - params.alpha
     diag = weight * system.mass.diag + params.nu * system.stiffness.diag + params.delta * jc.diag
     off = weight * system.mass.lower + params.nu * system.stiffness.lower + params.delta * jc.lower
     lower, b = off.copy(), system.boundary_dof
-    if hard_constraint:
-        diag[..., b] = 1.0
-        lower[..., b - 1] = 0.0
-    else:
-        diag[..., b:b + 1] += params.nu / params.epsilon
+    scale = 0.0 if hard_constraint else params.epsilon / params.nu
+    diag[..., b:b + 1] *= scale
+    diag[..., b] += 1.0
+    lower[..., b - 1:b] *= scale
     return diag, lower, off
 
 
@@ -218,9 +224,9 @@ def from_scratch_core(params, system, y, k, hard_constraint=False, **_):
 def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
     system = assemble(make_uniform_mesh(12))
     y = 0.7 * sin_pi(system.mesh.nodes[1:])
-    params, options, k = EXAMPLE, {}, 0.01
+    params, options, variant, k = EXAMPLE, {}, {}, 0.01
     if case == "hard_constraint":
-        options = {"hard_constraint": True}
+        variant = {"hard_constraint": True}
     elif case == "zero_gain":
         params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)
     elif case == "lagged":
@@ -233,19 +239,21 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
         params, linear = stack.take(rows), LinearPart.of(stack, system, k).take(rows)
         y = np.stack([y, 2.0 * y])
     else:
-        linear = LinearPart.of(params, system, k, **options)
-    prebuilt = [linear.diag, linear.off, linear.penalty]
+        linear = LinearPart.of(params, system, k, **options, **variant)
+    prebuilt = [linear.diag, linear.off, linear.scale]
     if linear.rank_one is not None:
         prebuilt += [linear.rank_one.u, linear.rank_one.v]
-    prebuilt = [a for a in prebuilt if a is not None]
     saved = [np.copy(a) for a in prebuilt]
     # compared after both calls: the second must not write into the first's arrays
     states = (y, -1.5 * y)
+    # without a linear part the call builds the penalized one
+    fresh = LinearPart.of(params, system, k, **variant) if variant else None
     results = [(jacobian(params, system, state, k, **options, linear=linear,
                          gauss=fem.gauss_values(state)),
-                jacobian(params, system, state, k, **options)) for state in states]
+                jacobian(params, system, state, k, **options, linear=fresh))
+               for state in states]
     for state, ((core, rank_one), (ref_core, ref_rank_one)) in zip(states, results):
-        expected = from_scratch_core(params, system, state, k, **options)
+        expected = from_scratch_core(params, system, state, k, **variant)
         for name, bands in zip(("diag", "lower", "upper"), expected):
             assert np.array_equal(getattr(core, name), bands)
             assert np.array_equal(getattr(ref_core, name), bands)
@@ -518,7 +526,6 @@ def test_newton_start_sets_the_first_iterate_only():
     y, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, start=start)
     assert np.array_equal(start, 1.01 * y_prev)  # not written into
     f = residual(EXAMPLE, system, start, y_prev, k=0.01)
-    f[-1] /= EXAMPLE.nu / EXAMPLE.epsilon
     assert report.residual_norms[0] == pytest.approx(np.linalg.norm(f), rel=1e-14)
     assert report.converged
     assert np.max(np.abs(y - plain)) <= 1e-12
@@ -527,15 +534,14 @@ def test_newton_start_sets_the_first_iterate_only():
 
 
 @pytest.mark.parametrize("hard_constraint", [False, True])
-def test_newton_norm_divides_only_the_penalized_boundary_entry(hard_constraint):
+def test_newton_final_residual_norm_is_the_euclidean_norm(hard_constraint):
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.05, epsilon=1e-9)
     system = assemble(make_uniform_mesh(32))
     y_prev = sin_pi(system.mesh.nodes[1:])
-    y, report = newton_solve(params, system, y_prev, k=1e-3, hard_constraint=hard_constraint)
+    linear = LinearPart.of(params, system, 1e-3, hard_constraint=hard_constraint)
+    y, report = newton_solve(params, system, y_prev, k=1e-3, linear=linear)
     assert report.converged
-    f = residual(params, system, y, y_prev, k=1e-3, hard_constraint=hard_constraint)
-    if not hard_constraint:
-        f[-1] *= params.epsilon / params.nu
+    f = residual(params, system, y, y_prev, k=1e-3, linear=linear)
     assert report.final_residual_norm == pytest.approx(np.linalg.norm(f), rel=1e-12)
     assert report.final_residual_norm <= 1e-12
 
@@ -585,6 +591,33 @@ def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
             assert level.reports[b] == report
 
 
+def test_penalized_run_and_pinned_baseline_step_as_one_stack():
+    # the decay config's two runs differ only in their boundary rows' scale
+    # (eps/nu and 0) and gain, so one stack steps both, each bit for bit
+    eps = 0.01
+    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
+    pinned = replace(params, r=0.0)
+    system = assemble(make_uniform_mesh(16))
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=1050)
+    y0 = project_initial(system.mesh, sin_pi)
+    y0_pinned = y0.copy()
+    y0_pinned[-1] = 0.0
+    separate = [list(step_ensemble([params], system, y0, grid)),
+                list(step_ensemble([pinned], system, y0_pinned, grid, hard_constraint=True))]
+    stack = ParamStack.of([params, pinned])
+    linear = replace(LinearPart.of(stack, system, grid.k),
+                     scale=np.array([eps / params.nu, 0.0]))
+    previous, y = None, np.stack([y0, y0_pinned])
+    for n in range(1, grid.n_steps + 1):
+        start = None if previous is None else 2.0 * y - previous
+        previous, (y, reports) = y, newton_solve(stack, system, y, grid.k, linear=linear,
+                                                 start=start)
+        for b, levels in enumerate(separate):
+            assert np.array_equal(y[b], levels[n].states[0])
+            assert reports[b] == levels[n].reports[0]
+    assert y[1, -1] == 0.0
+
+
 @st.composite
 def newton_steps(draw):
     """One Newton step, lone or stacked, penalized or Dirichlet feedback."""
@@ -608,19 +641,22 @@ def test_residual_at_the_returned_state_is_within_tolerance(step):
     x = system.mesh.nodes[1:]
     y_prev = np.stack([a * sin_pi(x) + 0.1 * a * x * (1.0 - x) for a in amplitudes])
     start = None if start_scale is None else start_scale * y_prev
-    tol, options = 1e-12, {"hard_constraint": hard_constraint}
+    tol = 1e-12
     if len(members) == 1:
-        y, report = newton_solve(members[0], system, y_prev[0], k, tol=tol, **options,
+        params = members[0]
+        linear = LinearPart.of(params, system, k, hard_constraint=hard_constraint)
+        y, report = newton_solve(params, system, y_prev[0], k, tol=tol, linear=linear,
                                  start=None if start is None else start[0])
         y, reports = y[None], (report,)
     else:
-        y, reports = newton_solve(ParamStack.of(members), system, y_prev, k, tol=tol,
-                                  **options, start=start)
-    for params, y_b, prev_b, report in zip(members, y, y_prev, reports):
-        # recomputed by the public residual, with no precomputed piece
-        f = residual(params, system, y_b, prev_b, k, hard_constraint=hard_constraint)
+        params = ParamStack.of(members)
         linear = LinearPart.of(params, system, k, hard_constraint=hard_constraint)
-        [norm] = _residual_norms(f, linear, system.boundary_dof)
+        y, reports = newton_solve(params, system, y_prev, k, tol=tol, linear=linear,
+                                  start=start)
+    for params, y_b, prev_b, report in zip(members, y, y_prev, reports):
+        # recomputed by the public residual, with no other precomputed piece
+        linear = LinearPart.of(params, system, k, hard_constraint=hard_constraint)
+        [norm] = _residual_norms(residual(params, system, y_b, prev_b, k, linear=linear))
         assert report.converged
         assert norm <= tol
         assert norm == report.final_residual_norm
@@ -715,14 +751,15 @@ def test_dirichlet_feedback_matches_dense_oracle():
     mesh = make_uniform_mesh(8)
     system = assemble(mesh)
     coefficients = (EXAMPLE.nu, EXAMPLE.alpha, EXAMPLE.delta, EXAMPLE.r)
+    linear = LinearPart.of(EXAMPLE, system, 0.1, hard_constraint=True)
     for trial in range(5):
         rng = np.random.default_rng(177 + trial)
         y = rng.standard_normal(8)
         y_prev = rng.standard_normal(8)
-        ours = residual(EXAMPLE, system, y, y_prev, 0.1, hard_constraint=True)
+        ours = residual(EXAMPLE, system, y, y_prev, 0.1, linear=linear)
         ref = oracles.dense_residual(*coefficients, 0.0, mesh.nodes, y, y_prev, 0.1)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-        core, rank_one = jacobian(EXAMPLE, system, y, 0.1, hard_constraint=True)
+        core, rank_one = jacobian(EXAMPLE, system, y, 0.1, linear=linear)
         dense = core.to_dense() + np.outer(rank_one.u, rank_one.v)
         ref_jac = oracles.dense_jacobian(*coefficients, 0.0, mesh.nodes, y, 0.1)
         assert np.max(np.abs(dense - ref_jac)) <= 1e-12 * np.max(np.abs(ref_jac))
