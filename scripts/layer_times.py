@@ -19,7 +19,8 @@ batch of calls divided by the batch size, in microseconds per call:
                       B=10 column shows ``-``);
 ``residual``          ``solver.residual`` with the pieces a Newton step
                       passes: the run's ``LinearPart``, the previous level's
-                      load and the Gauss values;
+                      load, and the elements' nodal differences and Gauss
+                      values;
 ``cubic_term``        ``fem.cubic_term``;
 ``jacobian``          ``solver.jacobian`` with the run's ``LinearPart`` and
                       the Gauss values;
@@ -47,7 +48,7 @@ import warnings
 
 import numpy as np
 
-from penalty_stab.fem import assemble, cubic_term, gauss_values, make_uniform_mesh, norms
+from penalty_stab.fem import assemble, cubic_term, element_values, make_uniform_mesh, norms
 from penalty_stab.fem import project_initial
 from penalty_stab.params import ModelParams
 from penalty_stab.solver import (
@@ -95,8 +96,9 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
     y_prev = y0 if n_runs == 1 else np.repeat(y0[None], n_runs, axis=0)
     y = 0.999 * y_prev
     linear = LinearPart.of(params, system, K)
+    diffs, gauss = element_values(y)
     pieces = {"linear": linear, "prev_load": system.mass.matvec(y_prev) / K,
-              "gauss": gauss_values(y)}
+              "gauss": gauss, "diffs": diffs}
     f = residual(params, system, y, y_prev, K, **pieces)
     core, rank_one = jacobian(params, system, y, K, linear=linear, gauss=pieces["gauss"])
     batch = max(1, 20000 // (n * n_runs))  # about 0.1 ms of numpy work per batch

@@ -271,12 +271,21 @@ def assemble(mesh: MeshPartition) -> AssembledSystem:
     )
 
 
-def _element_endpoint_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal values (left, right) of each element; the pinned node is zero."""
+def element_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal differences and Gauss-point values of every element of a P1 function.
+
+    Returns ``(diffs, gauss)``.  ``diffs`` has the shape of ``y``: entry
+    ``e`` is ``right - left``, the difference of element ``e``'s nodal
+    values (the pinned node is zero, so ``diffs[..., 0] = y[..., 0]``).
+    ``gauss`` is :func:`gauss_values`, computed from those differences.
+    """
     left = np.empty_like(y)
     left[..., 0] = 0.0
     left[..., 1:] = y[..., :-1]
-    return left, y
+    diffs = y - left
+    gauss = np.multiply.outer(GAUSS3_POINTS, diffs)
+    gauss += left
+    return diffs, gauss
 
 
 def gauss_values(y: np.ndarray) -> np.ndarray:
@@ -287,10 +296,7 @@ def gauss_values(y: np.ndarray) -> np.ndarray:
     row ``j`` holds every element's value at Gauss point ``j``, ``left +
     GAUSS3_POINTS[j] * (right - left)``, as one contiguous array.
     """
-    left, right = _element_endpoint_values(y)
-    vals = np.multiply.outer(GAUSS3_POINTS, right - left)
-    vals += left
-    return vals
+    return element_values(y)[1]
 
 
 def _element_integrals(mesh: MeshPartition, weights: np.ndarray,
@@ -318,21 +324,30 @@ def cubic_term(mesh: MeshPartition, y: np.ndarray) -> np.ndarray:
     return _scatter_element_loads(left, right)
 
 
-def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic) -> np.ndarray:
-    """Load vector of the reaction ``linear * y + cubic * y^3``.
+def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic,
+                  flux: np.ndarray) -> np.ndarray:
+    """Load vector of the diffusion flux and the reaction ``linear * y + cubic * y^3``.
 
-    Entries are ``integral((linear*y + cubic*y^3) * phi_i)``, by the 3-point
-    Gauss rule (exact, as for :func:`cubic_term`) from the state's values
-    ``gauss`` at the Gauss points (:func:`gauss_values`, point-major, shape
-    ``(3, ..., n_elements)``).  It equals ``linear * M y + cubic *
-    cubic_term(y)`` up to round-off, in one pass over the elements.  For a
-    stack the coefficients are ``(B, 1)`` columns.
+    Entries are ``integral((linear*y + cubic*y^3) * phi_i)`` plus the
+    diffusion term ``integral(nu y_x phi_i_x)``, in one pass over the
+    elements.  The reaction is integrated by the 3-point Gauss rule (exact,
+    as for :func:`cubic_term`) from the state's values ``gauss`` at the Gauss
+    points (:func:`gauss_values`, point-major, shape ``(3, ..., n_elements)``).
+    The diffusion term of P1 functions is a sum of element fluxes: ``flux``
+    holds ``s_e = (nu / h_e) (right - left)``, the conductance times
+    :func:`element_values`' differences, which element ``e`` takes from its
+    left node's load and adds to its right node's before the one scatter.
+    The result equals ``linear * M y + cubic * cubic_term(y) + nu K y`` up to
+    round-off.  For a stack the coefficients are ``(B, 1)`` columns and
+    ``flux`` has one row per member.
     """
     vals = gauss * gauss
     vals *= cubic
     vals += linear
     vals *= gauss
     left, right = _element_integrals(mesh, _W_LOAD, vals)
+    left -= flux
+    right += flux
     return _scatter_element_loads(left, right)
 
 

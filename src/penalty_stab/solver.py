@@ -14,18 +14,23 @@ boundary row multiplied by ``eps/nu``, as the paper's boundary condition
     F_b(Y) = (eps/nu) (nu K Y + R(Y) - M Y_prev / k)_b + Y(1) + r (w . Y),
 
 with the reaction load ``R(Y) = integral(((1/k - alpha) Y + delta Y^3)
-phi_i)`` taken by the element Gauss rule, which is exact for it, in one pass
-over the Gauss values of ``Y``.  ``nu K Y`` stays an exact tridiagonal
-product: its entries of size ``nu/h`` set the residual's round-off floor,
-and folding ``K`` into one operator with ``M`` raises that floor.  A Newton
-step forms ``M Y_prev / k`` once, and each iterate's Gauss values serve both
-its residual and its Jacobian.  The control is treated implicitly (the
-feedback functional is evaluated at the unknown state), which adds the
-rank-one row ``r e_b w^T`` to the otherwise tridiagonal Newton matrix; the
-linear solves exploit that structure via a tridiagonal elimination plus a
-Sherman-Morrison correction.  The boundary row's scale and its constraint
-are folded into the last row of the tridiagonal core, so the banded solve
-is unmodified.
+phi_i)`` taken by the element Gauss rule, which is exact for it.  ``nu K Y``
+is a sum of element fluxes: on element ``e`` the P1 diffusion form ``nu
+integral(Y_x phi_x)`` is ``s_e = (nu/h_e) d_e``, with ``d_e`` the difference
+of the element's nodal values, taken from its left node and given to its
+right node.  Both terms come from one pass over the elements and one scatter
+of their loads.  The fluxes, of size ``nu/h``, set the residual's round-off
+floor at the level a tridiagonal product ``nu K Y`` gives it
+(``scripts/newton_floor.py`` prints the floor per mesh size).  A Newton
+step forms ``M Y_prev / k`` once; each iterate's differences and Gauss
+values are computed together, both serve its residual, and the Gauss values
+also its Jacobian.  The control is treated
+implicitly (the feedback functional is evaluated at the unknown state),
+which adds the rank-one row ``r e_b w^T`` to the otherwise tridiagonal
+Newton matrix; the linear solves exploit that structure via a tridiagonal
+elimination plus a Sherman-Morrison correction.  The boundary row's scale
+and its constraint are folded into the last row of the tridiagonal core, so
+the banded solve is unmodified.
 
 One boundary row serves every variant: its scale is ``eps/nu`` for the
 penalized problem, and 0 for the Dirichlet feedback problem, which imposes
@@ -46,17 +51,18 @@ Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
 does not depend on the iterate is built as rarely as it can be:
 
 * once per run, a :class:`LinearPart` (once per stack of runs, restricted
-  with ``take`` when members leave): ``(1/k - alpha) M + nu K``, the boundary
-  row's scale and gain, the rank-one feedback row with its right-hand-side
+  with ``take`` when members leave): ``(1/k - alpha) M + nu K``, the
+  element conductances ``nu/h_e`` of the fluxes, the boundary row's scale
+  and gain, the rank-one feedback row with its right-hand-side
   buffer (:attr:`RankOneUpdate.pair`), and the gains as floats for the
   controls;
 * once per step, in :func:`newton_solve`: the checks of ``y_prev`` and the
   start, ``M Y_prev / k``, and at the end the controls, from one ``w . Y``
   per run in Python floats;
-* per iteration: the Gauss values of the iterate, its residual and stopping
-  norm, and ``delta C'(Y)``, to whose own bands the linear part is added in
-  the same order of operations as a from-scratch build, so the iterates do
-  not change.
+* per iteration: the nodal differences and Gauss values of the iterate, its
+  residual and stopping norm, and ``delta C'(Y)``, to whose own bands the
+  linear part is added in the same order of operations as a from-scratch
+  build, so the iterates do not change.
 
 Newton never writes into ``Y_prev`` or its start: each iterate is a new
 array, and so is the result.
@@ -89,7 +95,7 @@ from .fem import (
     assemble,
     cubic_jacobian,
     cubic_term,  # no longer called here, but still looked up as solver.cubic_term
-    gauss_values,
+    element_values,
     norms,
     project_initial,
     reaction_load,
@@ -236,17 +242,20 @@ def _check_states(system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray) ->
 def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
              y_prev: np.ndarray, k: float,
              control_state: np.ndarray | None = None, *, linear: LinearPart | None = None,
-             prev_load: np.ndarray | None = None, gauss: np.ndarray | None = None
-             ) -> np.ndarray:
+             prev_load: np.ndarray | None = None, gauss: np.ndarray | None = None,
+             diffs: np.ndarray | None = None) -> np.ndarray:
     """Residual of one backward Euler step of the boundary feedback scheme.
 
     The interior rows are ``nu K y + R(y) - M y_prev / k`` with the reaction
-    load ``R(y) = integral(((1/k - alpha) y + delta y^3) phi_i)``, which
-    :func:`fem.reaction_load` integrates by the exact Gauss rule in one pass;
-    ``nu K y`` stays an exact tridiagonal product.  The boundary row is the
-    interior formula times ``linear.scale`` plus the feedback condition
-    ``y(1) + r (w . y)``: the penalized row times ``eps/nu``, and at scale 0
-    the Dirichlet feedback row.  ``control_state`` selects the state the
+    load ``R(y) = integral(((1/k - alpha) y + delta y^3) phi_i)``.  Both
+    come from one pass of :func:`fem.reaction_load` over the elements:
+    ``nu K y`` as the element fluxes ``(nu/h_e) d_e`` of the nodal
+    differences ``d_e``, ``R(y)`` by the exact Gauss rule.  Newton's
+    round-off floor is the same as with the tridiagonal product ``nu K y``
+    (``scripts/newton_floor.py``).  The boundary row is the interior
+    formula times ``linear.scale`` plus the feedback condition ``y(1) + r
+    (w . y)``: the penalized row times ``eps/nu``, and at scale 0 the
+    Dirichlet feedback row.  ``control_state`` selects the state the
     feedback functional acts on; the default (``None``) is the implicit
     choice ``y`` itself.  With a :class:`ParamStack` the states are ``(B, N)``
     stacks and each row gets its own residual.
@@ -254,8 +263,9 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     The keywords carry pieces a Newton step computes once: ``linear``, the
     :class:`LinearPart` of ``params`` at the same ``k``, which also selects
     the variant (penalized when not given); ``prev_load``, the previous
-    level's load ``M y_prev / k``; and ``gauss``, ``fem.gauss_values(y)``.
-    Each one not given is built here, with the same bits.
+    level's load ``M y_prev / k``; and ``diffs`` and ``gauss``, the two
+    arrays of ``fem.element_values(y)``.  Each one not given is built here,
+    with the same bits.
     """
     _check_states(system, y, y_prev)
     if k <= 0.0:
@@ -264,11 +274,13 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
         linear = LinearPart.of(params, system, k, implicit_control=False)
     if prev_load is None:
         prev_load = system.mass.matvec(y_prev) / k
-    if gauss is None:
-        gauss = gauss_values(y)
-    f = reaction_load(system.mesh, gauss, linear.weight, params.delta)
+    if diffs is None or gauss is None:
+        values = element_values(y)
+        diffs = values[0] if diffs is None else diffs
+        gauss = values[1] if gauss is None else gauss
+    f = reaction_load(system.mesh, gauss, linear.weight, params.delta,
+                      linear.conductance * diffs)
     f -= prev_load
-    f += params.nu * system.stiffness.matvec(y)
     yc = y if control_state is None else control_state
     b = system.boundary_dof
     # .T[b] is column b of a stack and entry b of a lone state, a numpy
@@ -284,7 +296,9 @@ class LinearPart:
     Every Newton matrix of a run shares the tridiagonal ``(1/k - alpha) M +
     nu K`` (``diag``, ``off``), the boundary row and the rank-one feedback
     row; only ``delta C'(y)`` changes with the state.  ``weight`` is the
-    ``1/k - alpha`` that :func:`residual` integrates with the cubic term.
+    ``1/k - alpha`` that :func:`residual` integrates with the cubic term,
+    and ``conductance`` the ``nu / h_e`` of every element, which turns the
+    elements' nodal differences into the fluxes of ``nu K y``.
     ``scale`` multiplies the boundary row's interior terms: ``eps/nu`` for
     the penalized problem and 0 for the Dirichlet feedback problem.  ``gain``
     is the ``r`` of the boundary row's feedback condition ``y(1) + r (w .
@@ -292,9 +306,11 @@ class LinearPart:
     lagged.  Built from a :class:`ParamStack`, every field has one row per
     member; ``scale`` and ``gain``, which act on the boundary entries
     ``[..., b]``, are then ``(B,)`` vectors, so a stack may mix variants.
+    ``conductance`` is ``(N,)`` for a run and ``(B, N)`` for a stack.
     """
 
     weight: np.ndarray | float
+    conductance: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     scale: np.ndarray | float
@@ -320,7 +336,8 @@ class LinearPart:
             u = np.zeros(diag.shape)
             u[..., system.boundary_dof] = 1.0
             rank_one = RankOneUpdate(u=u, v=params.r * system.moment)
-        return cls(weight=weight, diag=diag, off=off, scale=_boundary_scale(scale),
+        return cls(weight=weight, conductance=params.nu / system.mesh.element_sizes,
+                   diag=diag, off=off, scale=_boundary_scale(scale),
                    gain=_boundary_scale(params.r), rank_one=rank_one)
 
     def take(self, index: np.ndarray) -> "LinearPart":
@@ -328,9 +345,9 @@ class LinearPart:
         rank_one = self.rank_one
         if rank_one is not None:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
-        return LinearPart(weight=self.weight[index], diag=self.diag[index],
-                          off=self.off[index], scale=self.scale[index], gain=self.gain[index],
-                          rank_one=rank_one)
+        return LinearPart(weight=self.weight[index], conductance=self.conductance[index],
+                          diag=self.diag[index], off=self.off[index],
+                          scale=self.scale[index], gain=self.gain[index], rank_one=rank_one)
 
 
 def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
@@ -441,8 +458,9 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     _check_states(system, y, y_prev)
     p, prev, control = params, y_prev, None if implicit_control else y_prev
     load = system.mass.matvec(y_prev) / k
-    gauss = gauss_values(y)
-    f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load, gauss=gauss)
+    diffs, gauss = element_values(y)
+    f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load, gauss=gauss,
+                 diffs=diffs)
     histories = [[norm] for norm in _residual_norms(f)]
     gains = linear.gains
     if len(gains) != len(histories):  # one ModelParams shared by a stack
@@ -453,9 +471,9 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
         core, rank_one = jacobian(p, system, y, k, implicit_control, linear=linear,
                                   gauss=gauss)
         y = y - solve_structured(core, rank_one, f)
-        gauss = gauss_values(y)
+        diffs, gauss = element_values(y)
         f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load,
-                     gauss=gauss)
+                     gauss=gauss, diffs=diffs)
         keep = []
         for member, norm in zip(active, _residual_norms(f)):
             histories[member].append(norm)

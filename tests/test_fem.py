@@ -202,6 +202,17 @@ def test_gauss_values_are_point_major_closed_form():
     assert np.array_equal(fem.gauss_values(y[1]), vals[:, 1])
 
 
+def test_element_values_are_the_nodal_differences_and_the_gauss_values():
+    y = RNG.standard_normal((4, 7))
+    diffs, vals = fem.element_values(y)
+    left = np.concatenate([np.zeros((4, 1)), y[:, :-1]], axis=1)  # pinned node is zero
+    assert np.array_equal(diffs, y - left)
+    assert np.array_equal(diffs[:, 0], y[:, 0])
+    assert np.array_equal(vals, fem.gauss_values(y))
+    lone_diffs, lone_vals = fem.element_values(y[2])
+    assert np.array_equal(lone_diffs, diffs[2]) and np.array_equal(lone_vals, vals[:, 2])
+
+
 def test_cubic_term_of_zero_state():
     mesh = make_uniform_mesh(8)
     assert np.array_equal(cubic_term(mesh, np.zeros(8)), np.zeros(8))
@@ -285,18 +296,27 @@ def test_cubic_jacobian_is_directional_derivative():
 @pytest.mark.parametrize("mesh_factory", [lambda: make_uniform_mesh(16), graded_mesh],
                          ids=["uniform", "graded"])
 def test_reaction_load_equals_mass_product_plus_cubic_term(mesh_factory):
-    # the linear part dominates at k = 1/1050, the cubic one at k = 1 and
-    # amplitude 3; the last row is linear only
+    # plus the stiffness product, from the element fluxes: the linear part
+    # dominates at k = 1/1050, the cubic one at k = 1 and amplitude 3, the
+    # diffusion one at nu = 10; the last row is linear only, and the first
+    # has no diffusion
     mesh = mesh_factory()
-    mass = assemble(mesh).mass
-    y = RNG.standard_normal((3, mesh.n_dof)) * np.array([[1.0], [3.0], [0.1]])
-    weight = 1.0 / np.array([[1.0 / 1050.0], [1.0], [0.01]]) - np.array([[0.13], [0.5], [1.0]])
-    delta = np.array([[0.13], [2.0], [0.0]])
-    stacked = fem.reaction_load(mesh, fem.gauss_values(y), weight, delta)
-    for b in range(3):
-        lone = fem.reaction_load(mesh, fem.gauss_values(y[b]), weight[b, 0], delta[b, 0])
+    system = assemble(mesh)
+    y = RNG.standard_normal((4, mesh.n_dof)) * np.array([[1.0], [3.0], [0.1], [1.0]])
+    weight = (1.0 / np.array([[1.0 / 1050.0], [1.0], [0.01], [1.0]])
+              - np.array([[0.13], [0.5], [1.0], [0.1]]))
+    delta = np.array([[0.13], [2.0], [0.0], [0.1]])
+    nu = np.array([[0.0], [0.1], [0.1], [10.0]])
+    diffs, gauss = fem.element_values(y)
+    conductance = nu / mesh.element_sizes
+    stacked = fem.reaction_load(mesh, gauss, weight, delta, conductance * diffs)
+    for b in range(4):
+        diffs_b, gauss_b = fem.element_values(y[b])
+        lone = fem.reaction_load(mesh, gauss_b, weight[b, 0], delta[b, 0],
+                                 conductance[b] * diffs_b)
         assert np.array_equal(stacked[b], lone)
-        ref = weight[b, 0] * mass.matvec(y[b]) + delta[b, 0] * cubic_term(mesh, y[b])
+        ref = (weight[b, 0] * system.mass.matvec(y[b]) + delta[b, 0] * cubic_term(mesh, y[b])
+               + nu[b, 0] * system.stiffness.matvec(y[b]))
         assert np.max(np.abs(lone - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -308,11 +328,16 @@ def test_stacked_gauss_kernels_equal_lone_calls_bit_for_bit(n, b):
     mesh = make_uniform_mesh(n)
     y = RNG.standard_normal((b, n))
     weight, delta = RNG.uniform(1.0, 1e3, (b, 1)), RNG.uniform(0.0, 2.0, (b, 1))
-    load = fem.reaction_load(mesh, fem.gauss_values(y), weight, delta)
+    conductance = RNG.uniform(0.01, 1.0, (b, 1)) / mesh.element_sizes
+    diffs, gauss = fem.element_values(y)
+    load = fem.reaction_load(mesh, gauss, weight, delta, conductance * diffs)
     term = cubic_term(mesh, y)
     jac = cubic_jacobian(mesh, y)
     for row in range(b):
-        lone = fem.reaction_load(mesh, fem.gauss_values(y[row]), weight[row, 0], delta[row, 0])
+        diffs_row, gauss_row = fem.element_values(y[row])
+        assert np.array_equal(diffs[row], diffs_row)
+        lone = fem.reaction_load(mesh, gauss_row, weight[row, 0], delta[row, 0],
+                                 conductance[row] * diffs_row)
         assert np.array_equal(load[row], lone)
         assert np.array_equal(term[row], cubic_term(mesh, y[row]))
         lone_jac = cubic_jacobian(mesh, y[row])

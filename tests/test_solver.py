@@ -23,6 +23,7 @@ from penalty_stab import (
     assemble,
     cubic_jacobian,
     jacobian,
+    make_partition,
     make_uniform_mesh,
     newton_solve,
     norms,
@@ -86,34 +87,72 @@ def test_residual_zero_at_zero_steady_state():
     assert np.array_equal(residual(EXAMPLE, system, zero, zero, 0.1), zero)
 
 
+GRADED_NODES = [0.0, 0.1, 0.3, 0.45, 0.8, 1.0]
+
+
+def residual_inputs(members, k):
+    """Residual inputs on three meshes and stacks, with each member's variant.
+
+    Yields ``(mesh, params, linear, runs)``: ``members[0]`` alone on a
+    uniform and on a graded mesh, penalized, and on the graded mesh a stack
+    of ``members`` with mixed boundary scales, after ``take`` of its last two
+    members (Dirichlet feedback, then penalized).  ``runs`` pairs each row's
+    ``ModelParams`` with the oracles' ``epsilon`` (0 for Dirichlet feedback).
+    """
+    lone = members[0]
+    for mesh in (make_uniform_mesh(6), make_partition(GRADED_NODES)):
+        yield mesh, lone, None, [(lone, lone.epsilon)]
+    mesh = make_partition(GRADED_NODES)
+    stack = ParamStack.of(members)
+    scale = np.array([p.epsilon / p.nu for p in members])
+    scale[1] = 0.0
+    linear = replace(LinearPart.of(stack, assemble(mesh), k), scale=scale)
+    rows = np.array([1, 2])
+    yield mesh, stack.take(rows), linear.take(rows), [(members[1], 0.0),
+                                                       (members[2], members[2].epsilon)]
+
+
 def test_residual_matches_dense_oracle():
-    mesh = make_uniform_mesh(4)
-    system = assemble(mesh)
-    y = RNG.standard_normal(4)
-    y_prev = RNG.standard_normal(4)
-    ours = residual(EXAMPLE, system, y, y_prev, 0.1)
-    ref = oracles.dense_residual(EXAMPLE.nu, EXAMPLE.alpha, EXAMPLE.delta, EXAMPLE.r,
-                                 EXAMPLE.epsilon, mesh.nodes, y, y_prev, 0.1)
-    ref[-1] *= EXAMPLE.epsilon / EXAMPLE.nu  # the boundary row is taken times eps/nu
-    assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    members = [EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3, epsilon=0.05),
+               ModelParams(nu=0.05, alpha=0.05, delta=0.5, r=0.02, epsilon=1e-4)]
+    for mesh, params, linear, runs in residual_inputs(members, 0.1):
+        system = assemble(mesh)
+        shape = (len(runs), mesh.n_dof) if linear is not None else (mesh.n_dof,)
+        y, y_prev = RNG.standard_normal(shape), RNG.standard_normal(shape)
+        ours = np.atleast_2d(residual(params, system, y, y_prev, 0.1, linear=linear))
+        for row, ((p, eps), y_row, prev_row) in enumerate(zip(runs, np.atleast_2d(y),
+                                                               np.atleast_2d(y_prev))):
+            ref = oracles.dense_residual(p.nu, p.alpha, p.delta, p.r, eps, mesh.nodes,
+                                         y_row, prev_row, 0.1)
+            if eps:
+                ref[-1] *= eps / p.nu  # the boundary row is taken times eps/nu
+            assert np.max(np.abs(ours[row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_linear_heat_residual_matches_dense_matrices():
     # delta = 0 and r = 0 reduce to (M/k + nu K + (nu/eps) e e' - alpha M) y - M y_prev / k,
-    # whose boundary row the residual takes times eps/nu
-    params = ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.0, epsilon=0.01)
-    mesh = make_uniform_mesh(6)
-    system = assemble(mesh)
-    y = RNG.standard_normal(6)
-    y_prev = RNG.standard_normal(6)
+    # whose boundary row the residual takes times eps/nu; at eps = 0 the row is y(1)
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.0, epsilon=0.01),
+               ModelParams(nu=0.3, alpha=0.2, delta=0.0, r=0.0, epsilon=0.1),
+               ModelParams(nu=0.02, alpha=0.05, delta=0.0, r=0.0, epsilon=1e-3)]
     k = 0.05
-    m = oracles.dense_mass(mesh.nodes)
-    kk = oracles.dense_stiffness(mesh.nodes)
-    a = m / k + params.nu * kk - params.alpha * m
-    a[-1, -1] += params.nu / params.epsilon
-    expected = a @ y - m @ y_prev / k
-    expected[-1] *= params.epsilon / params.nu
-    assert np.allclose(residual(params, system, y, y_prev, k), expected, rtol=1e-12, atol=1e-14)
+    for mesh, params, linear, runs in residual_inputs(members, k):
+        system = assemble(mesh)
+        shape = (len(runs), mesh.n_dof) if linear is not None else (mesh.n_dof,)
+        y, y_prev = RNG.standard_normal(shape), RNG.standard_normal(shape)
+        ours = np.atleast_2d(residual(params, system, y, y_prev, k, linear=linear))
+        m = oracles.dense_mass(mesh.nodes)
+        kk = oracles.dense_stiffness(mesh.nodes)
+        for row, ((p, eps), y_row, prev_row) in enumerate(zip(runs, np.atleast_2d(y),
+                                                               np.atleast_2d(y_prev))):
+            a = m / k + p.nu * kk - p.alpha * m
+            expected = a @ y_row - m @ prev_row / k
+            if eps:
+                expected[-1] += p.nu / eps * y_row[-1]
+                expected[-1] *= eps / p.nu
+            else:
+                expected[-1] = y_row[-1]
+            assert np.allclose(ours[row], expected, rtol=1e-12, atol=1e-14)
 
 
 def test_residual_rejects_mismatched_states():
@@ -139,8 +178,9 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
         y, y_prev = np.stack([y, -2.0 * y]), np.stack([y_prev, 1.5 * y_prev])
     if case != "stack_take":
         linear = LinearPart.of(params, system, k, hard_constraint=case == "hard_constraint")
+    diffs, gauss = fem.element_values(y)
     pieces = {"linear": linear, "prev_load": system.mass.matvec(y_prev) / k,
-              "gauss": fem.gauss_values(y)}
+              "gauss": gauss, "diffs": diffs}
     if case == "hard_constraint":  # the variant is read from the linear part
         options = {"linear": pieces.pop("linear")}
     expected = residual(params, system, y, y_prev, k, **options)
@@ -148,10 +188,13 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
     for name, piece in pieces.items():
         assert np.array_equal(residual(params, system, y, y_prev, k, **options, **{name: piece}),
                               expected), name
-    # the previous level enters only through its load
+    # the previous level enters only through its load, the diffusion flux
+    # through the differences
     wrong_level = system.mass.matvec(y) / k
     assert not np.array_equal(
         residual(params, system, y, y_prev, k, **options, prev_load=wrong_level), expected)
+    assert not np.array_equal(
+        residual(params, system, y, y_prev, k, **options, diffs=2.0 * diffs), expected)
 
 
 def test_jacobian_matches_finite_differences_columnwise():
