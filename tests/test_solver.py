@@ -91,7 +91,7 @@ GRADED_NODES = [0.0, 0.1, 0.3, 0.45, 0.8, 1.0]
 
 
 def residual_inputs(members, k):
-    """Residual inputs on three meshes and stacks, with each member's variant.
+    """Three residual inputs, with each row's parameters and variant.
 
     Yields ``(mesh, params, linear, runs)``: ``members[0]`` alone on a
     uniform and on a graded mesh, penalized, and on the graded mesh a stack
