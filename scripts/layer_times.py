@@ -32,9 +32,13 @@ batch of calls divided by the batch size, in microseconds per call:
                       ``max_iter=6`` minus ``max_iter=1``, divided by 5, with
                       a tolerance no step meets (one more iteration alone is
                       within the noise of two minima);
-``time step``         one level of ``solver.step_ensemble`` (about one
-                      Newton iteration from the extrapolated start), averaged
-                      over the first 50 steps, set-up included.
+``time step``         one level as the study steps it, averaged over the
+                      shipped grid of 1050 steps, set-up included: at B=1 a
+                      ``solver.simulate`` (a 1-D state, with the norms and
+                      the recording of every level), at B=10 a
+                      ``solver.step_ensemble``; about one Newton iteration
+                      per level from the extrapolated start;
+``time step median``  the same, the median over the K repeats.
 
 Point ``PYTHONPATH`` at another checkout's ``src`` to time that one.
 """
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import time
 import warnings
 
@@ -58,6 +63,7 @@ from penalty_stab.solver import (
     jacobian,
     newton_solve,
     residual,
+    simulate,
     solve_structured,
     step_ensemble,
 )
@@ -65,20 +71,25 @@ from penalty_stab.solver import (
 SIZES = (128, 2048)
 STACKS = (1, 10)
 K = 1.0 / 1050.0
-N_STEPS = 50
+N_STEPS = 1050
 LAYERS = ("assemble", "residual", "cubic_term", "jacobian", "solve_structured", "norms",
-          "newton iteration", "time step")
+          "newton iteration", "time step", "time step median")
 
 
-def best(call, batch: int, repeats: int) -> float:
-    """Minimum over ``repeats`` of the process time per call of ``batch`` calls, in µs."""
+def repeat_times(call, batch: int, repeats: int) -> list[float]:
+    """The process time per call of ``batch`` calls, in µs, for each of ``repeats``."""
     times = []
     for _ in range(repeats):
         t0 = time.process_time()
         for _ in range(batch):
             call()
-        times.append(time.process_time() - t0)
-    return 1e6 * min(times) / batch
+        times.append(1e6 * (time.process_time() - t0) / batch)
+    return times
+
+
+def best(call, batch: int, repeats: int) -> float:
+    """Minimum over ``repeats`` of the process time per call of ``batch`` calls, in µs."""
+    return min(repeat_times(call, batch, repeats))
 
 
 def members(n_runs: int) -> list[ModelParams]:
@@ -108,12 +119,18 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
                                          max_iter=max_iter, linear=linear, start=y),
                     batch, repeats)
 
+    grid = TimeGrid(k=K, n_steps=N_STEPS)
+
     def steps() -> None:
-        for _ in step_ensemble(runs, system, y0, TimeGrid(k=K, n_steps=N_STEPS)):
-            pass
+        if n_runs == 1:
+            simulate(runs[0], mesh, lambda x: np.sin(np.pi * x), grid)
+        else:
+            for _ in step_ensemble(runs, system, y0, grid):
+                pass
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # inadmissible large eps
+        step_times = repeat_times(steps, 1, repeats)
         return {
             "assemble": best(lambda: assemble(mesh), batch, repeats) if n_runs == 1 else None,
             "residual": best(lambda: residual(params, system, y, y_prev, K, **pieces),
@@ -125,7 +142,8 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
                                      batch, repeats),
             "norms": best(lambda: norms(system, y), batch, repeats) if n_runs == 1 else None,
             "newton iteration": (newton(6) - newton(1)) / 5,
-            "time step": best(steps, 1, repeats) / N_STEPS,
+            "time step": min(step_times) / N_STEPS,
+            "time step median": statistics.median(step_times) / N_STEPS,
         }
 
 

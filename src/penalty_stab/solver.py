@@ -67,14 +67,19 @@ does not depend on the iterate is built as rarely as it can be:
 Newton never writes into ``Y_prev`` or its start: each iterate is a new
 array, and so is the result.
 
-A single simulation is strictly sequential in time.  Runs that share a mesh
-and a time grid are stepped together instead (:func:`step_ensemble`): their
-states form a ``(B, N)`` stack, each Newton iteration evaluates one stacked
-residual and Jacobian, and one banded elimination solves all B cores, whose
-couplings in the stacked band are exactly zero.  The Sherman-Morrison
-correction is applied per member, each member leaves the iteration at its
-own convergence and extrapolates from its own levels, so every run equals
-its separate run bit for bit.
+A single simulation is strictly sequential in time: :func:`simulate` calls
+:func:`newton_solve` once per level on a 1-D state and records the level
+itself.  Runs that share a mesh and a time grid are stepped together instead
+(:func:`step_ensemble`): their states form a ``(B, N)`` stack, each Newton
+iteration evaluates one stacked residual and Jacobian, and one banded
+elimination solves all B cores, whose couplings in the stacked band are
+exactly zero.  The Sherman-Morrison correction is applied per member, each
+member leaves the iteration at its own convergence and extrapolates from its
+own levels, so every run equals its separate run bit for bit.  Both shapes
+share the Newton update; :func:`newton_solve` picks its bookkeeping by the
+state's shape, Python floats for a 1-D state and per-member lists for a
+stack, because for a lone run the per-member bookkeeping, not the kernels,
+was the larger cost.
 """
 
 from __future__ import annotations
@@ -426,6 +431,33 @@ def _residual_norms(f: np.ndarray) -> list[float]:
     return np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()
 
 
+def _evaluate(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
+              y_prev: np.ndarray, k: float, control: np.ndarray | None, linear: LinearPart,
+              load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss values of the iterate ``y`` and its residual."""
+    diffs, gauss = element_values(y)
+    return gauss, residual(params, system, y, y_prev, k, control, linear=linear,
+                           prev_load=load, gauss=gauss, diffs=diffs)
+
+
+def _update(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
+            y_prev: np.ndarray, k: float, control: np.ndarray | None, implicit_control: bool,
+            linear: LinearPart, load: np.ndarray, gauss: np.ndarray, f: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Newton update of ``y``: the new iterate, its Gauss values and its residual."""
+    core, rank_one = jacobian(params, system, y, k, implicit_control, linear=linear,
+                              gauss=gauss)
+    y = y - solve_structured(core, rank_one, f)
+    return (y,) + _evaluate(params, system, y, y_prev, k, control, linear, load)
+
+
+def _report(history: list[float], tol: float, gain: float, moment: float) -> StepReport:
+    """The report of a step from its residual norms and the new state's ``w . y``."""
+    return StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
+                      control_value=0.0 - gain * moment, converged=history[-1] <= tol,
+                      residual_norms=tuple(history))
+
+
 def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
                  y_prev: np.ndarray, k: float, tol: float = 1e-12, max_iter: int = 25,
                  implicit_control: bool = True, *, linear: LinearPart | None = None,
@@ -437,18 +469,24 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     residual's previous level is ``y_prev`` either way.  It stops when the
     Euclidean norm of the residual drops to ``tol``.  A step that exhausts
     ``max_iter`` returns its diagnostics with ``converged=False`` instead of
-    raising; linear-solve failures propagate.  Returns the new state and its :class:`StepReport`.
-    Neither ``y_prev`` nor ``start`` is written, and the new state is a new
-    array.
+    raising; linear-solve failures propagate.  Returns the new state and its
+    :class:`StepReport`.  Neither ``y_prev`` nor ``start`` is written, and
+    the new state is a new array.
 
     With a ``(B, N)`` stack ``y_prev`` the B steps share each iteration's
     residual, Jacobian and stacked solve, and the result is the new stack and
     a tuple of B reports.  ``params`` is then a :class:`ParamStack`, or one
     :class:`ModelParams` shared by every member.  A member leaves the
     iteration once it converges, so it takes exactly the iterates of its
-    own step.  ``linear`` is the :class:`LinearPart` of ``params`` at the
-    same settings, which selects the variant; without it the step is
-    penalized.  A stacked ``start`` has one row per member.
+    own step, and a stack of one equals the 1-D step bit for bit.  ``linear``
+    is the :class:`LinearPart` of ``params`` at the same settings, which
+    selects the variant; without it the step is penalized.  A stacked
+    ``start`` has one row per member.
+
+    Both shapes evaluate and update the iterate the same way; they differ in
+    the bookkeeping around it.  A 1-D state keeps one history of Python
+    floats, which costs a lone run (the decay study's) less than the
+    per-member lists and drop-outs a stack needs.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
@@ -458,9 +496,17 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     _check_states(system, y, y_prev)
     p, prev, control = params, y_prev, None if implicit_control else y_prev
     load = system.mass.matvec(y_prev) / k
-    diffs, gauss = element_values(y)
-    f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load, gauss=gauss,
-                 diffs=diffs)
+    gauss, f = _evaluate(p, system, y, prev, k, control, linear, load)
+    if y.ndim == 1:
+        history = [math.sqrt(float(np.vecdot(f, f)))]
+        for _ in range(max_iter):
+            y, gauss, f = _update(p, system, y, prev, k, control, implicit_control, linear,
+                                  load, gauss, f)
+            history.append(math.sqrt(float(np.vecdot(f, f))))
+            if history[-1] <= tol:
+                break
+        return y, _report(history, tol, linear.gains[0], float(np.vecdot(y, system.moment)))
+
     histories = [[norm] for norm in _residual_norms(f)]
     gains = linear.gains
     if len(gains) != len(histories):  # one ModelParams shared by a stack
@@ -468,12 +514,8 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     active = list(range(len(histories)))  # members still iterating
     result = None
     for iteration in range(1, max_iter + 1):
-        core, rank_one = jacobian(p, system, y, k, implicit_control, linear=linear,
-                                  gauss=gauss)
-        y = y - solve_structured(core, rank_one, f)
-        diffs, gauss = element_values(y)
-        f = residual(p, system, y, prev, k, control, linear=linear, prev_load=load,
-                     gauss=gauss, diffs=diffs)
+        y, gauss, f = _update(p, system, y, prev, k, control, implicit_control, linear, load,
+                              gauss, f)
         keep = []
         for member, norm in zip(active, _residual_norms(f)):
             histories[member].append(norm)
@@ -494,14 +536,9 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
             p, linear = p.take(rows), linear.take(rows)
         if control is not None:
             control = control[rows]
-    moments = np.vecdot(result, system.moment).reshape(-1).tolist()
-    reports = tuple([
-        StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
-                   control_value=0.0 - gain * moment, converged=history[-1] <= tol,
-                   residual_norms=tuple(history))
-        for history, gain, moment in zip(histories, gains, moments)
-    ])
-    return (result, reports[0]) if result.ndim == 1 else (result, reports)
+    moments = np.vecdot(result, system.moment).tolist()
+    return result, tuple([_report(history, tol, gain, moment)
+                          for history, gain, moment in zip(histories, gains, moments)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,6 +588,21 @@ def _march(step: Callable[[np.ndarray, np.ndarray, np.ndarray | None],
             return
 
 
+def _initial_reports(members: Sequence[ModelParams], system: AssembledSystem,
+                     y0: np.ndarray, hard_constraint: bool) -> list[StepReport]:
+    """The level-0 report of each run; warn for each that violates its conditions."""
+    for params in members:
+        admissible, detail = check_admissibility(params)
+        if not (admissible or hard_constraint):
+            warnings.warn("stabilization conditions violated; decay is not certified "
+                          f"({detail})", RuntimeWarning, stacklevel=3)
+    moment_y0 = float(np.vecdot(y0, system.moment))
+    return [StepReport(newton_iterations=0, final_residual_norm=0.0,
+                       control_value=0.0 - params.r * moment_y0, converged=True,
+                       residual_norms=(0.0,))
+            for params in members]
+
+
 def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                   y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = 1e-12,
                   newton_max_iter: int = 25, implicit_control: bool = True,
@@ -558,49 +610,30 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     """Step runs that share a mesh, a time grid, ``y0`` and a variant together.
 
     The runs advance as one ``(B, N)`` stack through :func:`newton_solve`,
-    one :class:`EnsembleLevel` per time level, initial level first.  Each
-    run takes exactly the iterates it would take alone.  A run whose step
-    does not converge is dropped at that level and the others keep
-    stepping; linear-solve failures propagate.  Each Newton solve after the
-    first starts from the extrapolation ``2 y_n - y_{n-1}``, so the last two
-    levels are held, and memory does not grow with the number of steps.
-    Each run that violates the stabilization conditions triggers a warning.
-    With ``hard_constraint=True`` the runs solve the Dirichlet feedback
-    problem (boundary scale 0, see :class:`LinearPart`), which has no
-    epsilon and so no such conditions to check.
+    one :class:`EnsembleLevel` per time level, initial level first; a
+    single run is a stack of one.  Each run takes exactly the iterates it
+    would take alone, so its levels equal its :func:`simulate` bit for bit.
+    A run whose step does not converge is dropped at that level and the
+    others keep stepping; linear-solve failures propagate.  Each Newton
+    solve after the first starts from the extrapolation ``2 y_n - y_{n-1}``,
+    so the last two levels are held, and memory does not grow with the
+    number of steps.  Each run that violates the stabilization conditions
+    triggers a warning.  With ``hard_constraint=True`` the runs solve the
+    Dirichlet feedback problem (boundary scale 0, see :class:`LinearPart`),
+    which has no epsilon and so no such conditions to check.
     """
-    for params in members:
-        admissible, detail = check_admissibility(params)
-        if not (admissible or hard_constraint):
-            warnings.warn("stabilization conditions violated; decay is not certified "
-                          f"({detail})", RuntimeWarning, stacklevel=2)
-    moment_y0 = float(np.vecdot(y0, system.moment))
-    initial = [StepReport(newton_iterations=0, final_residual_norm=0.0,
-                          control_value=0.0 - params.r * moment_y0, converged=True,
-                          residual_norms=(0.0,))
-               for params in members]
+    initial = _initial_reports(members, system, y0, hard_constraint)
     settings = (newton_tol, newton_max_iter, implicit_control)
     k = time_grid.k
-    if len(members) == 1:
-        # a lone run steps as a 1-D state, which costs numpy less per call
-        [params] = members
-        linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
+    stack = ParamStack.of(members)
+    stack_linear = LinearPart.of(stack, system, k, implicit_control, hard_constraint)
 
-        def step(_alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
-            y, report = newton_solve(params, system, y_prev[0], k, *settings, linear=linear,
-                                     start=None if start is None else start[0])
-            return y[None], (report,)
-    else:
-        stack = ParamStack.of(members)
-        stack_linear = LinearPart.of(stack, system, k, implicit_control, hard_constraint)
-
-        def step(alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
-            if alive.size == len(members):
-                params, linear = stack, stack_linear
-            else:
-                params, linear = stack.take(alive), stack_linear.take(alive)
-            return newton_solve(params, system, y_prev, k, *settings, linear=linear,
-                                start=start)
+    def step(alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
+        if alive.size == len(members):
+            params, linear = stack, stack_linear
+        else:
+            params, linear = stack.take(alive), stack_linear.take(alive)
+        return newton_solve(params, system, y_prev, k, *settings, linear=linear, start=start)
 
     return _march(step, np.repeat(y0[None], len(members), axis=0), initial,
                   time_grid.n_steps)
@@ -614,15 +647,16 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     """Run the fully discrete scheme over ``time_grid``.
 
     ``variant="penalized_feedback"`` steps the penalized scheme with the
-    feedback control, as the one-run case of :func:`step_ensemble`;
-    ``variant="dirichlet_feedback"`` steps the same way but imposes the
-    feedback boundary condition exactly (the ``eps -> 0`` limit; epsilon is
-    ignored); ``variant="uncontrolled_dirichlet"`` pins both endpoints to
-    zero and drops every penalty and control term, as the Dirichlet feedback
-    variant at ``r = 0`` from the initial state with its boundary value set
-    to zero (its controls are ``+0.0``).  Every recorded level keeps its
-    state, its control and the ``l2`` and ``linf`` of one :func:`fem.norms`
-    call.  Penalized parameters that
+    feedback control; ``variant="dirichlet_feedback"`` steps the same way
+    but imposes the feedback boundary condition exactly (the ``eps -> 0``
+    limit; epsilon is ignored); ``variant="uncontrolled_dirichlet"`` pins
+    both endpoints to zero and drops every penalty and control term, as the
+    Dirichlet feedback variant at ``r = 0`` from the initial state with its
+    boundary value set to zero (its controls are ``+0.0``).  The run steps
+    as a 1-D state, one :func:`newton_solve` per level from the
+    extrapolated start, and equals the one-run :func:`step_ensemble` bit for
+    bit.  Every recorded level keeps its state, its control and the ``l2``
+    and ``linf`` of one :func:`fem.norms` call.  Penalized parameters that
     violate the stabilization conditions trigger a warning, not an error;
     some study regimes violate them deliberately.
     """
@@ -634,24 +668,29 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         # the Dirichlet feedback problem at zero gain, from a pinned start
         params = replace(params, r=0.0)
         y[system.boundary_dof] = 0.0
-    levels = step_ensemble([params], system, y, time_grid, newton_tol=newton_tol,
-                           newton_max_iter=newton_max_iter, implicit_control=implicit_control,
-                           hard_constraint=variant != "penalized_feedback")
+    hard_constraint = variant != "penalized_feedback"
+    reports = _initial_reports([params], system, y, hard_constraint)
+    k = time_grid.k
+    linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
+    settings = (newton_tol, newton_max_iter, implicit_control)
 
     states = np.zeros((time_grid.n_steps + 1, system.n_dof))
-    reports: list[StepReport] = []
     controls: list[float] = []
     l2: list[float] = []
     linf: list[float] = []
     failed_at = None
-    for level in levels:
-        report = level.reports[0]
-        reports.append(report)
-        if not level.members.size:
-            failed_at = level.index
-            break
-        y = states[level.index] = level.states[0]
-        controls.append(report.control_value)
+    previous = None
+    for n in range(time_grid.n_steps + 1):
+        if n:
+            start = None if previous is None else 2.0 * y - previous
+            previous, (y, report) = y, newton_solve(params, system, y, k, *settings,
+                                                    linear=linear, start=start)
+            reports.append(report)
+            if not report.converged:
+                failed_at = n
+                break
+        states[n] = y
+        controls.append(reports[-1].control_value)
         ns = norms(system, y)
         l2.append(ns.l2)
         linf.append(ns.linf)

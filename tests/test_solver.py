@@ -491,6 +491,18 @@ def test_newton_quadratic_convergence_ratios():
     assert ratios[-2] <= 1.0
 
 
+def assert_stack_of_one_steps_alike(system, y_prev, y, report, **settings):
+    """The step of ``y_prev`` as a ``(1, N)`` stack equals its 1-D step ``y, report``.
+
+    NaN-aware: the states are compared with equal NaNs, the reports by their
+    ``repr``, which spells every float so that it reads back to the same bits.
+    """
+    stacked, reports = newton_solve(ParamStack.of([EXAMPLE]), system, y_prev[None],
+                                    **settings)
+    assert np.array_equal(stacked, y[None], equal_nan=True)
+    assert repr(reports) == repr((report,))
+
+
 def test_newton_nonconvergence_reported_not_raised():
     system = assemble(make_uniform_mesh(8))
     y_prev = 5.0 * np.ones(8)
@@ -498,6 +510,7 @@ def test_newton_nonconvergence_reported_not_raised():
     assert not report.converged
     assert report.newton_iterations == 2
     assert np.all(np.isfinite(y))
+    assert_stack_of_one_steps_alike(system, y_prev, y, report, k=10.0, tol=1e-30, max_iter=2)
 
 
 def test_newton_stack_equals_separate_steps():
@@ -709,9 +722,10 @@ def test_newton_nan_state_reported_not_raised():
     system = assemble(make_uniform_mesh(8))
     y_prev = np.ones(8)
     y_prev[3] = np.nan
-    _, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, max_iter=3)
+    y, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, max_iter=3)
     assert not report.converged
     assert report.newton_iterations == 3
+    assert_stack_of_one_steps_alike(system, y_prev, y, report, k=0.01, max_iter=3)
 
 
 def test_newton_control_value_matches_state():
@@ -755,6 +769,37 @@ def test_simulate_norms_equal_norms_of_recorded_states_bit_for_bit(variant):
         ns = norms(system, state)
         assert traj.l2[n] == ns.l2
         assert traj.linf[n] == ns.linf
+
+
+@pytest.mark.parametrize("variant, implicit, settings", [
+    ("penalized_feedback", True, {}),
+    ("dirichlet_feedback", True, {}),
+    ("uncontrolled_dirichlet", True, {}),
+    ("penalized_feedback", False, {}),
+    # the first step needs 3 updates here: the run fails and is truncated
+    ("penalized_feedback", True, {"newton_tol": 3e-14, "newton_max_iter": 2}),
+], ids=["penalized", "dirichlet_feedback", "uncontrolled", "lagged_control", "failed_step"])
+def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, settings):
+    # simulate steps a 1-D state, step_ensemble a (1, N) stack
+    mesh = make_uniform_mesh(16)
+    grid = TimeGrid(k=1.0 / 50.0, n_steps=40)
+    traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant, implicit_control=implicit,
+                    **settings)
+    params, y0 = EXAMPLE, project_initial(mesh, sin_pi)
+    if variant == "uncontrolled_dirichlet":
+        params, y0[-1] = replace(params, r=0.0), 0.0
+    levels = list(step_ensemble([params], assemble(mesh), y0, grid, implicit_control=implicit,
+                                hard_constraint=variant != "penalized_feedback", **settings))
+    assert len(levels) == len(traj.step_reports)
+    for level, report in zip(levels, traj.step_reports):
+        assert level.reports == {0: report}
+    # a failed step's level holds no state, and the trajectory stops before it
+    assert traj.failed_at == (None if levels[-1].members.size else levels[-1].index)
+    assert traj.n_recorded == len(levels) - (traj.failed_at is not None)
+    for level, state, control in zip(levels, traj.states, traj.controls):
+        assert np.array_equal(level.states[0], state)
+        assert control == level.reports[0].control_value
+    assert (traj.failed_at is None) == (settings == {})
 
 
 def test_simulate_decay_is_monotone():
