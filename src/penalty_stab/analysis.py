@@ -258,13 +258,13 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
         pairs = np.flatnonzero(np.diff(alive) == 1)  # rows j, j + 1 hold runs i - 1, i
         if pairs.size:
             i_prev = alive[pairs]
-            # slices, not copies by index, while every row pairs with the next
-            lo, hi = ((slice(None, -1), slice(1, None)) if pairs.size == alive.size - 1
-                      else (pairs, pairs + 1))
-            d = states[:, hi] - states[:, lo]
-            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], _rowwise_l2(mass, d).max(axis=0))
-            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], np.abs(d).max(axis=(0, 2)))
-            dc = np.abs(controls[:, hi] - controls[:, lo]).max(axis=0)
+            # every row against the next, reduced per row, then the pairs selected
+            d = states[:, 1:] - states[:, :-1]
+            l2_d = _rowwise_l2(mass, d).max(axis=0)[pairs]
+            linf_d = np.abs(d).max(axis=(0, 2))[pairs]
+            dc = np.abs(controls[:, 1:] - controls[:, :-1]).max(axis=0)[pairs]
+            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], l2_d)
+            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], linf_d)
             control_diff[i_prev] = np.maximum(control_diff[i_prev], dc)
 
     levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),

@@ -558,31 +558,34 @@ class EnsembleLevel:
     reports: dict[int, StepReport]
 
 
-def _march(step: Callable[[np.ndarray, np.ndarray, np.ndarray | None],
-                           tuple[np.ndarray, Sequence[StepReport]]],
-           states: np.ndarray, initial: Sequence[StepReport],
-           n_steps: int) -> Iterator[EnsembleLevel]:
-    """Yield the levels of ``n_steps`` steps of ``step(members, states, start)``.
+def _march(params: ParamStack, linear: LinearPart, system: AssembledSystem,
+           states: np.ndarray, initial: Sequence[StepReport], time_grid: TimeGrid,
+           settings: tuple[float, int, bool]) -> Iterator[EnsembleLevel]:
+    """Yield the levels of the runs of ``params`` stepped from ``states``.
 
-    ``start`` is the Newton start of each member: ``None`` at the first
-    step, then the linear extrapolation ``2 y_n - y_{n-1}`` of the member's
-    own last two levels.  A member whose step fails is dropped; the march
-    ends when none is left.
+    Each step is one :func:`newton_solve` of the members still stepping,
+    started from ``None`` at the first step, then from the linear
+    extrapolation ``2 y_n - y_{n-1}`` of each member's own last two levels.
+    A member whose step fails is dropped, and the parameters and linear part
+    of the others are taken once per drop-out; the march ends when none is
+    left.
     """
     members = np.arange(states.shape[0])
     keys = members.tolist()
     yield EnsembleLevel(0, members, states, dict(enumerate(initial)))
     previous = None
-    for n in range(1, n_steps + 1):
+    for n in range(1, time_grid.n_steps + 1):
         start = None if previous is None else 2.0 * states - previous
         previous = states
-        states, reports = step(members, states, start)
+        states, reports = newton_solve(params, system, states, time_grid.k, *settings,
+                                       linear=linear, start=start)
         attempted = dict(zip(keys, reports))
         ok = [report.converged for report in reports]
         if not all(ok):
             rows = np.flatnonzero(ok)
             members, states, previous = members[rows], states[rows], previous[rows]
             keys = members.tolist()
+            params, linear = params.take(rows), linear.take(rows)
         yield EnsembleLevel(n, members, states, attempted)
         if not keys:
             return
@@ -623,20 +626,10 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     which has no epsilon and so no such conditions to check.
     """
     initial = _initial_reports(members, system, y0, hard_constraint)
-    settings = (newton_tol, newton_max_iter, implicit_control)
-    k = time_grid.k
     stack = ParamStack.of(members)
-    stack_linear = LinearPart.of(stack, system, k, implicit_control, hard_constraint)
-
-    def step(alive: np.ndarray, y_prev: np.ndarray, start: np.ndarray | None):
-        if alive.size == len(members):
-            params, linear = stack, stack_linear
-        else:
-            params, linear = stack.take(alive), stack_linear.take(alive)
-        return newton_solve(params, system, y_prev, k, *settings, linear=linear, start=start)
-
-    return _march(step, np.repeat(y0[None], len(members), axis=0), initial,
-                  time_grid.n_steps)
+    linear = LinearPart.of(stack, system, time_grid.k, implicit_control, hard_constraint)
+    return _march(stack, linear, system, np.repeat(y0[None], len(members), axis=0), initial,
+                  time_grid, (newton_tol, newton_max_iter, implicit_control))
 
 
 def simulate(params: ModelParams, mesh: MeshPartition,
