@@ -258,13 +258,10 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
         pairs = np.flatnonzero(np.diff(alive) == 1)  # rows j, j + 1 hold runs i - 1, i
         if pairs.size:
             i_prev = alive[pairs]
-            # every row against the next, reduced per row, then the pairs selected
-            d = states[:, 1:] - states[:, :-1]
-            l2_d = _rowwise_l2(mass, d).max(axis=0)[pairs]
-            linf_d = np.abs(d).max(axis=(0, 2))[pairs]
+            d = states[:, 1:] - states[:, :-1]  # reduced per row, so pairs select afterwards
+            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], _rowwise_l2(mass, d).max(axis=0)[pairs])
+            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], np.abs(d).max(axis=(0, 2))[pairs])
             dc = np.abs(controls[:, 1:] - controls[:, :-1]).max(axis=0)[pairs]
-            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], l2_d)
-            diff_linf[i_prev] = np.maximum(diff_linf[i_prev], linf_d)
             control_diff[i_prev] = np.maximum(control_diff[i_prev], dc)
 
     levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),
