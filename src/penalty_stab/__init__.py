@@ -6,8 +6,6 @@ and a reproducible experiment harness.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ConvergenceReport,
-    ConvergenceRow,
     DecayFit,
     EpsilonRow,
     EpsilonStudyReport,

@@ -142,27 +142,6 @@ def observed_orders(errors: Sequence[float], hs: Sequence[float]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    """One mesh level of a grid-refinement study (orders are None on row 0)."""
-
-    h: float
-    epsilon: float
-    k: float
-    error_l2: float
-    error_linf: float
-    order_l2: float | None
-    order_linf: float | None
-    control_error_linf: float
-    control_order_linf: float | None
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
-    reference_description: str
-
-
-@dataclass(frozen=True)
 class EpsilonRow:
     """One penalty value of a continuation study.
 

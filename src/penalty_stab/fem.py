@@ -137,7 +137,14 @@ class TridiagMatrix:
         the stack's leading axis in front for a stack of matrices.  A stack
         is solved as one block-diagonal band whose couplings between blocks
         are exactly zero; the elimination does no work across them, so every
-        block's solution equals its own solve bit for bit.  ``dgtsv``
+        block's solution equals its own solve bit for bit, as long as every
+        band and right-hand side is finite.  A NaN or inf in one block reaches
+        the others: ``dgtsv``'s pivot test ``|d(i)| >= |dl(i)|`` is false for
+        NaN, so it interchanges rows, and back substitution multiplies the
+        zero couplings by NaN, which hits the blocks before the bad one as
+        well as those after it.  :func:`solver.newton_solve` keeps members
+        whose residual is not finite out of the solve; a block whose own
+        solution overflows can still reach the blocks above it.  ``dgtsv``
         overwrites its arguments, so it is left to copy them: the matrix and
         ``rhs`` are not modified.
 

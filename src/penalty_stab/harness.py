@@ -21,8 +21,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    ConvergenceReport,
-    ConvergenceRow,
     EpsilonStudyReport,
     epsilon_cauchy_study,
     error_vs_reference,
@@ -530,7 +528,9 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
     reference run whose epsilon and gain follow the same rule evaluated at
     the reference mesh size; that comparison tracks the gain rule's own
     scaling and reproduces the expected ``l/2`` control orders.  Observed
-    orders are appended between rows.
+    orders are appended between rows.  A Newton failure ends the study: the
+    rows finished before it are written, every order empty when fewer than
+    two were, and the failure is listed in the metadata.
     """
     run = _Run(resolved, out_dir)
     grid, failures = run.grid, run.failures
@@ -540,7 +540,9 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
     gain = _gain(exp["gain_rule"])
     n_ref = exp["reference_n_elements"]
     ref_mesh = make_uniform_mesh(n_ref)
-    raw_rows = []
+    header = ["h", "epsilon", "k", "error_l2", "order_l2", "error_linf", "order_linf",
+              "control_error_linf", "control_order_linf"]
+    rows = []
     rates_per_row = []
 
     eps_ref = rule_c * (1.0 / n_ref) ** rule_l
@@ -569,45 +571,29 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
         err_l2, err_linf = error_vs_reference(coarse.states[-1], reference.states[-1],
                                               assemble(mesh), ref_mesh)
         control_err = float(np.max(np.abs(coarse.controls - control_reference.controls)))
-        raw_rows.append((h, eps, err_l2, err_linf, control_err))
+        rows.append([h, eps, grid.k, err_l2, None, err_linf, None, control_err, None])
 
-    hs = [row[0] for row in raw_rows]
-    report_rows: list[ConvergenceRow] = []
-    if raw_rows:
-        if len(raw_rows) >= 2:
-            orders_l2 = observed_orders([r[2] for r in raw_rows], hs)
-            orders_linf = observed_orders([r[3] for r in raw_rows], hs)
-            orders_ctrl = observed_orders([r[4] for r in raw_rows], hs)
-        else:
-            orders_l2 = orders_linf = orders_ctrl = np.array([])
-        for j, (h, eps, e2, einf, ec) in enumerate(raw_rows):
-            report_rows.append(ConvergenceRow(
-                h=h, epsilon=eps, k=grid.k, error_l2=e2, error_linf=einf,
-                order_l2=None if j == 0 else float(orders_l2[j - 1]),
-                order_linf=None if j == 0 else float(orders_linf[j - 1]),
-                control_error_linf=ec,
-                control_order_linf=None if j == 0 else float(orders_ctrl[j - 1]),
-            ))
-    report = ConvergenceReport(
-        rows=tuple(report_rows),
-        reference_description=f"state: Dirichlet feedback problem (eps -> 0) on n={n_ref} "
-                              f"with the row's gain; control: shared n={n_ref} penalized run "
-                              f"at epsilon={eps_ref:.6g}",
-    )
-    metadata = {"config": resolved, "reference": report.reference_description,
+    # error_l2, error_linf and control_error_linf, each followed by its order
+    # column, which is empty on row 0
+    error_columns = (3, 5, 7)
+    if len(rows) >= 2:
+        hs = [row[0] for row in rows]
+        for col in error_columns:
+            orders = observed_orders([row[col] for row in rows], hs).tolist()
+            for row, order in zip(rows[1:], orders):
+                row[col + 1] = order
+    metadata = {"config": resolved,
+                "reference": f"state: Dirichlet feedback problem (eps -> 0) on n={n_ref} "
+                             f"with the row's gain; control: shared n={n_ref} penalized run "
+                             f"at epsilon={eps_ref:.6g}",
                 "rates_per_row": rates_per_row}
     if failures:
         metadata["failures"] = failures
-    header = ["h", "epsilon", "k", "error_l2", "order_l2", "error_linf", "order_linf",
-              "control_error_linf", "control_order_linf"]
-    rows = [[r.h, r.epsilon, r.k, r.error_l2, r.order_l2, r.error_linf, r.order_linf,
-             r.control_error_linf, r.control_order_linf] for r in report.rows]
     run.files.append(emit_csv(run.out_dir / "convergence.csv", header, rows, metadata))
-    if resolved["experiment"]["svg"] and len(report.rows) >= 2:
-        run.svg("convergence.svg", np.array(hs),
-                {"error_l2": np.array([r.error_l2 for r in report.rows]),
-                 "error_linf": np.array([r.error_linf for r in report.rows]),
-                 "control_error_linf": np.array([r.control_error_linf for r in report.rows])},
+    if resolved["experiment"]["svg"] and len(rows) >= 2:
+        table = np.array(rows, dtype=float)
+        run.svg("convergence.svg", table[:, 0],
+                {header[col]: table[:, col] for col in error_columns},
                 title="errors vs h", x_label="h", y_label="error", log_x=True, log_y=True)
     return run.result()
 

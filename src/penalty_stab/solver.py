@@ -75,7 +75,9 @@ iteration evaluates one stacked residual and Jacobian, and one banded
 elimination solves all B cores, whose couplings in the stacked band are
 exactly zero.  The Sherman-Morrison correction is applied per member, each
 member leaves the iteration at its own convergence and extrapolates from its
-own levels, so every run equals its separate run bit for bit.  Both shapes
+own levels, so every run equals its separate run bit for bit.  A member whose
+residual is not finite leaves too, before the next solve: a NaN or inf in one
+block of the stacked band would reach the others.  Both shapes
 share the Newton update; :func:`newton_solve` picks its bookkeeping by the
 state's shape, Python floats for a 1-D state and per-member lists for a
 stack, because for a lone run the per-member bookkeeping, not the kernels,
@@ -149,8 +151,10 @@ class StepReport:
 
     ``newton_iterations`` counts linearized solves; convergence is checked on
     the post-update residual, so even an already-converged start performs one
-    update.  ``residual_norms`` holds the Euclidean residual norm at the start
-    and after each update.
+    update.  A step stops, unconverged, at a residual norm that is not
+    finite; a start whose residual norm is not finite performs no update.
+    ``residual_norms`` holds the Euclidean residual norm at the start and
+    after each update.
     """
 
     newton_iterations: int
@@ -441,12 +445,11 @@ def _evaluate(params: ModelParams | ParamStack, system: AssembledSystem, y: np.n
 
 
 def _update(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-            y_prev: np.ndarray, k: float, control: np.ndarray | None, implicit_control: bool,
-            linear: LinearPart, load: np.ndarray, gauss: np.ndarray, f: np.ndarray
+            y_prev: np.ndarray, k: float, control: np.ndarray | None, linear: LinearPart,
+            load: np.ndarray, gauss: np.ndarray, f: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Newton update of ``y``: the new iterate, its Gauss values and its residual."""
-    core, rank_one = jacobian(params, system, y, k, implicit_control, linear=linear,
-                              gauss=gauss)
+    core, rank_one = jacobian(params, system, y, k, linear=linear, gauss=gauss)
     y = y - solve_structured(core, rank_one, f)
     return (y,) + _evaluate(params, system, y, y_prev, k, control, linear, load)
 
@@ -469,7 +472,9 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     residual's previous level is ``y_prev`` either way.  It stops when the
     Euclidean norm of the residual drops to ``tol``.  A step that exhausts
     ``max_iter`` returns its diagnostics with ``converged=False`` instead of
-    raising; linear-solve failures propagate.  Returns the new state and its
+    raising; so does a step whose residual norm is not finite, which takes no
+    further update (none at all when the start's is not).  Linear-solve
+    failures propagate.  Returns the new state and its
     :class:`StepReport`.  Neither ``y_prev`` nor ``start`` is written, and
     the new state is a new array.
 
@@ -478,7 +483,10 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     a tuple of B reports.  ``params`` is then a :class:`ParamStack`, or one
     :class:`ModelParams` shared by every member.  A member leaves the
     iteration once it converges, so it takes exactly the iterates of its
-    own step, and a stack of one equals the 1-D step bit for bit.  ``linear``
+    own step, and a stack of one equals the 1-D step bit for bit.  A member
+    whose residual is not finite leaves before the next solve, so its NaN or
+    inf never enters the stacked band (see :meth:`fem.TridiagMatrix.solve`)
+    and the others step as they would alone.  ``linear``
     is the :class:`LinearPart` of ``params`` at the same settings, which
     selects the variant; without it the step is penalized.  A stacked
     ``start`` has one row per member.
@@ -499,12 +507,14 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     gauss, f = _evaluate(p, system, y, prev, k, control, linear, load)
     if y.ndim == 1:
         history = [math.sqrt(float(np.vecdot(f, f)))]
-        for _ in range(max_iter):
-            y, gauss, f = _update(p, system, y, prev, k, control, implicit_control, linear,
-                                  load, gauss, f)
-            history.append(math.sqrt(float(np.vecdot(f, f))))
-            if history[-1] <= tol:
-                break
+        if not math.isfinite(history[0]):
+            y = y.copy()  # no update, but still a new array
+        else:
+            for _ in range(max_iter):
+                y, gauss, f = _update(p, system, y, prev, k, control, linear, load, gauss, f)
+                history.append(math.sqrt(float(np.vecdot(f, f))))
+                if not tol < history[-1] < math.inf:  # converged, or not finite
+                    break
         return y, _report(history, tol, linear.gains[0], float(np.vecdot(y, system.moment)))
 
     histories = [[norm] for norm in _residual_norms(f)]
@@ -512,19 +522,20 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     if len(gains) != len(histories):  # one ModelParams shared by a stack
         gains = gains * len(histories)
     active = list(range(len(histories)))  # members still iterating
+    keep = [math.isfinite(history[0]) for history in histories]  # members that update next
     result = None
-    for iteration in range(1, max_iter + 1):
-        y, gauss, f = _update(p, system, y, prev, k, control, implicit_control, linear, load,
-                              gauss, f)
-        keep = []
-        for member, norm in zip(active, _residual_norms(f)):
-            histories[member].append(norm)
-            keep.append(not norm <= tol)  # a NaN residual keeps iterating, as alone
+    for iteration in range(max_iter + 1):
+        if iteration:
+            y, gauss, f = _update(p, system, y, prev, k, control, linear, load, gauss, f)
+            keep = []
+            for member, norm in zip(active, _residual_norms(f)):
+                histories[member].append(norm)
+                keep.append(tol < norm < math.inf)  # not converged, and finite
         if all(keep) and iteration < max_iter:
             continue
         # members leave the iteration: store their states
-        if result is None:  # every member is still here
-            result = y
+        if result is None:  # every member is still here; a start is copied
+            result = y if iteration else y.copy()
         else:
             result[active] = y
         if iteration == max_iter or not any(keep):

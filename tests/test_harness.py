@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from penalty_stab import (
     TimeGrid,
     assemble,
     error_vs_reference,
+    harness,
     make_uniform_mesh,
     simulate,
 )
@@ -308,6 +310,70 @@ def test_convergence_runner_state_errors_against_dirichlet_feedback(tmp_path):
         assert float(row["error_linf"]) == err_linf
         assert float(row["control_error_linf"]) == \
             float(np.max(np.abs(coarse.controls - control_ref.controls)))
+
+
+class FailSimulation:
+    """Test double for ``harness.simulate`` that fails the ``fail_call``-th call.
+
+    Calls are counted from 1.  The failed call's trajectory is the real one
+    cut as a Newton failure at step 1 cuts it: the initial level is kept and
+    the step's report, marked unconverged, is appended.
+    """
+
+    def __init__(self, fail_call):
+        self.fail_call = fail_call
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        traj = simulate(*args, **kwargs)
+        if self.calls != self.fail_call:
+            return traj
+        failed = dataclasses.replace(traj.step_reports[1], converged=False)
+        return dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
+                                   controls=traj.controls[:1], l2=traj.l2[:1],
+                                   linf=traj.linf[:1],
+                                   step_reports=[traj.step_reports[0], failed], failed_at=1)
+
+
+def run_failing_convergence(tmp_path, monkeypatch, fail_call):
+    """Run the CLI on the small convergence config, SVG on, with one failed simulation."""
+    cfg = convergence_config()
+    cfg["experiment"]["svg"] = True
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setattr(harness, "simulate", FailSimulation(fail_call))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["convergence", "--config", str(path), "--out", str(out)])
+    metadata, header, rows = read_csv(out / "convergence.csv")
+    return code, out, metadata, header, rows
+
+
+def test_convergence_control_reference_failure_writes_header_only(tmp_path, monkeypatch):
+    # the shared control reference is the first simulation of the run
+    code, out, metadata, header, rows = run_failing_convergence(tmp_path, monkeypatch, 1)
+    assert code == 2
+    assert harness.simulate.calls == 1  # no row is attempted
+    assert header[0] == "h" and rows == []
+    assert "control reference" in json.loads(metadata["failures"])[0]
+    assert json.loads(metadata["rates_per_row"]) == []
+    assert not (out / "convergence.svg").exists()
+
+
+def test_convergence_second_row_reference_failure_keeps_first_row(tmp_path, monkeypatch):
+    # simulations: control reference, row 1's coarse and reference, row 2's
+    # coarse and reference (the fifth, which fails)
+    code, out, metadata, header, rows = run_failing_convergence(tmp_path, monkeypatch, 5)
+    assert code == 2
+    assert harness.simulate.calls == 5
+    assert json.loads(metadata["failures"]) == [
+        "h=1/8: newton failure (coarse step None, reference step 1)"]
+    assert len(json.loads(metadata["rates_per_row"])) == 2
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert row["order_l2"] == row["order_linf"] == row["control_order_linf"] == ""
+    assert float(row["h"]) == 0.25 and float(row["error_l2"]) > 0.0
+    assert not (out / "convergence.svg").exists()
 
 
 def test_epsilon_runner_schema(tmp_path):

@@ -724,8 +724,29 @@ def test_newton_nan_state_reported_not_raised():
     y_prev[3] = np.nan
     y, report = newton_solve(EXAMPLE, system, y_prev, k=0.01, max_iter=3)
     assert not report.converged
-    assert report.newton_iterations == 3
+    assert report.newton_iterations == 0  # a start whose residual is NaN takes no update
+    assert np.array_equal(y, y_prev, equal_nan=True) and not np.shares_memory(y, y_prev)
     assert_stack_of_one_steps_alike(system, y_prev, y, report, k=0.01, max_iter=3)
+
+
+@pytest.mark.parametrize("bad_row", [0, 1])
+def test_newton_nan_member_leaves_the_rest_of_its_stack_alone(bad_row):
+    # dgtsv spreads a NaN block to the blocks on both sides of it in a
+    # stacked band, so a member whose residual is NaN must not enter the solve
+    system = assemble(make_uniform_mesh(16))
+    params = ModelParams(nu=0.1, alpha=0.5, delta=2.0, r=0.3, epsilon=0.05)
+    good = 3.0 * sin_pi(system.mesh.nodes[1:])
+    bad = good.copy()
+    bad[3] = np.nan
+    settings = dict(k=0.5, tol=1e-13, max_iter=6)
+    lone = [newton_solve(params, system, y0, **settings) for y0 in (good, bad)]
+    assert lone[0][1].converged and lone[0][1].newton_iterations == 6
+    order = [1, 0] if bad_row == 0 else [0, 1]
+    y, reports = newton_solve(ParamStack.of([params, params]), system,
+                              np.stack([(good, bad)[i] for i in order]), **settings)
+    for row, i in enumerate(order):
+        assert np.array_equal(y[row], lone[i][0], equal_nan=True)
+        assert repr(reports[row]) == repr(lone[i][1])  # repr: NaN-aware, bit-exact
 
 
 def test_newton_control_value_matches_state():
