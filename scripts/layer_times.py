@@ -22,6 +22,12 @@ batch of calls divided by the batch size, in microseconds per call:
                       load, and the elements' nodal differences and Gauss
                       values;
 ``cubic_term``        ``fem.cubic_term``;
+``matvec``            the mass matrix times the previous level, as a Newton
+                      step forms its load ``M y_prev / k``: the run's
+                      ``LinearPart.mass``, which is ``system.mass`` for a
+                      lone run and a stack of its copies for B=10 (a
+                      checkout whose linear part has no ``mass`` multiplies
+                      by ``system.mass`` at both sizes, as its steps did);
 ``jacobian``          ``solver.jacobian`` with the run's ``LinearPart`` and
                       the Gauss values;
 ``solve_structured``  ``solver.solve_structured`` on that Jacobian and
@@ -72,8 +78,8 @@ SIZES = (128, 2048)
 STACKS = (1, 10)
 K = 1.0 / 1050.0
 N_STEPS = 1050
-LAYERS = ("assemble", "residual", "cubic_term", "jacobian", "solve_structured", "norms",
-          "newton iteration", "time step", "time step median")
+LAYERS = ("assemble", "residual", "cubic_term", "matvec", "jacobian", "solve_structured",
+          "norms", "newton iteration", "time step", "time step median")
 
 
 def repeat_times(call, batch: int, repeats: int) -> list[float]:
@@ -107,6 +113,7 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
     y_prev = y0 if n_runs == 1 else np.repeat(y0[None], n_runs, axis=0)
     y = 0.999 * y_prev
     linear = LinearPart.of(params, system, K)
+    mass = getattr(linear, "mass", system.mass)
     diffs, gauss = element_values(y)
     pieces = {"linear": linear, "prev_load": system.mass.matvec(y_prev) / K,
               "gauss": gauss, "diffs": diffs}
@@ -136,6 +143,7 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
             "residual": best(lambda: residual(params, system, y, y_prev, K, **pieces),
                              batch, repeats),
             "cubic_term": best(lambda: cubic_term(mesh, y), batch, repeats),
+            "matvec": best(lambda: mass.matvec(y_prev), batch, repeats),
             "jacobian": best(lambda: jacobian(params, system, y, K, linear=linear,
                                               gauss=pieces["gauss"]), batch, repeats),
             "solve_structured": best(lambda: solve_structured(core, rank_one, f),

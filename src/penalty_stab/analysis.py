@@ -179,8 +179,18 @@ def _fold_block_length(n_runs: int, n_dof: int) -> int:
 
 
 def _rowwise_l2(mass: TridiagMatrix, states: np.ndarray) -> np.ndarray:
-    """L2 norm of every state (last axis) of an array of states."""
+    """L2 norm of every state (last axis) of an array of states.
+
+    ``mass`` is the mass matrix, or a stack of copies of it, one per state.
+    """
     return np.sqrt(np.maximum(np.einsum("...j,...j->...", states, mass.matvec(states)), 0.0))
+
+
+def _neighbours(alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``j`` of the live runs ``alive`` whose next row holds the next run,
+    and those runs' indices: the pairs whose differences a study folds."""
+    pairs = np.flatnonzero(np.diff(alive) == 1)  # rows j, j + 1 hold runs i - 1, i
+    return pairs, alive[pairs]
 
 
 def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
@@ -203,6 +213,9 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     rows; a block is also flushed when a run drops out and after the last
     level.  Every reduction is per state, so the rows equal a level-by-level
     fold bit for bit, and memory does not grow with the number of levels.
+    A block's mass products run along its flat rows, through one stack of
+    ``L B`` mass matrices built once per study, and the neighbour pairs are
+    found once per set of live runs.
     """
     epsilons = [float(e) for e in epsilons]
     if any(e2 > e1 for e1, e2 in zip(epsilons, epsilons[1:])):
@@ -223,22 +236,29 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     block_length = _fold_block_length(n, system.n_dof)
     block_states = np.empty((block_length, n, system.n_dof))
     block_controls = np.empty((block_length, n))
+    # one mass matrix per state of a full block, in the stacked band layout
+    block_mass = mass.repeat(block_length * n)
 
-    def flush(alive: np.ndarray, filled: int) -> None:
+    def masses(states: np.ndarray) -> TridiagMatrix:
+        """The first rows of ``block_mass``, one per state of ``states``."""
+        return TridiagMatrix.from_band(block_mass.band[:, :states.size // system.n_dof])
+
+    def flush(alive: np.ndarray, neighbours: tuple[np.ndarray, np.ndarray],
+              filled: int) -> None:
         states = block_states[:filled, :alive.size]
         controls = block_controls[:filled, :alive.size]
         # reduced like fem.norms, so the columns match a run's own l2 history
-        l2 = np.sqrt(np.maximum(np.vecdot(states, mass.matvec(states)), 0.0))
+        l2 = np.sqrt(np.maximum(np.vecdot(states, masses(states).matvec(states)), 0.0))
         linf = np.max(np.abs(states), axis=-1, initial=0.0)
         state_l2[alive], state_linf[alive] = l2[-1], linf[-1]
         l2_sup[alive] = np.maximum(l2_sup[alive], l2.max(axis=0))
         linf_sup[alive] = np.maximum(linf_sup[alive], linf.max(axis=0))
         control_sup[alive] = np.maximum(control_sup[alive], np.abs(controls).max(axis=0))
-        pairs = np.flatnonzero(np.diff(alive) == 1)  # rows j, j + 1 hold runs i - 1, i
+        pairs, i_prev = neighbours
         if pairs.size:
-            i_prev = alive[pairs]
             d = states[:, 1:] - states[:, :-1]  # reduced per row, so pairs select afterwards
-            diff_l2[i_prev] = np.maximum(diff_l2[i_prev], _rowwise_l2(mass, d).max(axis=0)[pairs])
+            diff_l2[i_prev] = np.maximum(diff_l2[i_prev],
+                                         _rowwise_l2(masses(d), d).max(axis=0)[pairs])
             diff_linf[i_prev] = np.maximum(diff_linf[i_prev], np.abs(d).max(axis=(0, 2))[pairs])
             dc = np.abs(controls[:, 1:] - controls[:, :-1]).max(axis=0)[pairs]
             control_diff[i_prev] = np.maximum(control_diff[i_prev], dc)
@@ -246,24 +266,26 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),
                            time_grid, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
     alive, filled = np.arange(n), 0
+    neighbours = _neighbours(alive)  # changes only when a run drops out
     for level in levels:
         reports = level.reports
         if level.members.size < len(reports):  # a run dropped out at this level
             for i, report in reports.items():
                 failed[i] |= not report.converged
-            flush(alive, filled)
+            flush(alive, neighbours, filled)
             alive, filled = level.members, 0
+            neighbours = _neighbours(alive)
             reports = {i: reports[i] for i in alive.tolist()}
         if not alive.size:
             break
         if filled == block_length:
-            flush(alive, filled)
+            flush(alive, neighbours, filled)
             filled = 0
         block_states[filled, :alive.size] = level.states
         block_controls[filled, :alive.size] = [r.control_value for r in reports.values()]
         filled += 1
     if filled:
-        flush(alive, filled)
+        flush(alive, neighbours, filled)
 
     rows: list[EpsilonRow] = []
     for i, params in enumerate(members):

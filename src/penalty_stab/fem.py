@@ -91,24 +91,53 @@ _W_LOAD = np.stack([_W_LEFT, _W_RIGHT])
 _W_JAC = np.stack([_W_LL, _W_RR, _W_LR])
 
 
-@dataclass(frozen=True, eq=False)
 class TridiagMatrix:
-    """Tridiagonal matrix stored as three diagonals.
+    """Tridiagonal matrix, or a stack of them, stored as one band buffer.
 
-    ``lower[i]`` is entry ``(i+1, i)`` and ``upper[i]`` is entry ``(i, i+1)``.
-    Diagonals with a leading axis, ``diag`` of shape ``(B, n)``, hold a stack
-    of B matrices; :meth:`matvec` and :meth:`solve` then act on ``(B, n)``
-    stacks row by row.
+    ``band`` has shape ``(3,) + shape``, ``shape`` being ``(n,)`` for one
+    matrix and ``(B, n)`` for a stack of B, and each of its three rows is
+    one C-contiguous run of memory.  Row 1 is the diagonal.
+    Rows 0 and 2 hold the lower and upper diagonals, each padded at the end
+    of every block: ``lower[..., i]`` (``band[0, ..., i]``) is entry ``(i+1,
+    i)`` and ``upper[..., i]`` (``band[2, ..., i]``) entry ``(i, i+1)`` for
+    ``i < n - 1``, and column ``n - 1`` of both holds +0.0.  That is
+    ``dgtsv``'s layout: a stack read as one flat matrix of order ``B n``
+    has the padding as its couplings between blocks, exactly zero, so
+    :meth:`solve` passes the flat rows as they are.
+
+    ``TridiagMatrix(diag, lower, upper)`` packs three diagonals, ``lower``
+    and ``upper`` of length ``n - 1``, into a new band once;
+    :meth:`from_band` wraps a band built in place.  ``diag``, ``lower`` and
+    ``upper`` are views of the band, so writing into them writes the matrix.
     """
 
-    diag: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    __slots__ = ("band", "diag", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        off_shape = self.diag.shape[:-1] + (self.diag.shape[-1] - 1,)
-        if self.lower.shape != off_shape or self.upper.shape != off_shape:
+    def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        diag = np.asarray(diag)
+        off_shape = diag.shape[:-1] + (diag.shape[-1] - 1,)
+        if np.shape(lower) != off_shape or np.shape(upper) != off_shape:
             raise ValueError("off-diagonals must have length n - 1")
+        band = np.empty((3,) + diag.shape)
+        band[0, ..., :-1] = lower
+        band[1] = diag
+        band[2, ..., :-1] = upper
+        band[0::2, ..., -1] = 0.0
+        self._wrap(band)
+
+    @classmethod
+    def from_band(cls, band: np.ndarray) -> "TridiagMatrix":
+        """The matrix held in ``band``, a ``(3,) + shape`` buffer laid out as
+        the class describes, each row C-contiguous; it is used, not copied."""
+        matrix = cls.__new__(cls)
+        matrix._wrap(band)
+        return matrix
+
+    def _wrap(self, band: np.ndarray) -> None:
+        self.band = band
+        self.diag = band[1]
+        self.lower = band[0, ..., :-1]
+        self.upper = band[2, ..., :-1]
 
     @classmethod
     def symmetric(cls, diag: np.ndarray, off: np.ndarray) -> "TridiagMatrix":
@@ -116,12 +145,43 @@ class TridiagMatrix:
 
     @property
     def n(self) -> int:
-        return self.diag.shape[-1]
+        return self.band.shape[-1]
+
+    def repeat(self, count: int) -> "TridiagMatrix":
+        """A stack of ``count`` copies of this one matrix."""
+        return TridiagMatrix.from_band(np.repeat(self.band[:, None], count, axis=1))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[..., :-1] += self.upper * x[..., 1:]
-        y[..., 1:] += self.lower * x[..., :-1]
+        """The product with ``x``, a new array of ``x``'s shape.
+
+        One matrix multiplies every vector along the last axis of ``x``.  A
+        stack of B matrices multiplies B vectors, matrix ``i`` the ``i``-th
+        vector of ``x`` in C order, whatever its leading shape: the products
+        run along the flat rows of the band and of ``x``, and the entries at
+        the ends of each block, which the flat shift pairs with the
+        neighbouring block through the zero padding, are put back to what
+        they were before that shift, so every entry, a signed zero or an
+        inf among them, is that of the matrix's own product.
+        """
+        band = self.band
+        if band.ndim == 2:
+            y = self.diag * x
+            y[..., :-1] += self.upper * x[..., 1:]
+            y[..., 1:] += self.lower * x[..., :-1]
+            return y
+        n = band.shape[-1]
+        if x.shape[-1] != n or 3 * x.size != band.size:
+            raise ValueError(f"a stack of shape {band.shape[1:]} cannot multiply shape {x.shape}")
+        lower, diag, upper = band.reshape(3, -1)
+        y = np.empty(x.shape)
+        flat, x = y.ravel(), x.ravel()
+        np.multiply(diag, x, out=flat)
+        block_end = flat[n - 1::n].copy()
+        flat[:-1] += upper[:-1] * x[1:]
+        flat[n - 1::n] = block_end
+        block_start = flat[::n].copy()
+        flat[1:] += lower[:-1] * x[:-1]
+        flat[::n] = block_start
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -134,35 +194,34 @@ class TridiagMatrix:
         """Direct tridiagonal solve (LAPACK ``dgtsv`` on the three bands).
 
         ``rhs`` may be a vector or a matrix of stacked right-hand sides, with
-        the stack's leading axis in front for a stack of matrices.  A stack
-        is solved as one block-diagonal band whose couplings between blocks
-        are exactly zero; the elimination does no work across them, so every
-        block's solution equals its own solve bit for bit, as long as every
-        band and right-hand side is finite.  A NaN or inf in one block reaches
-        the others: ``dgtsv``'s pivot test ``|d(i)| >= |dl(i)|`` is false for
-        NaN, so it interchanges rows, and back substitution multiplies the
-        zero couplings by NaN, which hits the blocks before the bad one as
-        well as those after it.  :func:`solver.newton_solve` keeps members
-        whose residual is not finite out of the solve; a block whose own
-        solution overflows can still reach the blocks above it.  ``dgtsv``
-        overwrites its arguments, so it is left to copy them: the matrix and
-        ``rhs`` are not modified.
+        the stack's leading axis in front for a stack of matrices.  One
+        matrix passes its three diagonals.  A stack passes the flat rows of
+        its band as they are, so it is solved as one block-diagonal band
+        whose couplings between blocks are the padding, exactly zero; the
+        elimination does no work across them, so every block's solution
+        equals its own solve bit for bit, as long as every band and
+        right-hand side is finite.  A NaN or inf in one block
+        reaches the others: ``dgtsv``'s pivot test ``|d(i)| >= |dl(i)|`` is
+        false for NaN, so it interchanges rows, and back substitution
+        multiplies the zero couplings by NaN, which hits the blocks before
+        the bad one as well as those after it.  :func:`solver.newton_solve`
+        keeps members whose residual is not finite out of the solve; a block
+        whose own solution overflows can still reach the blocks above it.
+        ``dgtsv`` overwrites its arguments, so it is left to copy them: the
+        matrix and ``rhs`` are not modified.
 
         Raises
         ------
         SingularCoreError
             On a zero pivot (exactly singular matrix) in any block.
         """
-        shape = self.diag.shape
-        if len(shape) == 1:
+        band = self.band
+        if band.ndim == 2:
             _, _, _, x, info = dgtsv(self.lower, self.diag, self.upper, rhs)
         else:
-            lower, upper = np.zeros(shape), np.zeros(shape)
-            lower[..., :-1] = self.lower
-            upper[..., 1:] = self.upper
-            _, _, _, x, info = dgtsv(lower.reshape(-1)[:-1], self.diag.reshape(-1),
-                                     upper.reshape(-1)[1:],
-                                     rhs.reshape((-1,) + rhs.shape[len(shape):]))
+            lower, diag, upper = band.reshape(3, -1)
+            _, _, _, x, info = dgtsv(lower[:-1], diag, upper[:-1],
+                                     rhs.reshape(diag.shape + rhs.shape[band.ndim - 1:]))
             x = x.reshape(rhs.shape)
         if info > 0:
             raise SingularCoreError(f"singular tridiagonal system: zero pivot in row {info}")
@@ -226,22 +285,40 @@ class AssembledSystem:
         return self.mesh.n_dof
 
 
-def _scatter_element_loads(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _scatter_element_loads(left: np.ndarray, right: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Accumulate per-element (left node, right node) loads into DOF order.
 
     Element ``e`` spans nodes ``e`` and ``e + 1``; the left load of element 0
     belongs to the pinned node and is dropped.  Loads may carry a leading
-    batch axis.
+    batch axis.  The sum is one add along the flat rows, after which the last
+    entry of each row but the last, which took the next row's first left
+    load, is set back to its right load.  ``out``, when given, is a
+    C-contiguous array of the loads' shape.
     """
-    out = right.copy()
-    out[..., :-1] += left[..., 1:]
+    if out is None:
+        out = right.copy()
+    else:
+        out[...] = right
+    out.ravel()[:-1] += left.ravel()[1:]
+    if out.ndim > 1:
+        out[..., -1] = right[..., -1]
     return out
 
 
 def _scatter_element_matrix(d_left, d_right, off) -> TridiagMatrix:
-    """Assemble per-element 2x2 symmetric contributions into a TridiagMatrix."""
-    diag = _scatter_element_loads(d_left, d_right)
-    return TridiagMatrix.symmetric(diag, off[..., 1:].copy())
+    """Assemble per-element 2x2 symmetric contributions into a TridiagMatrix.
+
+    The bands are written straight into the matrix's band buffer: the
+    diagonal by :func:`_scatter_element_loads`, and both off-diagonals by
+    one flat shift of ``off`` (entry ``(i+1, i)`` is element ``i + 1``'s),
+    whose block-end entries are then set to the padding's +0.0.
+    """
+    band = np.empty((3,) + d_right.shape)
+    _scatter_element_loads(d_left, d_right, out=band[1])
+    band[0::2].reshape(2, -1)[:, :-1] = off.ravel()[1:]
+    band[0::2, ..., -1] = 0.0
+    return TridiagMatrix.from_band(band)
 
 
 def _mass_matrix(mesh: MeshPartition) -> TridiagMatrix:
@@ -286,9 +363,12 @@ def element_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values (the pinned node is zero, so ``diffs[..., 0] = y[..., 0]``).
     ``gauss`` is :func:`gauss_values`, computed from those differences.
     """
-    left = np.empty_like(y)
+    # one flat shift, then the first entry of each row, which took the row
+    # before's last value, is the pinned zero; np.empty is C-contiguous
+    # whatever y's layout, so the write through the flat view lands in it
+    left = np.empty(y.shape)
+    left.ravel()[1:] = y.ravel()[:-1]
     left[..., 0] = 0.0
-    left[..., 1:] = y[..., :-1]
     diffs = y - left
     gauss = np.multiply.outer(GAUSS3_POINTS, diffs)
     gauss += left

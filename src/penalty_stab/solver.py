@@ -51,8 +51,9 @@ Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
 does not depend on the iterate is built as rarely as it can be:
 
 * once per run, a :class:`LinearPart` (once per stack of runs, restricted
-  with ``take`` when members leave): ``(1/k - alpha) M + nu K``, the
-  element conductances ``nu/h_e`` of the fluxes, the boundary row's scale
+  with ``take`` when members leave): ``(1/k - alpha) M + nu K`` as a padded
+  band, the mass matrix (one copy per member of a stack), the element
+  conductances ``nu/h_e`` of the fluxes, the boundary row's scale
   and gain, the rank-one feedback row with its right-hand-side
   buffer (:attr:`RankOneUpdate.pair`), and the gains as floats for the
   controls;
@@ -73,9 +74,15 @@ itself.  Runs that share a mesh and a time grid are stepped together instead
 (:func:`step_ensemble`): their states form a ``(B, N)`` stack, each Newton
 iteration evaluates one stacked residual and Jacobian, and one banded
 elimination solves all B cores, whose couplings in the stacked band are
-exactly zero.  The Sherman-Morrison correction is applied per member, each
-member leaves the iteration at its own convergence and extrapolates from its
-own levels, so every run equals its separate run bit for bit.  A member whose
+exactly zero.  The stacked matrices live in ``dgtsv``'s flat layout, one
+``(3, B, N)`` band buffer whose lower and upper rows end every block in
++0.0 (:class:`fem.TridiagMatrix`): :func:`jacobian` builds the core in the
+band of ``delta C'(Y)``, adds the linear part's padded band in one add and
+scales the boundary row's lower entries as one ``(B,)`` column, and the
+solve takes the flat rows without copying or padding them.  The
+Sherman-Morrison correction is applied per member, each member leaves the
+iteration at its own convergence and extrapolates from its own levels, so
+every run equals its separate run bit for bit.  A member whose
 residual is not finite leaves too, before the next solve: a NaN or inf in one
 block of the stacked band would reach the others.  Both shapes
 share the Newton update; :func:`newton_solve` picks its bookkeeping by the
@@ -303,28 +310,44 @@ class LinearPart:
     """State-independent part of the Newton matrix of :func:`residual`.
 
     Every Newton matrix of a run shares the tridiagonal ``(1/k - alpha) M +
-    nu K`` (``diag``, ``off``), the boundary row and the rank-one feedback
-    row; only ``delta C'(y)`` changes with the state.  ``weight`` is the
-    ``1/k - alpha`` that :func:`residual` integrates with the cubic term,
-    and ``conductance`` the ``nu / h_e`` of every element, which turns the
-    elements' nodal differences into the fluxes of ``nu K y``.
-    ``scale`` multiplies the boundary row's interior terms: ``eps/nu`` for
-    the penalized problem and 0 for the Dirichlet feedback problem.  ``gain``
-    is the ``r`` of the boundary row's feedback condition ``y(1) + r (w .
-    y)``.  ``rank_one`` is ``None`` when every gain is 0 or the control is
-    lagged.  Built from a :class:`ParamStack`, every field has one row per
-    member; ``scale`` and ``gain``, which act on the boundary entries
-    ``[..., b]``, are then ``(B,)`` vectors, so a stack may mix variants.
-    ``conductance`` is ``(N,)`` for a run and ``(B, N)`` for a stack.
+    nu K`` (``core``), the boundary row and the rank-one feedback row; only
+    ``delta C'(y)`` changes with the state.  ``core`` is held in
+    :class:`fem.TridiagMatrix`'s band layout, padded once per run: its
+    lower and upper rows (``off``, both the same) carry +0.0 in the last
+    column of every member, so :func:`jacobian` adds it to ``delta C'(y)``
+    band for band in one add over whole rows.  ``mass`` is the mass matrix,
+    one copy per member for a stack, whose padded rows let :func:`newton_solve`
+    form ``M Y_prev / k`` by flat products.  ``weight`` is the ``1/k -
+    alpha`` that :func:`residual` integrates with the cubic term, and
+    ``conductance`` the ``nu / h_e`` of every element, which turns the
+    elements' nodal differences into the fluxes of ``nu K y``.  ``scale``
+    multiplies the boundary row's interior terms: ``eps/nu`` for the
+    penalized problem and 0 for the Dirichlet feedback problem.  ``gain`` is
+    the ``r`` of the boundary row's feedback condition ``y(1) + r (w . y)``.
+    ``rank_one`` is ``None`` when every gain is 0 or the control is lagged.
+    Built from a :class:`ParamStack`, every field has one row per member,
+    and ``take`` keeps the band layout; ``scale`` and ``gain``, which act on
+    the boundary entries ``[..., b]``, are then ``(B,)`` vectors, so a stack
+    may mix variants.  ``conductance`` is ``(N,)`` for a run and ``(B, N)``
+    for a stack.
     """
 
     weight: np.ndarray | float
     conductance: np.ndarray
-    diag: np.ndarray
-    off: np.ndarray
+    core: TridiagMatrix
+    mass: TridiagMatrix
     scale: np.ndarray | float
     gain: np.ndarray | float
     rank_one: RankOneUpdate | None
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.core.diag
+
+    @property
+    def off(self) -> np.ndarray:
+        """The off-diagonal, padded: ``(N,)``, or ``(B, N)`` for a stack."""
+        return self.core.band[0]
 
     @cached_property
     def gains(self) -> list[float]:
@@ -336,17 +359,21 @@ class LinearPart:
            implicit_control: bool = True, hard_constraint: bool = False) -> "LinearPart":
         """The linear part of ``params``; ``hard_constraint`` selects Dirichlet feedback."""
         weight = 1.0 / k - params.alpha
-        diag = weight * system.mass.diag + params.nu * system.stiffness.diag
-        off = weight * system.mass.lower + params.nu * system.stiffness.lower
+        mass, stiffness = system.mass, system.stiffness
+        if isinstance(params, ParamStack):  # (B, 1) columns against (3, 1, N) bands
+            core = weight * mass.band[:, None] + params.nu * stiffness.band[:, None]
+            mass = mass.repeat(params.nu.shape[0])
+        else:
+            core = weight * mass.band + params.nu * stiffness.band
         # 0.0 * epsilon: a stack gets one zero per member
         scale = 0.0 * params.epsilon if hard_constraint else params.epsilon / params.nu
         rank_one = None
         if implicit_control and np.count_nonzero(params.r):
-            u = np.zeros(diag.shape)
+            u = np.zeros(core.shape[1:])
             u[..., system.boundary_dof] = 1.0
             rank_one = RankOneUpdate(u=u, v=params.r * system.moment)
         return cls(weight=weight, conductance=params.nu / system.mesh.element_sizes,
-                   diag=diag, off=off, scale=_boundary_scale(scale),
+                   core=TridiagMatrix.from_band(core), mass=mass, scale=_boundary_scale(scale),
                    gain=_boundary_scale(params.r), rank_one=rank_one)
 
     def take(self, index: np.ndarray) -> "LinearPart":
@@ -355,7 +382,8 @@ class LinearPart:
         if rank_one is not None:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
         return LinearPart(weight=self.weight[index], conductance=self.conductance[index],
-                          diag=self.diag[index], off=self.off[index],
+                          core=TridiagMatrix.from_band(self.core.band[:, index]),
+                          mass=TridiagMatrix.from_band(self.mass.band[:, index]),
                           scale=self.scale[index], gain=self.gain[index], rank_one=rank_one)
 
 
@@ -382,18 +410,19 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     """
     if linear is None:
         linear = LinearPart.of(params, system, k, implicit_control)
-    # the bands of delta C'(y) are this call's own, so the core is built in them
-    jc = cubic_jacobian(system.mesh, y, gauss=gauss)
-    diag, off = jc.diag, jc.lower
-    diag *= params.delta
-    diag += linear.diag
-    off *= params.delta
-    off += linear.off
+    # the band of delta C'(y) is this call's own, so the core is built in it;
+    # its padding stays +0.0, as 0 * delta + 0.0 is +0.0 for any finite delta
+    core = cubic_jacobian(system.mesh, y, gauss=gauss)
+    band, linear_band = core.band, linear.core.band
+    if linear_band.ndim < band.ndim:  # one run's linear part shared by a stack
+        linear_band = linear_band[:, None]
+    band *= params.delta
+    band += linear_band
     b = system.boundary_dof
-    lower = off.copy()  # off[..., b - 1] is also row b - 1's upper entry
-    lower.T[b - 1] *= linear.scale  # .T: see residual
+    lower, diag = band[0], band[1]
+    lower.T[b - 1] *= linear.scale  # .T[b - 1]: a stack's (B,) column; see residual
     diag.T[b] = linear.scale * diag.T[b] + 1.0
-    return TridiagMatrix(diag=diag, lower=lower, upper=off), linear.rank_one
+    return core, linear.rank_one
 
 
 def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
@@ -503,7 +532,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     y = y_prev if start is None else start  # never written: each iterate is a new array
     _check_states(system, y, y_prev)
     p, prev, control = params, y_prev, None if implicit_control else y_prev
-    load = system.mass.matvec(y_prev) / k
+    load = linear.mass.matvec(y_prev) / k
     gauss, f = _evaluate(p, system, y, prev, k, control, linear, load)
     if y.ndim == 1:
         history = [math.sqrt(float(np.vecdot(f, f)))]

@@ -345,6 +345,106 @@ def test_stacked_gauss_kernels_equal_lone_calls_bit_for_bit(n, b):
             assert np.array_equal(getattr(jac, band)[row], getattr(lone_jac, band))
 
 
+def assert_same_bits(a, b):
+    """Equal entries and equal signs of zero (``array_equal`` has -0.0 == +0.0)."""
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def signed_zero_stack(n):
+    """Five states whose zeros meet their neighbours' ends: random; all -0.0;
+    positive with -0.0 in every other entry, after the row of -0.0; the
+    pinned baseline's start (boundary value +0.0); and one starting with two
+    -0.0, after that +0.0."""
+    y = RNG.standard_normal((5, n))
+    y[1] = -0.0
+    y[2] = np.abs(y[2])
+    y[2, 1::2] = -0.0
+    y[3, -1] = 0.0
+    y[4, :2] = -0.0
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_stacked_kernels_keep_signed_zeros_of_lone_calls(n):
+    # the flat shifts pair each row's ends with its neighbours; the fix-ups
+    # must leave every entry, signed zeros included, as the row's own call
+    mesh = make_uniform_mesh(n)
+    system = assemble(mesh)
+    y = signed_zero_stack(n)
+    b = y.shape[0]
+    weight, delta = RNG.uniform(1.0, 1e3, (b, 1)), RNG.uniform(0.0, 2.0, (b, 1))
+    conductance = RNG.uniform(0.01, 1.0, (b, 1)) / mesh.element_sizes
+    diffs, gauss = fem.element_values(y)
+    load = fem.reaction_load(mesh, gauss, weight, delta, conductance * diffs)
+    term = cubic_term(mesh, y)
+    jac = cubic_jacobian(mesh, y)
+    masses = system.mass.repeat(b)
+    for padding in (jac.band[0::2, :, -1], masses.band[0::2, :, -1]):
+        assert_same_bits(padding, np.zeros((2, b)))  # +0.0, the couplings of the stack
+    for matrix in (masses, system.mass):  # a stack, and one matrix broadcast
+        products = matrix.matvec(y)
+        for row in range(b):
+            assert_same_bits(products[row], system.mass.matvec(y[row]))
+    for row in range(b):
+        diffs_row, gauss_row = fem.element_values(y[row])
+        assert_same_bits(diffs[row], diffs_row)
+        assert_same_bits(gauss[:, row], gauss_row)
+        lone = fem.reaction_load(mesh, gauss_row, weight[row, 0], delta[row, 0],
+                                 conductance[row] * diffs_row)
+        assert_same_bits(load[row], lone)
+        assert_same_bits(term[row], cubic_term(mesh, y[row]))
+        lone_jac = cubic_jacobian(mesh, y[row])
+        for band in ("diag", "lower", "upper"):
+            assert_same_bits(getattr(jac, band)[row], getattr(lone_jac, band))
+
+
+def layouts(stack):
+    """The same stack as a Fortran-ordered copy and as a strided view."""
+    spaced = np.empty((2 * stack.shape[0],) + stack.shape[1:])
+    spaced[::2] = stack
+    return {"fortran": np.asfortranarray(stack), "strided": spaced[::2]}
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_stacked_kernels_accept_non_contiguous_stacks(layout):
+    n, b = 9, 4
+    mesh = make_uniform_mesh(n)
+    system = assemble(mesh)
+    y = RNG.standard_normal((b, n))
+    weight, delta = RNG.uniform(1.0, 1e3, (b, 1)), RNG.uniform(0.0, 2.0, (b, 1))
+    conductance = RNG.uniform(0.01, 1.0, (b, 1)) / mesh.element_sizes
+    x = layouts(y)[layout]
+    assert not x.flags.c_contiguous
+    diffs, gauss = fem.element_values(x)
+    load = fem.reaction_load(mesh, gauss, weight, delta, conductance * diffs)
+    jac = cubic_jacobian(mesh, x)
+    products = system.mass.repeat(b).matvec(x)
+    core = TridiagMatrix(diag=3.0 + RNG.random((b, n)), lower=RNG.uniform(-1, 1, (b, n - 1)),
+                         upper=RNG.uniform(-1, 1, (b, n - 1)))
+    solution = core.solve(x)
+    for row in range(b):
+        diffs_row, gauss_row = fem.element_values(y[row])
+        assert np.array_equal(diffs[row], diffs_row)
+        assert np.array_equal(gauss[:, row], gauss_row)
+        lone = fem.reaction_load(mesh, gauss_row, weight[row, 0], delta[row, 0],
+                                 conductance[row] * diffs_row)
+        assert np.array_equal(load[row], lone)
+        lone_jac = cubic_jacobian(mesh, y[row])
+        for band in ("diag", "lower", "upper"):
+            assert np.array_equal(getattr(jac, band)[row], getattr(lone_jac, band))
+        assert np.array_equal(products[row], system.mass.matvec(y[row]))
+        lone_core = TridiagMatrix(diag=core.diag[row], lower=core.lower[row],
+                                  upper=core.upper[row])
+        assert np.array_equal(solution[row], lone_core.solve(y[row]))
+
+
+def test_stacked_matvec_rejects_a_stack_of_another_size():
+    masses = assemble(make_uniform_mesh(6)).mass.repeat(3)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        masses.matvec(np.ones((2, 6)))
+
+
 # ---------------------------------------------------------------------------
 # norms
 

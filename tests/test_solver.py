@@ -19,12 +19,15 @@ from penalty_stab import (
     SingularCoreError,
     SingularUpdateError,
     TimeGrid,
+    R_MAX_DIRICHLET,
     TridiagMatrix,
     assemble,
     cubic_jacobian,
+    energy_monitor,
     jacobian,
     make_partition,
     make_uniform_mesh,
+    max_decay_rate,
     newton_solve,
     norms,
     project_initial,
@@ -821,6 +824,65 @@ def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, se
         assert np.array_equal(level.states[0], state)
         assert control == level.reports[0].control_value
     assert (traj.failed_at is None) == (settings == {})
+
+
+PROFILES = (sin_pi, lambda x: np.asarray(x, dtype=float), lambda x: 4.0 * x * (1.0 - x),
+            lambda x: np.sin(3.0 * np.pi * np.asarray(x)) + x ** 2)
+
+
+@st.composite
+def admissible_members(draw, hard_constraint):
+    """Parameters inside the stabilization conditions of their variant.
+
+    Penalized: ``r^2 < 3 eps`` and ``alpha/nu`` strictly below the ratio
+    bound, so :func:`max_decay_rate` is positive.  Dirichlet feedback:
+    ``r`` below ``R_MAX_DIRICHLET`` and ``alpha/nu`` within
+    :func:`dirichlet_rate_bounds`' ratio bound.
+    """
+    nu = draw(st.floats(1e-2, 1.0))
+    epsilon = draw(st.floats(1e-4, 1.0))
+    fraction = st.floats(0.01, 0.95)
+    if hard_constraint:
+        r = R_MAX_DIRICHLET * draw(fraction)
+        ratio_bound = (6.0 - r * r) / (r + 3.0)
+    else:
+        r = math.sqrt(3.0 * epsilon) * draw(fraction)
+        ratio_bound = 2.0 * (3.0 * epsilon - r * r) / (3.0 * epsilon)
+    return ModelParams(nu=nu, alpha=nu * ratio_bound * draw(fraction),
+                       delta=draw(st.floats(1e-2, 10.0)), r=r, epsilon=epsilon)
+
+
+@st.composite
+def admissible_stacks(draw):
+    """One variant, 1 to 6 admissible members, a small mesh, a short grid and a start."""
+    hard_constraint = draw(st.booleans())
+    members = draw(st.lists(admissible_members(hard_constraint), min_size=1, max_size=6))
+    grid = TimeGrid(k=draw(st.sampled_from([1 / 50, 1 / 200, 1 / 800])),
+                    n_steps=draw(st.integers(1, 4)))
+    amplitude = draw(st.floats(0.1, 3.0))
+    profile = draw(st.sampled_from(PROFILES))
+    return (members, hard_constraint, make_uniform_mesh(draw(st.sampled_from([2, 3, 5, 16]))),
+            grid, lambda x: amplitude * profile(x))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(admissible_stacks())
+def test_whole_stacks_equal_lone_runs_and_decay_property(case):
+    # every member of a stepped stack is its lone run, bit for bit; the
+    # penalized ones also keep the certified energy bound from level 0
+    members, hard_constraint, mesh, grid, y0 = case
+    variant = "dirichlet_feedback" if hard_constraint else "penalized_feedback"
+    levels = list(step_ensemble(members, assemble(mesh), project_initial(mesh, y0), grid,
+                                hard_constraint=hard_constraint))
+    for i, params in enumerate(members):
+        traj = simulate(params, mesh, y0, grid, variant)
+        assert traj.failed_at is None
+        assert [level.reports[i] for level in levels] == traj.step_reports
+        for level, state, control in zip(levels, traj.states, traj.controls, strict=True):
+            assert np.array_equal(level.states[i], state)
+            assert control == level.reports[i].control_value
+        if not hard_constraint:
+            assert energy_monitor(traj, max_decay_rate(params)).passed
 
 
 def test_simulate_decay_is_monotone():
