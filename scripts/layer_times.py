@@ -6,8 +6,9 @@ Usage (from the repository root)::
 
 Every layer is timed at N=128 elements, where per-call overhead dominates,
 and at N=2048, where array size dominates; once for a lone run (B=1, a 1-D
-state and one ``ModelParams``, as a single simulation steps) and once for a
-stack of B=10 runs (a ``ParamStack`` and ``(10, N)`` states).  The runs use
+state and the ``LinearPart`` of one ``ModelParams``, as a single simulation
+steps) and once for a stack of B=10 runs (the ``LinearPart`` of ten
+``ModelParams`` and ``(10, N)`` states).  The runs use
 the shipped configs' coefficients (nu=0.1, alpha=0.13, delta=0.13, k=1/1050,
 ``y0`` the L2 projection of ``sin(pi x)``): the lone run has eps=0.01, the
 stack the epsilon study's eps=1 ... 1e-9, each with gain ``sqrt(eps)``.
@@ -25,9 +26,7 @@ batch of calls divided by the batch size, in microseconds per call:
 ``matvec``            the mass matrix times the previous level, as a Newton
                       step forms its load ``M y_prev / k``: the run's
                       ``LinearPart.mass``, which is ``system.mass`` for a
-                      lone run and a stack of its copies for B=10 (a
-                      checkout whose linear part has no ``mass`` multiplies
-                      by ``system.mass`` at both sizes, as its steps did);
+                      lone run and a stack of its copies for B=10;
 ``jacobian``          ``solver.jacobian`` with the run's ``LinearPart`` and
                       the Gauss values;
 ``solve_structured``  ``solver.solve_structured`` on that Jacobian and
@@ -46,7 +45,10 @@ batch of calls divided by the batch size, in microseconds per call:
                       per level from the extrapolated start;
 ``time step median``  the same, the median over the K repeats.
 
-Point ``PYTHONPATH`` at another checkout's ``src`` to time that one.
+Point ``PYTHONPATH`` at another checkout's ``src`` to time that one.  The
+script calls the kernels as ``residual(linear, system, ...)``, with the run's
+``LinearPart`` first; a checkout whose kernels take ``params`` and ``k``
+instead is timed with that checkout's own copy of this script.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from penalty_stab.fem import project_initial
 from penalty_stab.params import ModelParams
 from penalty_stab.solver import (
     LinearPart,
-    ParamStack,
     TimeGrid,
     jacobian,
     newton_solve,
@@ -108,23 +109,19 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
     mesh = make_uniform_mesh(n)
     system = assemble(mesh)
     runs = members(n_runs)
-    params = runs[0] if n_runs == 1 else ParamStack.of(runs)
+    linear = LinearPart.of(runs[0] if n_runs == 1 else runs, system, K)
     y0 = project_initial(mesh, lambda x: np.sin(np.pi * x))
     y_prev = y0 if n_runs == 1 else np.repeat(y0[None], n_runs, axis=0)
     y = 0.999 * y_prev
-    linear = LinearPart.of(params, system, K)
-    mass = getattr(linear, "mass", system.mass)
     diffs, gauss = element_values(y)
-    pieces = {"linear": linear, "prev_load": system.mass.matvec(y_prev) / K,
-              "gauss": gauss, "diffs": diffs}
-    f = residual(params, system, y, y_prev, K, **pieces)
-    core, rank_one = jacobian(params, system, y, K, linear=linear, gauss=pieces["gauss"])
+    pieces = {"prev_load": linear.mass.matvec(y_prev) / K, "gauss": gauss, "diffs": diffs}
+    f = residual(linear, system, y, y_prev, **pieces)
+    core, rank_one = jacobian(linear, system, y, gauss=gauss)
     batch = max(1, 20000 // (n * n_runs))  # about 0.1 ms of numpy work per batch
 
     def newton(max_iter: int) -> float:
-        return best(lambda: newton_solve(params, system, y_prev, K, tol=1e-300,
-                                         max_iter=max_iter, linear=linear, start=y),
-                    batch, repeats)
+        return best(lambda: newton_solve(linear, system, y_prev, tol=1e-300, max_iter=max_iter,
+                                         start=y), batch, repeats)
 
     grid = TimeGrid(k=K, n_steps=N_STEPS)
 
@@ -140,12 +137,11 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
         step_times = repeat_times(steps, 1, repeats)
         return {
             "assemble": best(lambda: assemble(mesh), batch, repeats) if n_runs == 1 else None,
-            "residual": best(lambda: residual(params, system, y, y_prev, K, **pieces),
+            "residual": best(lambda: residual(linear, system, y, y_prev, **pieces),
                              batch, repeats),
             "cubic_term": best(lambda: cubic_term(mesh, y), batch, repeats),
-            "matvec": best(lambda: mass.matvec(y_prev), batch, repeats),
-            "jacobian": best(lambda: jacobian(params, system, y, K, linear=linear,
-                                              gauss=pieces["gauss"]), batch, repeats),
+            "matvec": best(lambda: linear.mass.matvec(y_prev), batch, repeats),
+            "jacobian": best(lambda: jacobian(linear, system, y, gauss=gauss), batch, repeats),
             "solve_structured": best(lambda: solve_structured(core, rank_one, f),
                                      batch, repeats),
             "norms": best(lambda: norms(system, y), batch, repeats) if n_runs == 1 else None,

@@ -56,7 +56,6 @@ from .params import (
 from .solver import (
     EnsembleLevel,
     LinearPart,
-    ParamStack,
     RankOneUpdate,
     StateTrajectory,
     StepReport,

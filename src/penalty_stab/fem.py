@@ -45,12 +45,14 @@ def _load_dgtsv() -> Callable:
     subpackages, while this package needs one routine from one compiled
     extension.  The extension is found through the spec of ``scipy``, which
     locates the package without executing it, and loaded under its real
-    name, so a later ``import scipy.linalg`` reuses this very module and its
-    ``lapack.dgtsv`` is the function returned here (only the attribute
-    ``scipy.linalg._flapack`` stays unset; ``from scipy.linalg import
-    _flapack`` finds the module).  Where the extension cannot be found or
-    loaded, the ordinary import is used; either way it is the same wrapper of
-    the same compiled routine.
+    name.  The loader registers it in ``sys.modules``, and the entry is
+    taken out again: a later ``import scipy.linalg`` then imports the
+    extension itself and sets the attribute ``scipy.linalg._flapack``, and
+    as the extension is initialized once per process and a second import
+    copies the first one's namespace, its ``lapack.dgtsv`` is the function
+    returned here.  A module that scipy has already imported is reused.
+    Where the extension cannot be found or loaded, the ordinary import is
+    used; either way it is the same wrapper of the same compiled routine.
     """
     try:
         module = sys.modules.get(_FLAPACK)
@@ -63,7 +65,7 @@ def _load_dgtsv() -> Callable:
             module = importlib.util.module_from_spec(
                 importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
             loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
+            sys.modules.pop(_FLAPACK, None)
         return module.dgtsv
     except (AttributeError, StopIteration, ImportError):  # no scipy, no file, load failed
         from scipy.linalg.lapack import dgtsv
@@ -197,10 +199,15 @@ class TridiagMatrix:
         the stack's leading axis in front for a stack of matrices.  One
         matrix passes its three diagonals.  A stack passes the flat rows of
         its band as they are, so it is solved as one block-diagonal band
-        whose couplings between blocks are the padding, exactly zero; the
-        elimination does no work across them, so every block's solution
-        equals its own solve bit for bit, as long as every band and
-        right-hand side is finite.  A NaN or inf in one block
+        whose couplings between blocks are the padding, exactly zero, so
+        every block's solution equals its own solve in value, as long as
+        every band and right-hand side is finite.  An exact zero may carry
+        the other sign: the elimination and the back substitution still run
+        across the couplings, and a zero product added to a ``-0.0`` can
+        make it ``+0.0``, in either neighbouring block.  For example,
+        ``b(i+1) - (dl(i)/d(i)) b(i)`` does so for a ``-0.0`` in a block's
+        first row when ``d(i)`` and ``b(i)``, the last row of the block
+        above, have opposite signs.  A NaN or inf in one block
         reaches the others: ``dgtsv``'s pivot test ``|d(i)| >= |dl(i)|`` is
         false for NaN, so it interchanges rows, and back substitution
         multiplies the zero couplings by NaN, which hits the blocks before

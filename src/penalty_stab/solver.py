@@ -47,19 +47,28 @@ a predictor whose error is ``O(k^2)``, so one update usually converges.  It
 stops on the Euclidean residual norm.  The boundary row carries no ``nu/eps``
 amplification, so its round-off does not grow as eps shrinks.
 
+A run is one object, its :class:`LinearPart`, built by
+``LinearPart.of(params, system, k, implicit_control, hard_constraint)``
+from one :class:`ModelParams` or a sequence of them (a stack).  The Newton
+kernels take it first and read everything else of the run from it: the time
+step ``k``, ``delta``, whether the control is implicit, and the boundary
+row's scale, which is the variant.  So :func:`residual`, :func:`jacobian`
+and :func:`newton_solve` take ``(linear, system, ...)`` and nothing that
+could name a second run.
+
 Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
 does not depend on the iterate is built as rarely as it can be:
 
-* once per run, a :class:`LinearPart` (once per stack of runs, restricted
+* once per run, the :class:`LinearPart` (once per stack of runs, restricted
   with ``take`` when members leave): ``(1/k - alpha) M + nu K`` as a padded
   band, the mass matrix (one copy per member of a stack), the element
   conductances ``nu/h_e`` of the fluxes, the boundary row's scale
   and gain, the rank-one feedback row with its right-hand-side
   buffer (:attr:`RankOneUpdate.pair`), and the gains as floats for the
   controls;
-* once per step, in :func:`newton_solve`: the checks of ``y_prev`` and the
-  start, ``M Y_prev / k``, and at the end the controls, from one ``w . Y``
-  per run in Python floats;
+* once per step, in :func:`newton_solve`: the checks of ``y_prev``, the
+  start and the stack's members, ``M Y_prev / k``, and at the end the
+  controls, from one ``w . Y`` per run in Python floats;
 * per iteration: the nodal differences and Gauss values of the iterate, its
   residual and stopping norm, and ``delta C'(Y)``, to whose own bands the
   linear part is added in the same order of operations as a from-scratch
@@ -82,7 +91,9 @@ scales the boundary row's lower entries as one ``(B,)`` column, and the
 solve takes the flat rows without copying or padding them.  The
 Sherman-Morrison correction is applied per member, each member leaves the
 iteration at its own convergence and extrapolates from its own levels, so
-every run equals its separate run bit for bit.  A member whose
+every run equals its separate run in value; an exact zero may carry the
+other sign, as the stacked elimination can turn a block's ``-0.0`` into
+``+0.0`` (see :meth:`fem.TridiagMatrix.solve`).  A member whose
 residual is not finite leaves too, before the next solve: a NaN or inf in one
 block of the stacked band would reach the others.  Both shapes
 share the Newton update; :func:`newton_solve` picks its bookkeeping by the
@@ -95,7 +106,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -221,44 +232,27 @@ class RankOneUpdate:
         return pair
 
 
-@dataclass(frozen=True, eq=False)
-class ParamStack:
-    """Coefficients of B runs, each a ``(B, 1)`` column.
+def _members_error(linear: LinearPart, y: np.ndarray) -> MeshError:
+    """The error for states ``y`` whose shape is not ``linear.conductance.shape``.
 
-    The columns broadcast against ``(B, N)`` state stacks, so the scheme's
-    formulas read the same for a stack as for one :class:`ModelParams` and
-    one state.
+    ``conductance`` has the shape of the run's states: a stack of states
+    has one row per member of its linear part, and a lone state is 1-D.
     """
-
-    nu: np.ndarray
-    alpha: np.ndarray
-    delta: np.ndarray
-    r: np.ndarray
-    epsilon: np.ndarray
-
-    @classmethod
-    def of(cls, members: Sequence[ModelParams]) -> "ParamStack":
-        return cls(**{f.name: np.array([[getattr(p, f.name)] for p in members])
-                      for f in fields(cls)})
-
-    def take(self, index: np.ndarray) -> "ParamStack":
-        return ParamStack(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+    members = linear.conductance.shape[:-1]
+    return MeshError(f"states of shape {y.shape} do not match a linear part of "
+                     + (f"{members[0]} members" if members else "one run"))
 
 
-def _boundary_scale(column: np.ndarray | float) -> np.ndarray | float:
-    """A ``(B, 1)`` parameter column as a ``(B,)`` vector; a float stays one."""
-    return column.reshape(-1) if isinstance(column, np.ndarray) else column
-
-
-def _check_states(system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray) -> None:
+def _check_states(linear: LinearPart, system: AssembledSystem, y: np.ndarray,
+                  y_prev: np.ndarray) -> None:
     if y.shape[-1:] != system.moment.shape or y_prev.shape != y.shape:
         raise MeshError("state vectors do not match the assembled system")
+    if y.shape != linear.conductance.shape:
+        raise _members_error(linear, y)
 
 
-def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-             y_prev: np.ndarray, k: float,
-             control_state: np.ndarray | None = None, *, linear: LinearPart | None = None,
-             prev_load: np.ndarray | None = None, gauss: np.ndarray | None = None,
+def residual(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray,
+             *, prev_load: np.ndarray | None = None, gauss: np.ndarray | None = None,
              diffs: np.ndarray | None = None) -> np.ndarray:
     """Residual of one backward Euler step of the boundary feedback scheme.
 
@@ -270,34 +264,29 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     round-off floor is the same as with the tridiagonal product ``nu K y``
     (``scripts/newton_floor.py``).  The boundary row is the interior
     formula times ``linear.scale`` plus the feedback condition ``y(1) + r
-    (w . y)``: the penalized row times ``eps/nu``, and at scale 0 the
-    Dirichlet feedback row.  ``control_state`` selects the state the
-    feedback functional acts on; the default (``None``) is the implicit
-    choice ``y`` itself.  With a :class:`ParamStack` the states are ``(B, N)``
-    stacks and each row gets its own residual.
+    (w . y_c)``: the penalized row times ``eps/nu``, and at scale 0 the
+    Dirichlet feedback row.  The feedback functional acts on ``y_c = y``
+    when ``linear.implicit``, else on the lagged ``y_prev``.
 
-    The keywords carry pieces a Newton step computes once: ``linear``, the
-    :class:`LinearPart` of ``params`` at the same ``k``, which also selects
-    the variant (penalized when not given); ``prev_load``, the previous
-    level's load ``M y_prev / k``; and ``diffs`` and ``gauss``, the two
-    arrays of ``fem.element_values(y)``.  Each one not given is built here,
-    with the same bits.
+    ``linear`` is the run's :class:`LinearPart`, which carries everything
+    of the run: ``k``, ``delta``, the control and the variant.  A linear
+    part of B members takes ``(B, N)`` stacks of states, and each row gets
+    its own residual.  The keywords carry pieces a Newton step computes
+    once: ``prev_load``, the previous level's load ``M y_prev / k``; and
+    ``diffs`` and ``gauss``, the two arrays of ``fem.element_values(y)``.
+    Each one not given is built here, with the same bits.
     """
-    _check_states(system, y, y_prev)
-    if k <= 0.0:
-        raise ParameterDomainError(f"time step must be positive, got {k!r}")
-    if linear is None:
-        linear = LinearPart.of(params, system, k, implicit_control=False)
+    _check_states(linear, system, y, y_prev)
     if prev_load is None:
-        prev_load = system.mass.matvec(y_prev) / k
+        prev_load = linear.mass.matvec(y_prev) / linear.k
     if diffs is None or gauss is None:
         values = element_values(y)
         diffs = values[0] if diffs is None else diffs
         gauss = values[1] if gauss is None else gauss
-    f = reaction_load(system.mesh, gauss, linear.weight, params.delta,
+    f = reaction_load(system.mesh, gauss, linear.weight, linear.delta,
                       linear.conductance * diffs)
     f -= prev_load
-    yc = y if control_state is None else control_state
+    yc = y if linear.implicit else y_prev
     b = system.boundary_dof
     # .T[b] is column b of a stack and entry b of a lone state, a numpy
     # scalar, whose arithmetic costs a tenth of that of the 0-d view [..., b]
@@ -307,31 +296,39 @@ def residual(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
 
 @dataclass(frozen=True, eq=False)
 class LinearPart:
-    """State-independent part of the Newton matrix of :func:`residual`.
+    """One run, or a stack of runs, as the Newton kernels see it.
 
-    Every Newton matrix of a run shares the tridiagonal ``(1/k - alpha) M +
-    nu K`` (``core``), the boundary row and the rank-one feedback row; only
-    ``delta C'(y)`` changes with the state.  ``core`` is held in
-    :class:`fem.TridiagMatrix`'s band layout, padded once per run: its
-    lower and upper rows (``off``, both the same) carry +0.0 in the last
-    column of every member, so :func:`jacobian` adds it to ``delta C'(y)``
-    band for band in one add over whole rows.  ``mass`` is the mass matrix,
-    one copy per member for a stack, whose padded rows let :func:`newton_solve`
-    form ``M Y_prev / k`` by flat products.  ``weight`` is the ``1/k -
-    alpha`` that :func:`residual` integrates with the cubic term, and
-    ``conductance`` the ``nu / h_e`` of every element, which turns the
-    elements' nodal differences into the fluxes of ``nu K y``.  ``scale``
-    multiplies the boundary row's interior terms: ``eps/nu`` for the
-    penalized problem and 0 for the Dirichlet feedback problem.  ``gain`` is
-    the ``r`` of the boundary row's feedback condition ``y(1) + r (w . y)``.
-    ``rank_one`` is ``None`` when every gain is 0 or the control is lagged.
-    Built from a :class:`ParamStack`, every field has one row per member,
-    and ``take`` keeps the band layout; ``scale`` and ``gain``, which act on
-    the boundary entries ``[..., b]``, are then ``(B,)`` vectors, so a stack
-    may mix variants.  ``conductance`` is ``(N,)`` for a run and ``(B, N)``
-    for a stack.
+    ``k``, ``delta`` and ``implicit`` (whether the feedback acts on the new
+    state or on the previous level) are the run's settings that are not
+    matrices.  The rest is the state-independent part of the Newton matrix
+    of :func:`residual`.  Every Newton matrix of a run shares the
+    tridiagonal ``(1/k - alpha) M + nu K`` (``core``), the boundary row and
+    the rank-one feedback row; only ``delta C'(y)`` changes with the state.
+    ``core`` is held in :class:`fem.TridiagMatrix`'s band layout, padded
+    once per run: its lower and upper rows (``off``, both the same) carry
+    +0.0 in the last column of every member, so :func:`jacobian` adds it to
+    ``delta C'(y)`` band for band in one add over whole rows.  ``mass`` is
+    the mass matrix, one copy per member for a stack, whose padded rows let
+    :func:`newton_solve` form ``M Y_prev / k`` by flat products.
+    ``weight`` is the ``1/k - alpha`` that :func:`residual` integrates with
+    the cubic term, and ``conductance`` the ``nu / h_e`` of every element,
+    which turns the elements' nodal differences into the fluxes of ``nu K
+    y``.  ``scale`` multiplies the boundary row's interior terms: ``eps/nu``
+    for the penalized problem and 0 for the Dirichlet feedback problem.
+    ``gain`` is the ``r`` of the boundary row's feedback condition ``y(1) +
+    r (w . y)``.  ``rank_one`` is ``None`` when every gain is 0 or the
+    control is lagged.  Built from a sequence of :class:`ModelParams`,
+    ``delta`` and ``weight`` are ``(B, 1)`` columns, which broadcast against
+    ``(B, N)`` state stacks, every other array field has one row per
+    member, and ``take`` keeps the band layout; ``scale`` and ``gain``,
+    which act on the boundary entries ``[..., b]``, are then ``(B,)``
+    vectors, so a stack may mix variants.  ``conductance`` is ``(N,)`` for
+    a run and ``(B, N)`` for a stack.
     """
 
+    k: float
+    delta: np.ndarray | float
+    implicit: bool
     weight: np.ndarray | float
     conductance: np.ndarray
     core: TridiagMatrix
@@ -355,42 +352,53 @@ class LinearPart:
         return np.ravel(self.gain).tolist()
 
     @classmethod
-    def of(cls, params: ModelParams | ParamStack, system: AssembledSystem, k: float,
+    def of(cls, params: ModelParams | Sequence[ModelParams], system: AssembledSystem, k: float,
            implicit_control: bool = True, hard_constraint: bool = False) -> "LinearPart":
-        """The linear part of ``params``; ``hard_constraint`` selects Dirichlet feedback."""
-        weight = 1.0 / k - params.alpha
+        """The linear part of one run, or of a stack from a sequence of parameters.
+
+        ``hard_constraint`` selects Dirichlet feedback, and
+        ``implicit_control=False`` the lagged control.
+        """
+        if k <= 0.0:
+            raise ParameterDomainError(f"time step must be positive, got {k!r}")
+        stacked = not isinstance(params, ModelParams)
+        nu, alpha, delta, r, epsilon = (
+            np.array([[getattr(p, name)] for p in params]) if stacked else getattr(params, name)
+            for name in ("nu", "alpha", "delta", "r", "epsilon"))
+        weight = 1.0 / k - alpha
         mass, stiffness = system.mass, system.stiffness
-        if isinstance(params, ParamStack):  # (B, 1) columns against (3, 1, N) bands
-            core = weight * mass.band[:, None] + params.nu * stiffness.band[:, None]
-            mass = mass.repeat(params.nu.shape[0])
+        if stacked:  # (B, 1) columns against (3, 1, N) bands
+            core = weight * mass.band[:, None] + nu * stiffness.band[:, None]
+            mass = mass.repeat(len(params))
         else:
-            core = weight * mass.band + params.nu * stiffness.band
+            core = weight * mass.band + nu * stiffness.band
         # 0.0 * epsilon: a stack gets one zero per member
-        scale = 0.0 * params.epsilon if hard_constraint else params.epsilon / params.nu
+        scale = 0.0 * epsilon if hard_constraint else epsilon / nu
         rank_one = None
-        if implicit_control and np.count_nonzero(params.r):
+        if implicit_control and np.count_nonzero(r):
             u = np.zeros(core.shape[1:])
             u[..., system.boundary_dof] = 1.0
-            rank_one = RankOneUpdate(u=u, v=params.r * system.moment)
-        return cls(weight=weight, conductance=params.nu / system.mesh.element_sizes,
-                   core=TridiagMatrix.from_band(core), mass=mass, scale=_boundary_scale(scale),
-                   gain=_boundary_scale(params.r), rank_one=rank_one)
+            rank_one = RankOneUpdate(u=u, v=r * system.moment)
+        return cls(k=k, delta=delta, implicit=implicit_control, weight=weight,
+                   conductance=nu / system.mesh.element_sizes,
+                   core=TridiagMatrix.from_band(core), mass=mass,
+                   scale=np.ravel(scale) if stacked else scale,
+                   gain=np.ravel(r) if stacked else r, rank_one=rank_one)
 
     def take(self, index: np.ndarray) -> "LinearPart":
         """The linear part of the members ``index`` of a stack."""
         rank_one = self.rank_one
         if rank_one is not None:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
-        return LinearPart(weight=self.weight[index], conductance=self.conductance[index],
-                          core=TridiagMatrix.from_band(self.core.band[:, index]),
-                          mass=TridiagMatrix.from_band(self.mass.band[:, index]),
-                          scale=self.scale[index], gain=self.gain[index], rank_one=rank_one)
+        return replace(self, delta=self.delta[index], weight=self.weight[index],
+                       conductance=self.conductance[index],
+                       core=TridiagMatrix.from_band(self.core.band[:, index]),
+                       mass=TridiagMatrix.from_band(self.mass.band[:, index]),
+                       scale=self.scale[index], gain=self.gain[index], rank_one=rank_one)
 
 
-def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-             k: float, implicit_control: bool = True,
-             *, linear: LinearPart | None = None, gauss: np.ndarray | None = None
-             ) -> tuple[TridiagMatrix, RankOneUpdate | None]:
+def jacobian(linear: LinearPart, system: AssembledSystem, y: np.ndarray,
+             *, gauss: np.ndarray | None = None) -> tuple[TridiagMatrix, RankOneUpdate | None]:
     """Newton matrix of :func:`residual`, split into tridiagonal + rank-one.
 
     The tridiagonal core is ``M/k + nu K - alpha M + delta C'(y)`` with its
@@ -398,26 +406,22 @@ def jacobian(params: ModelParams | ParamStack, system: AssembledSystem, y: np.nd
     and 1 added to the boundary diagonal; the upper entry of the row above
     is not scaled, so the core is not symmetric.  The implicit feedback
     contributes the dense boundary row ``r e_b w^T``, returned separately
-    (``None`` when every gain is 0 or the control is lagged).  A ``(B, N)``
-    stack of states gives stacks of both parts.
+    (``None`` when every gain is 0 or the control is lagged).  A linear
+    part of B members takes a ``(B, N)`` stack of states and gives stacks
+    of both parts.
 
-    ``linear`` is the run's :class:`LinearPart`, built from the same
-    ``params``, ``k`` and ``implicit_control``, which also selects the
-    variant; without it the call builds the penalized one.  Only ``delta
-    C'(y)`` is computed here, and the returned rank-one part is the linear
-    part's own.  ``gauss`` is ``fem.gauss_values(y)`` when the caller has it
-    already.
+    ``linear`` is the run's :class:`LinearPart`.  Only ``delta C'(y)`` is
+    computed here, and the returned rank-one part is the linear part's own.
+    ``gauss`` is ``fem.gauss_values(y)`` when the caller has it already.
     """
-    if linear is None:
-        linear = LinearPart.of(params, system, k, implicit_control)
+    if y.shape != linear.conductance.shape:
+        raise _members_error(linear, y)
     # the band of delta C'(y) is this call's own, so the core is built in it;
     # its padding stays +0.0, as 0 * delta + 0.0 is +0.0 for any finite delta
     core = cubic_jacobian(system.mesh, y, gauss=gauss)
-    band, linear_band = core.band, linear.core.band
-    if linear_band.ndim < band.ndim:  # one run's linear part shared by a stack
-        linear_band = linear_band[:, None]
-    band *= params.delta
-    band += linear_band
+    band = core.band
+    band *= linear.delta
+    band += linear.core.band
     b = system.boundary_dof
     lower, diag = band[0], band[1]
     lower.T[b - 1] *= linear.scale  # .T[b - 1]: a stack's (B,) column; see residual
@@ -431,8 +435,9 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
 
     One banded elimination handles both right-hand sides (``rhs`` and ``u``);
     the rank-one part is then removed by the Sherman-Morrison correction.
-    For a stack of systems (``rhs`` of shape ``(B, N)``) all cores go through
-    one stacked elimination and each row gets its own correction.
+    For a stack of systems (``rhs`` of shape ``(B, N)``, one update per
+    row) all cores go through one stacked elimination and each row gets
+    its own correction.
 
     Raises
     ------
@@ -443,11 +448,7 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     """
     if rank_one is None:
         return core.solve(rhs)
-    if rhs.shape == rank_one.u.shape:
-        both = rank_one.pair
-    else:  # one update shared by a stack of right-hand sides
-        both = np.empty(rhs.shape + (2,))
-        both[..., 1] = rank_one.u
+    both = rank_one.pair
     both[..., 0] = rhs
     both = core.solve(both)
     x_rhs, x_u = both[..., 0], both[..., 1]
@@ -464,23 +465,20 @@ def _residual_norms(f: np.ndarray) -> list[float]:
     return np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()
 
 
-def _evaluate(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-              y_prev: np.ndarray, k: float, control: np.ndarray | None, linear: LinearPart,
+def _evaluate(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray,
               load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gauss values of the iterate ``y`` and its residual."""
     diffs, gauss = element_values(y)
-    return gauss, residual(params, system, y, y_prev, k, control, linear=linear,
-                           prev_load=load, gauss=gauss, diffs=diffs)
+    return gauss, residual(linear, system, y, y_prev, prev_load=load, gauss=gauss, diffs=diffs)
 
 
-def _update(params: ModelParams | ParamStack, system: AssembledSystem, y: np.ndarray,
-            y_prev: np.ndarray, k: float, control: np.ndarray | None, linear: LinearPart,
+def _update(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray,
             load: np.ndarray, gauss: np.ndarray, f: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Newton update of ``y``: the new iterate, its Gauss values and its residual."""
-    core, rank_one = jacobian(params, system, y, k, linear=linear, gauss=gauss)
+    core, rank_one = jacobian(linear, system, y, gauss=gauss)
     y = y - solve_structured(core, rank_one, f)
-    return (y,) + _evaluate(params, system, y, y_prev, k, control, linear, load)
+    return (y,) + _evaluate(linear, system, y, y_prev, load)
 
 
 def _report(history: list[float], tol: float, gain: float, moment: float) -> StepReport:
@@ -490,35 +488,32 @@ def _report(history: list[float], tol: float, gain: float, moment: float) -> Ste
                       residual_norms=tuple(history))
 
 
-def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
-                 y_prev: np.ndarray, k: float, tol: float = 1e-12, max_iter: int = 25,
-                 implicit_control: bool = True, *, linear: LinearPart | None = None,
-                 start: np.ndarray | None = None
+def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray,
+                 tol: float = 1e-12, max_iter: int = 25, *, start: np.ndarray | None = None
                  ) -> tuple[np.ndarray, StepReport | tuple[StepReport, ...]]:
     """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
-    The iteration starts from ``start`` (``y_prev`` when not given); the
-    residual's previous level is ``y_prev`` either way.  It stops when the
-    Euclidean norm of the residual drops to ``tol``.  A step that exhausts
-    ``max_iter`` returns its diagnostics with ``converged=False`` instead of
-    raising; so does a step whose residual norm is not finite, which takes no
-    further update (none at all when the start's is not).  Linear-solve
-    failures propagate.  Returns the new state and its
-    :class:`StepReport`.  Neither ``y_prev`` nor ``start`` is written, and
-    the new state is a new array.
+    ``linear`` is the run's :class:`LinearPart`: the time step, the
+    variant and the control are its own.  The iteration starts from
+    ``start`` (``y_prev`` when not given); the residual's previous level is
+    ``y_prev`` either way.  It stops when the Euclidean norm of the residual
+    drops to ``tol``.  A step that exhausts ``max_iter`` returns its
+    diagnostics with ``converged=False`` instead of raising; so does a step
+    whose residual norm is not finite, which takes no further update (none
+    at all when the start's is not).  Linear-solve failures propagate.
+    Returns the new state and its :class:`StepReport`.  Neither ``y_prev``
+    nor ``start`` is written, and the new state is a new array.
 
-    With a ``(B, N)`` stack ``y_prev`` the B steps share each iteration's
-    residual, Jacobian and stacked solve, and the result is the new stack and
-    a tuple of B reports.  ``params`` is then a :class:`ParamStack`, or one
-    :class:`ModelParams` shared by every member.  A member leaves the
-    iteration once it converges, so it takes exactly the iterates of its
-    own step, and a stack of one equals the 1-D step bit for bit.  A member
-    whose residual is not finite leaves before the next solve, so its NaN or
-    inf never enters the stacked band (see :meth:`fem.TridiagMatrix.solve`)
-    and the others step as they would alone.  ``linear``
-    is the :class:`LinearPart` of ``params`` at the same settings, which
-    selects the variant; without it the step is penalized.  A stacked
-    ``start`` has one row per member.
+    With a linear part of B members, ``y_prev`` is a ``(B, N)`` stack, the B
+    steps share each iteration's residual, Jacobian and stacked solve, and
+    the result is the new stack and a tuple of B reports.  States whose
+    leading shape does not match the linear part's members raise
+    :class:`MeshError`.  A member leaves the iteration once it converges,
+    so it takes exactly the iterates of its own step, and a stack of one
+    equals the 1-D step bit for bit.  A member whose residual is not finite
+    leaves before the next solve, so its NaN or inf never enters the
+    stacked band (see :meth:`fem.TridiagMatrix.solve`) and the others step
+    as they would alone.  A stacked ``start`` has one row per member.
 
     Both shapes evaluate and update the iterate the same way; they differ in
     the bookkeeping around it.  A 1-D state keeps one history of Python
@@ -527,20 +522,17 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
-    if linear is None:
-        linear = LinearPart.of(params, system, k, implicit_control)
     y = y_prev if start is None else start  # never written: each iterate is a new array
-    _check_states(system, y, y_prev)
-    p, prev, control = params, y_prev, None if implicit_control else y_prev
-    load = linear.mass.matvec(y_prev) / k
-    gauss, f = _evaluate(p, system, y, prev, k, control, linear, load)
+    _check_states(linear, system, y, y_prev)
+    prev, load = y_prev, linear.mass.matvec(y_prev) / linear.k
+    gauss, f = _evaluate(linear, system, y, prev, load)
     if y.ndim == 1:
         history = [math.sqrt(float(np.vecdot(f, f)))]
         if not math.isfinite(history[0]):
             y = y.copy()  # no update, but still a new array
         else:
             for _ in range(max_iter):
-                y, gauss, f = _update(p, system, y, prev, k, control, linear, load, gauss, f)
+                y, gauss, f = _update(linear, system, y, prev, load, gauss, f)
                 history.append(math.sqrt(float(np.vecdot(f, f))))
                 if not tol < history[-1] < math.inf:  # converged, or not finite
                     break
@@ -548,14 +540,12 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
 
     histories = [[norm] for norm in _residual_norms(f)]
     gains = linear.gains
-    if len(gains) != len(histories):  # one ModelParams shared by a stack
-        gains = gains * len(histories)
     active = list(range(len(histories)))  # members still iterating
     keep = [math.isfinite(history[0]) for history in histories]  # members that update next
     result = None
     for iteration in range(max_iter + 1):
         if iteration:
-            y, gauss, f = _update(p, system, y, prev, k, control, linear, load, gauss, f)
+            y, gauss, f = _update(linear, system, y, prev, load, gauss, f)
             keep = []
             for member, norm in zip(active, _residual_norms(f)):
                 histories[member].append(norm)
@@ -572,10 +562,7 @@ def newton_solve(params: ModelParams | ParamStack, system: AssembledSystem,
         rows = np.flatnonzero(keep)
         active = [active[j] for j in rows]
         y, prev, load, gauss, f = y[rows], prev[rows], load[rows], gauss[:, rows], f[rows]
-        if isinstance(p, ParamStack):
-            p, linear = p.take(rows), linear.take(rows)
-        if control is not None:
-            control = control[rows]
+        linear = linear.take(rows)
     moments = np.vecdot(result, system.moment).tolist()
     return result, tuple([_report(history, tol, gain, moment)
                           for history, gain, moment in zip(histories, gains, moments)])
@@ -598,17 +585,16 @@ class EnsembleLevel:
     reports: dict[int, StepReport]
 
 
-def _march(params: ParamStack, linear: LinearPart, system: AssembledSystem,
-           states: np.ndarray, initial: Sequence[StepReport], time_grid: TimeGrid,
-           settings: tuple[float, int, bool]) -> Iterator[EnsembleLevel]:
-    """Yield the levels of the runs of ``params`` stepped from ``states``.
+def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
+           initial: Sequence[StepReport], time_grid: TimeGrid,
+           settings: tuple[float, int]) -> Iterator[EnsembleLevel]:
+    """Yield the levels of the runs of ``linear`` stepped from ``states``.
 
     Each step is one :func:`newton_solve` of the members still stepping,
     started from ``None`` at the first step, then from the linear
     extrapolation ``2 y_n - y_{n-1}`` of each member's own last two levels.
-    A member whose step fails is dropped, and the parameters and linear part
-    of the others are taken once per drop-out; the march ends when none is
-    left.
+    A member whose step fails is dropped, and the linear part of the others
+    is taken once per drop-out; the march ends when none is left.
     """
     members = np.arange(states.shape[0])
     keys = members.tolist()
@@ -617,15 +603,14 @@ def _march(params: ParamStack, linear: LinearPart, system: AssembledSystem,
     for n in range(1, time_grid.n_steps + 1):
         start = None if previous is None else 2.0 * states - previous
         previous = states
-        states, reports = newton_solve(params, system, states, time_grid.k, *settings,
-                                       linear=linear, start=start)
+        states, reports = newton_solve(linear, system, states, *settings, start=start)
         attempted = dict(zip(keys, reports))
         ok = [report.converged for report in reports]
         if not all(ok):
             rows = np.flatnonzero(ok)
             members, states, previous = members[rows], states[rows], previous[rows]
             keys = members.tolist()
-            params, linear = params.take(rows), linear.take(rows)
+            linear = linear.take(rows)
         yield EnsembleLevel(n, members, states, attempted)
         if not keys:
             return
@@ -655,7 +640,9 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     The runs advance as one ``(B, N)`` stack through :func:`newton_solve`,
     one :class:`EnsembleLevel` per time level, initial level first; a
     single run is a stack of one.  Each run takes exactly the iterates it
-    would take alone, so its levels equal its :func:`simulate` bit for bit.
+    would take alone, so its levels equal its :func:`simulate` in value; an
+    exact zero may carry the other sign, as the stacked elimination can
+    turn a block's ``-0.0`` into ``+0.0`` (see :meth:`fem.TridiagMatrix.solve`).
     A run whose step does not converge is dropped at that level and the
     others keep stepping; linear-solve failures propagate.  Each Newton
     solve after the first starts from the extrapolation ``2 y_n - y_{n-1}``,
@@ -666,10 +653,9 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     which has no epsilon and so no such conditions to check.
     """
     initial = _initial_reports(members, system, y0, hard_constraint)
-    stack = ParamStack.of(members)
-    linear = LinearPart.of(stack, system, time_grid.k, implicit_control, hard_constraint)
-    return _march(stack, linear, system, np.repeat(y0[None], len(members), axis=0), initial,
-                  time_grid, (newton_tol, newton_max_iter, implicit_control))
+    linear = LinearPart.of(members, system, time_grid.k, implicit_control, hard_constraint)
+    return _march(linear, system, np.repeat(y0[None], len(members), axis=0), initial,
+                  time_grid, (newton_tol, newton_max_iter))
 
 
 def simulate(params: ModelParams, mesh: MeshPartition,
@@ -703,9 +689,7 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         y[system.boundary_dof] = 0.0
     hard_constraint = variant != "penalized_feedback"
     reports = _initial_reports([params], system, y, hard_constraint)
-    k = time_grid.k
-    linear = LinearPart.of(params, system, k, implicit_control, hard_constraint)
-    settings = (newton_tol, newton_max_iter, implicit_control)
+    linear = LinearPart.of(params, system, time_grid.k, implicit_control, hard_constraint)
 
     states = np.zeros((time_grid.n_steps + 1, system.n_dof))
     controls: list[float] = []
@@ -716,8 +700,8 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     for n in range(time_grid.n_steps + 1):
         if n:
             start = None if previous is None else 2.0 * y - previous
-            previous, (y, report) = y, newton_solve(params, system, y, k, *settings,
-                                                    linear=linear, start=start)
+            previous, (y, report) = y, newton_solve(linear, system, y, newton_tol,
+                                                    newton_max_iter, start=start)
             reports.append(report)
             if not report.converged:
                 failed_at = n

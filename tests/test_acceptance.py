@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from penalty_stab import (
+    LinearPart,
     ModelParams,
     RankOneUpdate,
     TimeGrid,
@@ -237,17 +238,18 @@ def test_criterion_7b_residual_jacobian_and_trajectory_vs_dense_oracle():
         params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.1, epsilon=0.01)
         mesh = make_uniform_mesh(8)
         system = assemble(mesh)
+        linear = LinearPart.of(params, system, 0.1)
         for trial in range(5):
             rng = np.random.default_rng(77 + trial)
             y = rng.standard_normal(8)
             y_prev = rng.standard_normal(8)
-            ours = residual(params, system, y, y_prev, 0.1)
+            ours = residual(linear, system, y, y_prev)
             ref = oracles.dense_residual(params.nu, params.alpha, params.delta,
                                          params.r, params.epsilon, mesh.nodes,
                                          y, y_prev, 0.1)
             ref[-1] *= params.epsilon / params.nu  # the boundary row is taken times eps/nu
             assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-            core, rank_one = jacobian(params, system, y, 0.1)
+            core, rank_one = jacobian(linear, system, y)
             dense = core.to_dense() + np.outer(rank_one.u, rank_one.v)
             ref_jac = oracles.dense_jacobian(params.nu, params.alpha, params.delta,
                                              params.r, params.epsilon, mesh.nodes, y, 0.1)
@@ -269,10 +271,10 @@ def test_criterion_7c_jacobian_finite_difference_convergence():
         system = assemble(mesh)
         y = RNG.standard_normal(8)
         y_prev = np.zeros(8)
-        k = 0.1
-        core, rank_one = jacobian(params, system, y, k)
+        linear = LinearPart.of(params, system, 0.1)
+        core, rank_one = jacobian(linear, system, y)
         dense = core.to_dense() + np.outer(rank_one.u, rank_one.v)
-        base = residual(params, system, y, y_prev, k)
+        base = residual(linear, system, y, y_prev)
         # a difference quotient's round-off is about u max|f| / tau; an error
         # above 100 times that is truncation, which falls like tau
         unit = np.finfo(float).eps
@@ -282,7 +284,7 @@ def test_criterion_7c_jacobian_finite_difference_convergence():
             for tau in (1e-4, 1e-5, 1e-6):
                 step = np.zeros(8)
                 step[j] = tau
-                fd = (residual(params, system, y + step, y_prev, k) - base) / tau
+                fd = (residual(linear, system, y + step, y_prev) - base) / tau
                 errors.append(float(np.max(np.abs(fd - dense[:, j]))))
                 floors.append(100.0 * unit * float(np.max(np.abs(base))) / tau)
             for i in range(2):
@@ -327,9 +329,9 @@ def test_criterion_8_exactness_identities():
         interpolant = system.mesh.nodes[1:].copy()
         assert norms(system, interpolant).l2 == pytest.approx(1.0 / math.sqrt(3.0),
                                                               abs=1e-15)
-        linear = ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.2, epsilon=0.01)
+        linear_problem = ModelParams(nu=0.1, alpha=0.13, delta=0.0, r=0.2, epsilon=0.01)
         y0 = project_initial(system.mesh, sin_pi)
-        _, report = newton_solve(linear, system, y0, k=0.01)
+        _, report = newton_solve(LinearPart.of(linear_problem, system, 0.01), system, y0)
         assert report.newton_iterations == 1 and report.converged
 
 

@@ -325,21 +325,24 @@ class FailAt:
 
     ``fail_at`` maps an epsilon to the step (counted from 1) whose report is
     marked unconverged; the state and every other field are the real solve's.
-    Steps are counted per epsilon, so an epsilon given a step must belong to
-    one run only.
+    A run is told by its linear part's boundary scale ``eps/nu``, with the
+    ``nu`` of :func:`study_base`, so every run must be penalized.  Steps are
+    counted per epsilon, so an epsilon given a step must belong to one run
+    only.
     """
 
     def __init__(self, fail_at):
-        self.fail_at = fail_at
+        nu = study_base().nu
+        self.fail_at = {eps / nu: step for eps, step in fail_at.items()}
         self.steps = collections.Counter()
 
-    def __call__(self, params, *args, **kwargs):
-        y, reports = REAL_NEWTON_SOLVE(params, *args, **kwargs)
+    def __call__(self, linear, *args, **kwargs):
+        y, reports = REAL_NEWTON_SOLVE(linear, *args, **kwargs)
         lone = y.ndim == 1
         reports = [reports] if lone else list(reports)
-        for j, eps in enumerate(np.ravel(params.epsilon).tolist()):
-            self.steps[eps] += 1
-            if self.fail_at.get(eps) == self.steps[eps]:
+        for j, scale in enumerate(np.ravel(linear.scale).tolist()):
+            self.steps[scale] += 1
+            if self.fail_at.get(scale) == self.steps[scale]:
                 reports[j] = dataclasses.replace(reports[j], converged=False)
         return (y, reports[0]) if lone else (y, tuple(reports))
 

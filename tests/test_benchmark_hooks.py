@@ -49,3 +49,33 @@ def test_benchmark_hooks_every_name_and_restores_it(monkeypatch):
         assert after[space].keys() == names.keys(), space
         for key, value in names.items():
             assert after[space][key] is value, f"{space}.{key} was not restored"
+
+
+# Kernels on matrices take no mesh or assembled system; their spans inherit
+# the mesh size of the Newton step that calls them.
+MATRIX_KERNELS = {"solver.solve_structured", "fem.tridiag_solve"}
+
+
+def test_every_traced_kernel_carries_its_mesh_size(monkeypatch, tmp_path):
+    # the benchmark's per-call metrics (``*.us_per_call.n128``) are binned by
+    # the mesh size the tracer reads from a span's own arguments; a kernel
+    # signature it cannot read would silently zero them
+    tracer_module = load_perfbench(monkeypatch, "tracer")
+    read = []
+    mesh_size = tracer_module._mesh_size
+    monkeypatch.setattr(tracer_module, "_mesh_size", lambda args: read.append(mesh_size(args))
+                        or read[-1])
+    config = PERFBENCH.parent / "configs" / "epsilon_study.json"
+    with tracer_module.Tracer() as tracer:
+        tracer_module.instrument(tracer)
+        status = cli.main(["epsilon-study", "--config", str(config), "--out", str(tmp_path),
+                           "--override=mesh.n_elements=16", "--override=time.n_steps=20"])
+    assert status == 0
+    assert len(read) == len(tracer.spans)  # one reading per span, in span order
+    kernels = [(span[0], span[4], own) for span, own in zip(tracer.spans, read)
+               if span[0].split(".")[0] in ("solver", "fem")]
+    assert {"solver.newton_solve", "solver.residual", "solver.jacobian",
+            "fem.cubic_jacobian", "fem.tridiag_solve"} <= {name for name, _, _ in kernels}
+    for name, n, own in kernels:
+        assert n == 16, name
+        assert own == (None if name in MATRIX_KERNELS else 16), name

@@ -612,10 +612,25 @@ def run_python(*args):
 
 
 def test_cli_import_loads_only_the_flapack_extension():
-    # a plain ``import scipy.linalg`` costs more than the rest of start-up
+    # a plain ``import scipy.linalg`` costs more than the rest of start-up; the
+    # extension is loaded without it and leaves no entry in sys.modules
     loaded = run_python("-c", "import sys, penalty_stab.cli; "
-                              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert loaded.split() == ["scipy.linalg._flapack"]
+                              "print(type(penalty_stab.fem.dgtsv).__name__, "
+                              "*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.split() == ["fortran"]
+
+
+@pytest.mark.parametrize("first", ["penalty_stab", "scipy"])
+def test_scipy_linalg_and_the_package_share_one_flapack_either_way(first):
+    # imported after the package, scipy loads the extension itself and sets
+    # its attribute; imported before, its module is the one the package uses
+    imports = ["penalty_stab.fem as fem", "scipy.linalg"]
+    if first == "scipy":
+        imports.reverse()
+    out = run_python("-c", f"import sys, {', '.join(imports)}; "
+                           "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'], "
+                           "scipy.linalg.lapack.dgtsv is fem.dgtsv)")
+    assert out.split() == ["True", "True"]
 
 
 def test_scipy_linalg_reuses_the_loaded_extension_bit_for_bit():
