@@ -203,7 +203,8 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
 
     All runs share the mesh and time grid, so successive solutions live on
     the identical space-time grid and their differences are plain norms of
-    state differences.  The gain of each run is ``gain_rule(epsilon)``.
+    state differences.  The gain of each run is ``gain_rule(epsilon)``; a
+    last epsilon of 0 is the Dirichlet feedback problem, the list's limit.
     A failed run marks its row and poisons the adjacent difference entries.
 
     The B runs are stepped together by :func:`step_ensemble` as one

@@ -276,10 +276,13 @@ def validate_config(cfg: dict, kind: str) -> dict:
                               "and be divisible by each element count (nested meshes)")
         exp["n_elements_list"] = ns
         exp["reference_n_elements"] = ref
-        exp["epsilon_rule"] = {
+        exp["epsilon_rule"] = rule = {
             "c": _number(cfg, "experiment.epsilon_rule.c", default=0.01, positive=True),
             "l": _number(cfg, "experiment.epsilon_rule.l", positive=True),
         }
+        if rule["c"] * (1.0 / ref) ** rule["l"] == 0.0:  # epsilon = 0 is no penalized run
+            raise ConfigError("experiment.epsilon_rule.c and experiment.epsilon_rule.l: "
+                              f"c * h**l underflows to 0 on the reference mesh h = 1/{ref}")
 
     else:  # epsilon_study
         eps_list = _get(cfg, "experiment.epsilons")

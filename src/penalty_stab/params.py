@@ -8,11 +8,15 @@ with ``y(t, 0) = 0`` and boundary feedback ``u(t) = -r * integral(x * y(t, x))``
 applied at ``x = 1`` through the Robin penalization
 ``epsilon * y_x(t, 1) + y(t, 1) = u(t)``.
 
+At ``epsilon = 0`` it is ``y(t, 1) = u(t)``, the Dirichlet feedback problem,
+the limit of the penalized solutions as epsilon -> 0.
+
 Everything in this module is closed-form arithmetic on the coefficients:
 the admissibility conditions that guarantee exponential stabilization of the
 penalized problem, the maximal certified decay rate, the associated energy
-constant, and the analogous bounds for the hard-constrained (epsilon -> 0)
-problem.  All types are immutable values, safe to share between threads.
+constant, and the analogous bounds for the Dirichlet feedback problem, which
+do not depend on epsilon.  The penalized ones do not apply at ``epsilon =
+0``.  All types are immutable values, safe to share between threads.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ from .errors import AdmissibilityError, ParameterDomainError
 
 #: Product of the L^4 and L^{4/3} norms of the weight function x on (0, 1):
 #: (1/5)**(1/4) * (3/7)**(3/4), about 0.3542.  Enters the gain bound of the
-#: hard-constrained stability analysis; kept at full precision rather than
+#: Dirichlet feedback stability analysis; kept at full precision rather than
 #: the usual rounded value.
 X_WEIGHT_NORM_PRODUCT = 0.2 ** 0.25 * (3.0 / 7.0) ** 0.75
 
-#: Largest feedback gain for which the hard-constrained analysis applies:
+#: Largest feedback gain for which the Dirichlet feedback analysis applies:
 #: min{1 / X_WEIGHT_NORM_PRODUCT, sqrt(6)}; sqrt(6) is the smaller of the two.
 R_MAX_DIRICHLET = min(1.0 / X_WEIGHT_NORM_PRODUCT, math.sqrt(6.0))
+
+_NOT_PENALIZED = ("the penalized conditions do not apply at epsilon = 0, the Dirichlet "
+                  "feedback problem (see dirichlet_rate_bounds)")
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,8 @@ class ModelParams:
     r:
         Feedback gain, >= 0.  ``r = 0`` disables the control.
     epsilon:
-        Penalty parameter of the Robin boundary condition, > 0.
+        Penalty parameter of the Robin boundary condition, >= 0.
+        ``epsilon = 0`` is the Dirichlet feedback problem.
     """
 
     nu: float
@@ -59,11 +67,11 @@ class ModelParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        for name in ("nu", "alpha", "epsilon"):
+        for name in ("nu", "alpha"):
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("delta", "r"):
+        for name in ("delta", "r", "epsilon"):
             value = getattr(self, name)
             if not (value >= 0.0) or not math.isfinite(value):
                 raise ParameterDomainError(f"{name} must be non-negative and finite, got {value!r}")
@@ -81,8 +89,12 @@ def check_admissibility(params: ModelParams) -> tuple[bool, str]:
     -------
     (admissible, detail):
         ``admissible`` is True iff both conditions hold; ``detail`` spells out
-        each condition with both sides evaluated, marking any failure.
+        each condition with both sides evaluated, marking any failure.  At
+        ``epsilon = 0``, the Dirichlet feedback problem, neither condition
+        applies: the result is False, and ``detail`` says so.
     """
+    if params.epsilon == 0.0:
+        return False, _NOT_PENALIZED
     three_eps = 3.0 * params.epsilon
     r_sq = params.r * params.r  # a product overflows to inf; ``** 2`` raises
     gain_ok = r_sq < three_eps
@@ -109,8 +121,11 @@ def max_decay_rate(params: ModelParams) -> float:
     Raises
     ------
     AdmissibilityError
-        If the value is not positive (no admissible decay rate).
+        If the value is not positive (no admissible decay rate), or at
+        ``epsilon = 0``, where the penalized rate is not defined.
     """
+    if params.epsilon == 0.0:
+        raise AdmissibilityError(_NOT_PENALIZED)
     r_sq = params.r * params.r
     value = 2.0 * params.nu - 2.0 * params.nu * r_sq / (3.0 * params.epsilon) - params.alpha
     if value <= 0.0:
@@ -142,7 +157,7 @@ def energy_constant(params: ModelParams, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class DirichletRateBounds:
-    """Decay-rate data for the hard-constrained (epsilon -> 0) problem."""
+    """Decay-rate data for the Dirichlet feedback (epsilon = 0) problem."""
 
     gamma_max: float
     beta_star: float

@@ -32,14 +32,14 @@ elimination plus a Sherman-Morrison correction.  The boundary row's scale
 and its constraint are folded into the last row of the tridiagonal core, so
 the banded solve is unmodified.
 
-One boundary row serves every variant: its scale is ``eps/nu`` for the
-penalized problem, and 0 for the Dirichlet feedback problem, which imposes
-``Y(1) = -r (w . Y)`` exactly, the ``eps -> 0`` limit the penalized
-solutions converge to.  At ``r = 0`` that is the pinned problem, and the
-uncontrolled baseline is exactly that: the Dirichlet feedback problem at
-zero gain, started from the initial state with its boundary value set to
-zero.  Every variant steps through the one Newton loop, :func:`newton_solve`,
-and the variant is the ``scale`` of its :class:`LinearPart`.
+One boundary row serves every variant: its scale is ``eps/nu``, and at
+``eps = 0`` it imposes ``Y(1) = -r (w . Y)`` exactly, the Dirichlet
+feedback problem, the ``eps -> 0`` limit of the penalized solutions.  So
+``epsilon = 0`` is the variant, and nothing else names it.  At ``r = 0``
+that is the pinned problem, and the uncontrolled baseline is exactly that,
+started from the initial state with its boundary value set to zero.  Every
+variant steps through the one Newton loop, :func:`newton_solve`, and a
+stack may mix them.
 
 Newton starts each step after the first from the linear extrapolation
 ``2 Y_n - Y_{n-1}`` of the last two levels (the first starts from ``Y_0``),
@@ -48,13 +48,13 @@ stops on the Euclidean residual norm.  The boundary row carries no ``nu/eps``
 amplification, so its round-off does not grow as eps shrinks.
 
 A run is one object, its :class:`LinearPart`, built by
-``LinearPart.of(params, system, k, implicit_control, hard_constraint)``
-from one :class:`ModelParams` or a sequence of them (a stack).  The Newton
-kernels take it first and read everything else of the run from it: the time
-step ``k``, ``delta``, whether the control is implicit, and the boundary
-row's scale, which is the variant.  So :func:`residual`, :func:`jacobian`
-and :func:`newton_solve` take ``(linear, system, ...)`` and nothing that
-could name a second run.
+``LinearPart.of(params, system, k, implicit_control)`` from one
+:class:`ModelParams` or a sequence of them (a stack).  The Newton kernels
+take it first and read everything else of the run from it: the time step
+``k``, ``delta``, whether the control is implicit, and the boundary row's
+scale ``eps/nu``, which is the variant.  So :func:`residual`,
+:func:`jacobian` and :func:`newton_solve` take ``(linear, system, ...)``
+and nothing that could name a second run.
 
 Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
 does not depend on the iterate is built as rarely as it can be:
@@ -80,26 +80,17 @@ array, and so is the result.
 A single simulation is strictly sequential in time: :func:`simulate` calls
 :func:`newton_solve` once per level on a 1-D state and records the level
 itself.  Runs that share a mesh and a time grid are stepped together instead
-(:func:`step_ensemble`): their states form a ``(B, N)`` stack, each Newton
-iteration evaluates one stacked residual and Jacobian, and one banded
-elimination solves all B cores, whose couplings in the stacked band are
-exactly zero.  The stacked matrices live in ``dgtsv``'s flat layout, one
-``(3, B, N)`` band buffer whose lower and upper rows end every block in
-+0.0 (:class:`fem.TridiagMatrix`): :func:`jacobian` builds the core in the
-band of ``delta C'(Y)``, adds the linear part's padded band in one add and
-scales the boundary row's lower entries as one ``(B,)`` column, and the
-solve takes the flat rows without copying or padding them.  The
-Sherman-Morrison correction is applied per member, each member leaves the
-iteration at its own convergence and extrapolates from its own levels, so
+(:func:`step_ensemble`), whatever their variants: their states form a
+``(B, N)`` stack, each Newton iteration evaluates one stacked residual and
+Jacobian, and one banded elimination solves all B cores, whose couplings in
+the stacked band, ``dgtsv``'s flat ``(3, B, N)`` layout, are exactly zero
+(:class:`fem.TridiagMatrix`).  The Sherman-Morrison correction is applied
+per member, and each member leaves the iteration at its own convergence (or
+at a residual that is not finite) and extrapolates from its own levels, so
 every run equals its separate run in value; an exact zero may carry the
-other sign, as the stacked elimination can turn a block's ``-0.0`` into
-``+0.0`` (see :meth:`fem.TridiagMatrix.solve`).  A member whose
-residual is not finite leaves too, before the next solve: a NaN or inf in one
-block of the stacked band would reach the others.  Both shapes
-share the Newton update; :func:`newton_solve` picks its bookkeeping by the
-state's shape, Python floats for a 1-D state and per-member lists for a
-stack, because for a lone run the per-member bookkeeping, not the kernels,
-was the larger cost.
+other sign (see :meth:`fem.TridiagMatrix.solve`).  :func:`newton_solve`
+keeps its bookkeeping in Python floats for a 1-D state and in per-member
+lists for a stack.
 """
 
 from __future__ import annotations
@@ -313,8 +304,8 @@ class LinearPart:
     ``weight`` is the ``1/k - alpha`` that :func:`residual` integrates with
     the cubic term, and ``conductance`` the ``nu / h_e`` of every element,
     which turns the elements' nodal differences into the fluxes of ``nu K
-    y``.  ``scale`` multiplies the boundary row's interior terms: ``eps/nu``
-    for the penalized problem and 0 for the Dirichlet feedback problem.
+    y``.  ``scale``, ``eps/nu``, multiplies the boundary row's interior
+    terms; it is 0 for the Dirichlet feedback problem (``eps = 0``).
     ``gain`` is the ``r`` of the boundary row's feedback condition ``y(1) +
     r (w . y)``.  ``rank_one`` is ``None`` when every gain is 0 or the
     control is lagged.  Built from a sequence of :class:`ModelParams`,
@@ -337,15 +328,6 @@ class LinearPart:
     gain: np.ndarray | float
     rank_one: RankOneUpdate | None
 
-    @property
-    def diag(self) -> np.ndarray:
-        return self.core.diag
-
-    @property
-    def off(self) -> np.ndarray:
-        """The off-diagonal, padded: ``(N,)``, or ``(B, N)`` for a stack."""
-        return self.core.band[0]
-
     @cached_property
     def gains(self) -> list[float]:
         """The gain of each member as a float, for the controls."""
@@ -353,12 +335,8 @@ class LinearPart:
 
     @classmethod
     def of(cls, params: ModelParams | Sequence[ModelParams], system: AssembledSystem, k: float,
-           implicit_control: bool = True, hard_constraint: bool = False) -> "LinearPart":
-        """The linear part of one run, or of a stack from a sequence of parameters.
-
-        ``hard_constraint`` selects Dirichlet feedback, and
-        ``implicit_control=False`` the lagged control.
-        """
+           implicit_control: bool = True) -> "LinearPart":
+        """The linear part of one run, or of a stack from a sequence of parameters."""
         if k <= 0.0:
             raise ParameterDomainError(f"time step must be positive, got {k!r}")
         stacked = not isinstance(params, ModelParams)
@@ -372,8 +350,6 @@ class LinearPart:
             mass = mass.repeat(len(params))
         else:
             core = weight * mass.band + nu * stiffness.band
-        # 0.0 * epsilon: a stack gets one zero per member
-        scale = 0.0 * epsilon if hard_constraint else epsilon / nu
         rank_one = None
         if implicit_control and np.count_nonzero(r):
             u = np.zeros(core.shape[1:])
@@ -382,7 +358,7 @@ class LinearPart:
         return cls(k=k, delta=delta, implicit=implicit_control, weight=weight,
                    conductance=nu / system.mesh.element_sizes,
                    core=TridiagMatrix.from_band(core), mass=mass,
-                   scale=np.ravel(scale) if stacked else scale,
+                   scale=np.ravel(epsilon / nu) if stacked else epsilon / nu,
                    gain=np.ravel(r) if stacked else r, rank_one=rank_one)
 
     def take(self, index: np.ndarray) -> "LinearPart":
@@ -448,6 +424,9 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     """
     if rank_one is None:
         return core.solve(rhs)
+    if rhs.shape != rank_one.u.shape:
+        raise ValueError(f"right-hand side of shape {rhs.shape} does not match "
+                         f"a rank-one update of shape {rank_one.u.shape}")
     both = rank_one.pair
     both[..., 0] = rhs
     both = core.solve(both)
@@ -617,11 +596,11 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
 
 
 def _initial_reports(members: Sequence[ModelParams], system: AssembledSystem,
-                     y0: np.ndarray, hard_constraint: bool) -> list[StepReport]:
-    """The level-0 report of each run; warn for each that violates its conditions."""
+                     y0: np.ndarray) -> list[StepReport]:
+    """The level-0 report of each run; warn for each penalized one outside its conditions."""
     for params in members:
         admissible, detail = check_admissibility(params)
-        if not (admissible or hard_constraint):
+        if not admissible and params.epsilon > 0.0:
             warnings.warn("stabilization conditions violated; decay is not certified "
                           f"({detail})", RuntimeWarning, stacklevel=3)
     moment_y0 = float(np.vecdot(y0, system.moment))
@@ -633,9 +612,9 @@ def _initial_reports(members: Sequence[ModelParams], system: AssembledSystem,
 
 def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
                   y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = 1e-12,
-                  newton_max_iter: int = 25, implicit_control: bool = True,
-                  hard_constraint: bool = False) -> Iterator[EnsembleLevel]:
-    """Step runs that share a mesh, a time grid, ``y0`` and a variant together.
+                  newton_max_iter: int = 25, implicit_control: bool = True
+                  ) -> Iterator[EnsembleLevel]:
+    """Step runs that share a mesh, a time grid and ``y0`` together.
 
     The runs advance as one ``(B, N)`` stack through :func:`newton_solve`,
     one :class:`EnsembleLevel` per time level, initial level first; a
@@ -647,13 +626,13 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     others keep stepping; linear-solve failures propagate.  Each Newton
     solve after the first starts from the extrapolation ``2 y_n - y_{n-1}``,
     so the last two levels are held, and memory does not grow with the
-    number of steps.  Each run that violates the stabilization conditions
-    triggers a warning.  With ``hard_constraint=True`` the runs solve the
-    Dirichlet feedback problem (boundary scale 0, see :class:`LinearPart`),
-    which has no epsilon and so no such conditions to check.
+    number of steps.  A member with ``epsilon = 0`` solves the Dirichlet
+    feedback problem, so one stack may mix it with penalized members.  Each
+    penalized run that violates the stabilization conditions triggers a
+    warning.
     """
-    initial = _initial_reports(members, system, y0, hard_constraint)
-    linear = LinearPart.of(members, system, time_grid.k, implicit_control, hard_constraint)
+    initial = _initial_reports(members, system, y0)
+    linear = LinearPart.of(members, system, time_grid.k, implicit_control)
     return _march(linear, system, np.repeat(y0[None], len(members), axis=0), initial,
                   time_grid, (newton_tol, newton_max_iter))
 
@@ -666,9 +645,9 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     """Run the fully discrete scheme over ``time_grid``.
 
     ``variant="penalized_feedback"`` steps the penalized scheme with the
-    feedback control; ``variant="dirichlet_feedback"`` steps the same way
-    but imposes the feedback boundary condition exactly (the ``eps -> 0``
-    limit; epsilon is ignored); ``variant="uncontrolled_dirichlet"`` pins
+    feedback control; ``variant="dirichlet_feedback"`` steps ``params`` at
+    ``epsilon = 0``, which imposes the feedback boundary condition exactly
+    (the ``eps -> 0`` limit); ``variant="uncontrolled_dirichlet"`` pins
     both endpoints to zero and drops every penalty and control term, as the
     Dirichlet feedback variant at ``r = 0`` from the initial state with its
     boundary value set to zero (its controls are ``+0.0``).  The run steps
@@ -683,13 +662,14 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         raise ParameterDomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     system = assemble(mesh)
     y = project_initial(mesh, y0, mode=projection)
-    if variant == "uncontrolled_dirichlet":
+    if variant == "dirichlet_feedback":
+        params = replace(params, epsilon=0.0)
+    elif variant == "uncontrolled_dirichlet":
         # the Dirichlet feedback problem at zero gain, from a pinned start
-        params = replace(params, r=0.0)
+        params = replace(params, epsilon=0.0, r=0.0)
         y[system.boundary_dof] = 0.0
-    hard_constraint = variant != "penalized_feedback"
-    reports = _initial_reports([params], system, y, hard_constraint)
-    linear = LinearPart.of(params, system, time_grid.k, implicit_control, hard_constraint)
+    reports = _initial_reports([params], system, y)
+    linear = LinearPart.of(params, system, time_grid.k, implicit_control)
 
     states = np.zeros((time_grid.n_steps + 1, system.n_dof))
     controls: list[float] = []

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from penalty_stab import (
     StateTrajectory,
     TimeGrid,
     assemble,
+    dirichlet_rate_bounds,
     energy_monitor,
     epsilon_cauchy_study,
     error_vs_reference,
     fit_decay_rate,
     make_uniform_mesh,
+    max_decay_rate,
     observed_orders,
     project_initial,
     restrict_to_coarse,
@@ -26,6 +29,7 @@ from penalty_stab import (
 )
 from penalty_stab import solver
 from penalty_stab.analysis import _fold_block_length
+from penalty_stab.harness import INITIAL_PROFILES, load_config, validate_config
 
 REAL_NEWTON_SOLVE = solver.newton_solve
 
@@ -118,7 +122,6 @@ def test_energy_monitor_on_real_run():
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.1, epsilon=0.01)
     grid = TimeGrid.from_final_time(1.0 / 1050.0, 0.3)
     traj = simulate(params, make_uniform_mesh(32), sin_pi, grid)
-    from penalty_stab import max_decay_rate
     assert energy_monitor(traj, max_decay_rate(params)).passed
 
 
@@ -427,3 +430,27 @@ def test_epsilon_study_block_of_one_level_equals_separate_runs(monkeypatch):
     trajectories = assert_study_equals_separate_runs(
         monkeypatch, TEN_EPSILONS, {1e-3: 4}, n_elements=1024, n_steps=12)
     assert [t.failed_at for t in trajectories] == [None] * 3 + [4] + [None] * 6
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", ["decay_controlled.json", "decay_quadratic_profile.json"])
+def test_fitted_decay_rate_is_at_least_the_certified_rate(config):
+    # every variant of both decay configs, each against its own certified
+    # rate: the penalized max_decay_rate, the Dirichlet feedback gamma_max,
+    # and the latter at r = 0 for the pinned baseline
+    resolved = validate_config(load_config(CONFIGS / config), "decay")
+    model = resolved["model"]
+    params = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
+                         r=model["r"], epsilon=model["epsilon"])
+    certified = {"penalized_feedback": max_decay_rate(params),
+                 "dirichlet_feedback": dirichlet_rate_bounds(params).gamma_max,
+                 "uncontrolled_dirichlet": dirichlet_rate_bounds(
+                     dataclasses.replace(params, r=0.0)).gamma_max}
+    mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
+    grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
+    for variant, gamma in certified.items():
+        traj = simulate(params, mesh, INITIAL_PROFILES[resolved["initial"]], grid, variant)
+        assert traj.failed_at is None
+        assert fit_decay_rate(traj).gamma_fit >= gamma > 0.0, variant

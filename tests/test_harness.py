@@ -485,6 +485,22 @@ def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, command, config, over
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, override", [
+    ("simulate", decay_config, "model.epsilon=0"),
+    ("epsilon-study", epsilon_config, "experiment.epsilons=[1.0,0.0]"),
+    ("convergence", convergence_config, "experiment.epsilon_rule.l=200"),  # c h^l underflows
+])
+def test_cli_zero_epsilon_exits_one(tmp_path, capsys, command, config, override):
+    # the library takes epsilon = 0 as the Dirichlet feedback problem; a
+    # config still names penalized runs, so it turns epsilon = 0 down
+    path = write_config(tmp_path, config())
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--override", override])
+    assert code == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("k", [0.3, 1e-320])  # does not divide T; T/k overflows
 def test_cli_time_step_that_cannot_reach_T_exits_one(tmp_path, capsys, k):
     cfg = decay_config()

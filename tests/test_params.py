@@ -18,13 +18,41 @@ from penalty_stab import (
 EXAMPLE_ONE = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.1, epsilon=0.01)
 
 
-@pytest.mark.parametrize("field", ["nu", "alpha", "epsilon"])
+@pytest.mark.parametrize("field", ["nu", "alpha"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
 def test_strictly_positive_coefficients_enforced(field, bad):
     kwargs = dict(nu=0.1, alpha=0.1, delta=0.1, r=0.0, epsilon=0.01)
     kwargs[field] = bad
     with pytest.raises(ParameterDomainError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["delta", "r", "epsilon"])
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_non_negative_coefficients_enforced(field, bad):
+    kwargs = dict(nu=0.1, alpha=0.1, delta=0.1, r=0.1, epsilon=0.01)
+    assert getattr(ModelParams(**{**kwargs, field: 0.0}), field) == 0.0
+    kwargs[field] = bad
+    with pytest.raises(ParameterDomainError):
+        ModelParams(**kwargs)
+
+
+def test_zero_epsilon_has_only_the_dirichlet_bounds():
+    # epsilon = 0 is the Dirichlet feedback problem: the penalized conditions
+    # and rates do not apply, and nothing divides by zero
+    p = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.1, epsilon=0.0)
+    ok, detail = check_admissibility(p)
+    assert not ok and "epsilon = 0" in detail
+    with pytest.raises(AdmissibilityError, match="epsilon = 0"):
+        max_decay_rate(p)
+    with pytest.raises(AdmissibilityError, match="epsilon = 0"):
+        energy_constant(p, 0.01)
+    report = rate_report(p)
+    assert not report.admissible and report.detail == detail
+    assert report.gamma_max is None and report.gamma is None and report.beta is None
+    bounds = dirichlet_rate_bounds(p)
+    assert bounds == dirichlet_rate_bounds(EXAMPLE_ONE)  # they do not depend on epsilon
+    assert (report.gamma_dirichlet_max, report.beta_star) == (bounds.gamma_max, bounds.beta_star)
 
 
 def test_gain_and_cubic_coefficient_may_be_zero():

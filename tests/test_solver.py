@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -99,18 +100,15 @@ def residual_inputs(members, k):
     Yields ``(mesh, linear, runs)``: ``members[0]`` alone on a uniform and
     on a graded mesh, penalized, and on the graded mesh a stack of
     ``members`` with mixed boundary scales, after ``take`` of its last two
-    members (Dirichlet feedback, then penalized).  ``runs`` pairs each row's
-    ``ModelParams`` with the oracles' ``epsilon`` (0 for Dirichlet feedback).
+    members (``members[1]`` at ``epsilon = 0``, Dirichlet feedback, then
+    penalized).  ``runs`` holds each row's ``ModelParams``.
     """
     lone = members[0]
     for mesh in (make_uniform_mesh(6), make_partition(GRADED_NODES)):
-        yield mesh, LinearPart.of(lone, assemble(mesh), k), [(lone, lone.epsilon)]
+        yield mesh, LinearPart.of(lone, assemble(mesh), k), [lone]
     mesh = make_partition(GRADED_NODES)
-    scale = np.array([p.epsilon / p.nu for p in members])
-    scale[1] = 0.0
-    linear = replace(LinearPart.of(members, assemble(mesh), k), scale=scale)
-    yield mesh, linear.take(np.array([1, 2])), [(members[1], 0.0),
-                                                (members[2], members[2].epsilon)]
+    mixed = [members[0], replace(members[1], epsilon=0.0), members[2]]
+    yield mesh, LinearPart.of(mixed, assemble(mesh), k).take(np.array([1, 2])), mixed[1:]
 
 
 def test_residual_matches_dense_oracle():
@@ -121,12 +119,12 @@ def test_residual_matches_dense_oracle():
         shape = linear.conductance.shape[:-1] + (mesh.n_dof,)
         y, y_prev = RNG.standard_normal(shape), RNG.standard_normal(shape)
         ours = np.atleast_2d(residual(linear, system, y, y_prev))
-        for row, ((p, eps), y_row, prev_row) in enumerate(zip(runs, np.atleast_2d(y),
-                                                               np.atleast_2d(y_prev))):
-            ref = oracles.dense_residual(p.nu, p.alpha, p.delta, p.r, eps, mesh.nodes,
+        for row, (p, y_row, prev_row) in enumerate(zip(runs, np.atleast_2d(y),
+                                                       np.atleast_2d(y_prev))):
+            ref = oracles.dense_residual(p.nu, p.alpha, p.delta, p.r, p.epsilon, mesh.nodes,
                                          y_row, prev_row, 0.1)
-            if eps:
-                ref[-1] *= eps / p.nu  # the boundary row is taken times eps/nu
+            if p.epsilon:
+                ref[-1] *= p.epsilon / p.nu  # the boundary row is taken times eps/nu
             assert np.max(np.abs(ours[row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -144,13 +142,13 @@ def test_linear_heat_residual_matches_dense_matrices():
         ours = np.atleast_2d(residual(linear, system, y, y_prev))
         m = oracles.dense_mass(mesh.nodes)
         kk = oracles.dense_stiffness(mesh.nodes)
-        for row, ((p, eps), y_row, prev_row) in enumerate(zip(runs, np.atleast_2d(y),
-                                                               np.atleast_2d(y_prev))):
+        for row, (p, y_row, prev_row) in enumerate(zip(runs, np.atleast_2d(y),
+                                                       np.atleast_2d(y_prev))):
             a = m / k + p.nu * kk - p.alpha * m
             expected = a @ y_row - m @ prev_row / k
-            if eps:
-                expected[-1] += p.nu / eps * y_row[-1]
-                expected[-1] *= eps / p.nu
+            if p.epsilon:
+                expected[-1] += p.nu / p.epsilon * y_row[-1]
+                expected[-1] *= p.epsilon / p.nu
             else:
                 expected[-1] = y_row[-1]
             assert np.allclose(ours[row], expected, rtol=1e-12, atol=1e-14)
@@ -172,7 +170,7 @@ def test_residual_rejects_mismatched_states():
         LinearPart.of(EXAMPLE, system, 0.0)
 
 
-@pytest.mark.parametrize("case", ["penalized", "hard_constraint", "lagged", "stack_take"])
+@pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "lagged", "stack_take"])
 def test_residual_with_precomputed_pieces_is_bit_identical(case):
     system = assemble(make_uniform_mesh(12))
     x = system.mesh.nodes[1:]
@@ -184,8 +182,8 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
         linear = LinearPart.of(members, system, k).take(np.array([0, 2]))
         y, y_prev = np.stack([y, -2.0 * y]), np.stack([y_prev, 1.5 * y_prev])
     else:
-        linear = LinearPart.of(EXAMPLE, system, k, implicit_control=case != "lagged",
-                               hard_constraint=case == "hard_constraint")
+        params = replace(EXAMPLE, epsilon=0.0) if case == "dirichlet_feedback" else EXAMPLE
+        linear = LinearPart.of(params, system, k, implicit_control=case != "lagged")
     diffs, gauss = fem.element_values(y)
     pieces = {"prev_load": system.mass.matvec(y_prev) / k, "gauss": gauss, "diffs": diffs}
     expected = residual(linear, system, y, y_prev)
@@ -256,28 +254,28 @@ def test_jacobian_linear_problem_is_state_independent():
     assert np.array_equal(core1.lower, core2.lower)
 
 
-def from_scratch_core(params, system, y, k, hard_constraint=False):
+def from_scratch_core(params, system, y, k):
     """Tridiagonal Newton core built in one pass, the order the hoisting must keep."""
     jc = cubic_jacobian(system.mesh, y)
     weight = 1.0 / k - params.alpha
     diag = weight * system.mass.diag + params.nu * system.stiffness.diag + params.delta * jc.diag
     off = weight * system.mass.lower + params.nu * system.stiffness.lower + params.delta * jc.lower
     lower, b = off.copy(), system.boundary_dof
-    scale = 0.0 if hard_constraint else params.epsilon / params.nu
+    scale = params.epsilon / params.nu
     diag[..., b:b + 1] *= scale
     diag[..., b] += 1.0
     lower[..., b - 1:b] *= scale
     return diag, lower, off
 
 
-@pytest.mark.parametrize("case", ["penalized", "hard_constraint", "zero_gain", "lagged",
+@pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "zero_gain", "lagged",
                                   "stack_take"])
 def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
     system = assemble(make_uniform_mesh(12))
     y = 0.7 * sin_pi(system.mesh.nodes[1:])
     runs, options, k = [EXAMPLE], {}, 0.01
-    if case == "hard_constraint":
-        options = {"hard_constraint": True}
+    if case == "dirichlet_feedback":
+        runs = [replace(EXAMPLE, epsilon=0.0)]
     elif case == "zero_gain":
         runs = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)]
     elif case == "lagged":
@@ -290,7 +288,7 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
         y = np.stack([y, 2.0 * y])
     else:
         linear = LinearPart.of(runs[0], system, k, **options)
-    prebuilt = [linear.diag, linear.off, linear.scale]
+    prebuilt = [linear.core.diag, linear.core.band[0], linear.scale]
     if linear.rank_one is not None:
         prebuilt += [linear.rank_one.u, linear.rank_one.v]
     saved = [np.copy(a) for a in prebuilt]
@@ -301,11 +299,9 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
     results = [(jacobian(linear, system, state, gauss=fem.gauss_values(state)),
                 jacobian(LinearPart.of(fresh, system, k, **options), system, state))
                for state in states]
-    hard_constraint = options.get("hard_constraint", False)
     for state, ((core, rank_one), (ref_core, ref_rank_one)) in zip(states, results):
         for b, params in enumerate(runs):
-            expected = from_scratch_core(params, system, np.atleast_2d(state)[b], k,
-                                         hard_constraint)
+            expected = from_scratch_core(params, system, np.atleast_2d(state)[b], k)
             for name, band in zip(("diag", "lower", "upper"), expected):
                 assert np.array_equal(np.atleast_2d(getattr(core, name))[b], band)
                 assert np.array_equal(np.atleast_2d(getattr(ref_core, name))[b], band)
@@ -348,6 +344,19 @@ def test_structured_solve_singular_update_detected():
     v = -x_u / float(x_u @ x_u)  # v . core^{-1} u = -1 exactly (up to round-off)
     with pytest.raises(SingularUpdateError):
         solve_structured(core, RankOneUpdate(u=u, v=v), rhs)
+
+
+def test_stacked_structured_solve_rejects_a_right_hand_side_of_another_shape():
+    # a 1-D right-hand side would broadcast into the stacked pair buffer;
+    # core.solve raises for it, and so does the solve with an update
+    rng = np.random.default_rng(34)
+    core, rank_one, _ = stacked([random_structured_system(rng, 5) for _ in range(2)])
+    pair = rank_one.pair.copy()
+    with pytest.raises(ValueError, match=r"\(5,\).*\(2, 5\)"):
+        solve_structured(core, rank_one, rng.standard_normal(5))
+    assert np.array_equal(rank_one.pair, pair)  # rejected before the buffer is written
+    with pytest.raises(ValueError):
+        core.solve(rng.standard_normal(5))
 
 
 def stacked(systems):
@@ -604,12 +613,13 @@ def test_newton_start_sets_the_first_iterate_only():
         newton_solve(linear, system, y_prev, start=start[:-1])
 
 
-@pytest.mark.parametrize("hard_constraint", [False, True])
-def test_newton_final_residual_norm_is_the_euclidean_norm(hard_constraint):
-    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.05, epsilon=1e-9)
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_newton_final_residual_norm_is_the_euclidean_norm(dirichlet):
+    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.05,
+                         epsilon=0.0 if dirichlet else 1e-9)
     system = assemble(make_uniform_mesh(32))
     y_prev = sin_pi(system.mesh.nodes[1:])
-    linear = LinearPart.of(params, system, 1e-3, hard_constraint=hard_constraint)
+    linear = LinearPart.of(params, system, 1e-3)
     y, report = newton_solve(linear, system, y_prev)
     assert report.converged
     f = residual(linear, system, y, y_prev)
@@ -663,20 +673,19 @@ def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
 
 
 def test_penalized_run_and_pinned_baseline_step_as_one_stack():
-    # the decay config's two runs differ only in their boundary rows' scale
-    # (eps/nu and 0) and gain, so one stack steps both, each bit for bit
+    # the decay config's two runs differ only in their epsilon (eps and 0)
+    # and gain, so one stack steps both, each bit for bit
     eps = 0.01
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
-    pinned = replace(params, r=0.0)
+    pinned = replace(params, r=0.0, epsilon=0.0)
     system = assemble(make_uniform_mesh(16))
     grid = TimeGrid(k=1.0 / 1050.0, n_steps=1050)
     y0 = project_initial(system.mesh, sin_pi)
     y0_pinned = y0.copy()
     y0_pinned[-1] = 0.0
     separate = [list(step_ensemble([params], system, y0, grid)),
-                list(step_ensemble([pinned], system, y0_pinned, grid, hard_constraint=True))]
-    linear = replace(LinearPart.of([params, pinned], system, grid.k),
-                     scale=np.array([eps / params.nu, 0.0]))
+                list(step_ensemble([pinned], system, y0_pinned, grid))]
+    linear = LinearPart.of([params, pinned], system, grid.k)
     previous, y = None, np.stack([y0, y0_pinned])
     for n in range(1, grid.n_steps + 1):
         start = None if previous is None else 2.0 * y - previous
@@ -689,39 +698,39 @@ def test_penalized_run_and_pinned_baseline_step_as_one_stack():
 
 @st.composite
 def newton_steps(draw):
-    """One Newton step, lone or stacked, penalized or Dirichlet feedback."""
+    """One Newton step, lone or stacked; each member penalized or Dirichlet feedback."""
     n = draw(st.integers(4, 64))
     n_members = draw(st.sampled_from([1, 2, 3]))
+    epsilons = st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
     members = [ModelParams(nu=0.1, alpha=0.13, delta=draw(st.floats(0.0, 2.0)),
-                           r=draw(st.floats(0.0, 1.0)),
-                           epsilon=10.0 ** draw(st.floats(-12.0, 0.0)))
+                           r=draw(st.floats(0.0, 1.0)), epsilon=draw(epsilons))
                for _ in range(n_members)]
     amplitudes = [draw(st.floats(-2.0, 2.0)) for _ in members]
     k = draw(st.sampled_from([1.0 / 1050.0, 1e-2, 0.1]))
     start_scale = draw(st.one_of(st.none(), st.floats(0.9, 1.1)))
-    return n, members, amplitudes, k, start_scale, draw(st.booleans())
+    return n, members, amplitudes, k, start_scale
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(newton_steps())
 def test_residual_at_the_returned_state_is_within_tolerance(step):
-    n, members, amplitudes, k, start_scale, hard_constraint = step
+    n, members, amplitudes, k, start_scale = step
     system = assemble(make_uniform_mesh(n))
     x = system.mesh.nodes[1:]
     y_prev = np.stack([a * sin_pi(x) + 0.1 * a * x * (1.0 - x) for a in amplitudes])
     start = None if start_scale is None else start_scale * y_prev
     tol = 1e-12
     if len(members) == 1:
-        linear = LinearPart.of(members[0], system, k, hard_constraint=hard_constraint)
+        linear = LinearPart.of(members[0], system, k)
         y, report = newton_solve(linear, system, y_prev[0], tol=tol,
                                  start=None if start is None else start[0])
         y, reports = y[None], (report,)
     else:
-        linear = LinearPart.of(members, system, k, hard_constraint=hard_constraint)
+        linear = LinearPart.of(members, system, k)
         y, reports = newton_solve(linear, system, y_prev, tol=tol, start=start)
     for params, y_b, prev_b, report in zip(members, y, y_prev, reports):
         # recomputed by the public residual, with no other precomputed piece
-        linear = LinearPart.of(params, system, k, hard_constraint=hard_constraint)
+        linear = LinearPart.of(params, system, k)
         [norm] = _residual_norms(residual(linear, system, y_b, prev_b))
         assert report.converged
         assert norm <= tol
@@ -818,10 +827,12 @@ def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, se
     traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant, implicit_control=implicit,
                     **settings)
     params, y0 = EXAMPLE, project_initial(mesh, sin_pi)
+    if variant != "penalized_feedback":
+        params = replace(params, epsilon=0.0)
     if variant == "uncontrolled_dirichlet":
         params, y0[-1] = replace(params, r=0.0), 0.0
     levels = list(step_ensemble([params], assemble(mesh), y0, grid, implicit_control=implicit,
-                                hard_constraint=variant != "penalized_feedback", **settings))
+                                **settings))
     assert len(levels) == len(traj.step_reports)
     for level, report in zip(levels, traj.step_reports):
         assert level.reports == {0: report}
@@ -839,18 +850,18 @@ PROFILES = (sin_pi, lambda x: np.asarray(x, dtype=float), lambda x: 4.0 * x * (1
 
 
 @st.composite
-def admissible_members(draw, hard_constraint):
-    """Parameters inside the stabilization conditions of their variant.
+def admissible_members(draw):
+    """Parameters of either variant inside its stabilization conditions.
 
     Penalized: ``r^2 < 3 eps`` and ``alpha/nu`` strictly below the ratio
-    bound, so :func:`max_decay_rate` is positive.  Dirichlet feedback:
-    ``r`` below ``R_MAX_DIRICHLET`` and ``alpha/nu`` within
-    :func:`dirichlet_rate_bounds`' ratio bound.
+    bound, so :func:`max_decay_rate` is positive.  Dirichlet feedback
+    (``epsilon = 0``): ``r`` below ``R_MAX_DIRICHLET`` and ``alpha/nu``
+    within :func:`dirichlet_rate_bounds`' ratio bound.
     """
     nu = draw(st.floats(1e-2, 1.0))
-    epsilon = draw(st.floats(1e-4, 1.0))
+    epsilon = draw(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
     fraction = st.floats(0.01, 0.95)
-    if hard_constraint:
+    if epsilon == 0.0:
         r = R_MAX_DIRICHLET * draw(fraction)
         ratio_bound = (6.0 - r * r) / (r + 3.0)
     else:
@@ -862,14 +873,13 @@ def admissible_members(draw, hard_constraint):
 
 @st.composite
 def admissible_stacks(draw):
-    """One variant, 1 to 6 admissible members, a small mesh, a short grid and a start."""
-    hard_constraint = draw(st.booleans())
-    members = draw(st.lists(admissible_members(hard_constraint), min_size=1, max_size=6))
+    """1 to 6 admissible members of either variant, a small mesh, a short grid and a start."""
+    members = draw(st.lists(admissible_members(), min_size=1, max_size=6))
     grid = TimeGrid(k=draw(st.sampled_from([1 / 50, 1 / 200, 1 / 800])),
                     n_steps=draw(st.integers(1, 4)))
     amplitude = draw(st.floats(0.1, 3.0))
     profile = draw(st.sampled_from(PROFILES))
-    return (members, hard_constraint, make_uniform_mesh(draw(st.sampled_from([2, 3, 5, 16]))),
+    return (members, make_uniform_mesh(draw(st.sampled_from([2, 3, 5, 16]))),
             grid, lambda x: amplitude * profile(x))
 
 
@@ -883,23 +893,23 @@ def from_level(traj, n):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(admissible_stacks())
 def test_whole_stacks_equal_lone_runs_and_decay_property(case):
-    # every member of a stepped stack equals its lone run (array_equal, so an
-    # exact zero's sign is not compared; see fem.TridiagMatrix.solve); each
-    # also keeps its certified energy bound: penalized from level 0, Dirichlet
-    # feedback from level 1, as its first step imposes y(1) = -r (w . y) on
-    # initial data that need not satisfy it
-    members, hard_constraint, mesh, grid, y0 = case
-    variant = "dirichlet_feedback" if hard_constraint else "penalized_feedback"
-    levels = list(step_ensemble(members, assemble(mesh), project_initial(mesh, y0), grid,
-                                hard_constraint=hard_constraint))
+    # a stack may mix variants; every member of a stepped stack equals its
+    # lone run (array_equal, so an exact zero's sign is not compared; see
+    # fem.TridiagMatrix.solve); each also keeps its certified energy bound:
+    # penalized from level 0, Dirichlet feedback from level 1, as its first
+    # step imposes y(1) = -r (w . y) on initial data that need not satisfy it
+    members, mesh, grid, y0 = case
+    levels = list(step_ensemble(members, assemble(mesh), project_initial(mesh, y0), grid))
     for i, params in enumerate(members):
-        traj = simulate(params, mesh, y0, grid, variant)
+        dirichlet = params.epsilon == 0.0
+        traj = simulate(params, mesh, y0, grid,
+                        "dirichlet_feedback" if dirichlet else "penalized_feedback")
         assert traj.failed_at is None
         assert [level.reports[i] for level in levels] == traj.step_reports
         for level, state, control in zip(levels, traj.states, traj.controls, strict=True):
             assert np.array_equal(level.states[i], state)
             assert control == level.reports[i].control_value
-        if hard_constraint:
+        if dirichlet:
             gamma = dirichlet_rate_bounds(params).gamma_max
             assert energy_monitor(from_level(traj, 1), gamma).passed
         else:
@@ -943,7 +953,7 @@ def test_dirichlet_feedback_matches_dense_oracle():
     mesh = make_uniform_mesh(8)
     system = assemble(mesh)
     coefficients = (EXAMPLE.nu, EXAMPLE.alpha, EXAMPLE.delta, EXAMPLE.r)
-    linear = LinearPart.of(EXAMPLE, system, 0.1, hard_constraint=True)
+    linear = LinearPart.of(replace(EXAMPLE, epsilon=0.0), system, 0.1)
     for trial in range(5):
         rng = np.random.default_rng(177 + trial)
         y = rng.standard_normal(8)
@@ -1049,6 +1059,23 @@ def test_simulate_truncates_on_newton_failure():
     assert traj.states.shape == (1, 8)  # only the initial level survived
     assert len(traj.step_reports) == 2
     assert not traj.step_reports[-1].converged
+
+
+def test_only_penalized_members_warn_when_inadmissible():
+    # epsilon = 0 is the Dirichlet feedback problem, which the penalized
+    # conditions do not cover; a mixed stack warns once, for its penalized member
+    params = ModelParams(nu=0.01, alpha=0.1, delta=0.1, r=np.sqrt(0.002), epsilon=0.001)
+    dirichlet = replace(params, epsilon=0.0)
+    system = assemble(make_uniform_mesh(8))
+    y0 = project_initial(system.mesh, sin_pi)
+    grid = TimeGrid(k=0.01, n_steps=3)
+    with pytest.warns(RuntimeWarning, match="stabilization conditions") as caught:
+        list(step_ensemble([dirichlet, params], system, y0, grid))
+    assert len(caught) == 1 and "ratio condition" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        list(step_ensemble([dirichlet], system, y0, grid))
+        simulate(params, system.mesh, sin_pi, grid, "dirichlet_feedback")
 
 
 def test_simulate_warns_when_inadmissible():
