@@ -18,6 +18,12 @@ batch of calls divided by the batch size, in microseconds per call:
 
 ``assemble``          ``fem.assemble`` of the mesh (once per mesh, so the
                       B=10 column shows ``-``);
+``element_values``    ``fem.element_values`` of the iterate: its elements'
+                      nodal differences and Gauss values, which a Newton
+                      step computes once per iterate for both kernels;
+``reaction_load``     ``fem.reaction_load``, the element pass of the
+                      residual, with the run's weight, ``delta`` and the
+                      fluxes of those differences;
 ``residual``          ``solver.residual`` with the pieces a Newton step
                       passes: the run's ``LinearPart``, the previous level's
                       load, and the elements' nodal differences and Gauss
@@ -62,7 +68,7 @@ import warnings
 import numpy as np
 
 from penalty_stab.fem import assemble, cubic_term, element_values, make_uniform_mesh, norms
-from penalty_stab.fem import project_initial
+from penalty_stab.fem import project_initial, reaction_load
 from penalty_stab.params import ModelParams
 from penalty_stab.solver import (
     LinearPart,
@@ -79,8 +85,9 @@ SIZES = (128, 2048)
 STACKS = (1, 10)
 K = 1.0 / 1050.0
 N_STEPS = 1050
-LAYERS = ("assemble", "residual", "cubic_term", "matvec", "jacobian", "solve_structured",
-          "norms", "newton iteration", "time step", "time step median")
+LAYERS = ("assemble", "element_values", "reaction_load", "residual", "cubic_term", "matvec",
+          "jacobian", "solve_structured", "norms", "newton iteration", "time step",
+          "time step median")
 
 
 def repeat_times(call, batch: int, repeats: int) -> list[float]:
@@ -114,6 +121,7 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
     y_prev = y0 if n_runs == 1 else np.repeat(y0[None], n_runs, axis=0)
     y = 0.999 * y_prev
     diffs, gauss = element_values(y)
+    flux = linear.conductance * diffs
     pieces = {"prev_load": linear.mass.matvec(y_prev) / K, "gauss": gauss, "diffs": diffs}
     f = residual(linear, system, y, y_prev, **pieces)
     core, rank_one = jacobian(linear, system, y, gauss=gauss)
@@ -137,6 +145,9 @@ def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
         step_times = repeat_times(steps, 1, repeats)
         return {
             "assemble": best(lambda: assemble(mesh), batch, repeats) if n_runs == 1 else None,
+            "element_values": best(lambda: element_values(y), batch, repeats),
+            "reaction_load": best(lambda: reaction_load(mesh, gauss, linear.weight, linear.delta,
+                                                        flux), batch, repeats),
             "residual": best(lambda: residual(linear, system, y, y_prev, **pieces),
                              batch, repeats),
             "cubic_term": best(lambda: cubic_term(mesh, y), batch, repeats),

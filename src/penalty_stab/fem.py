@@ -292,50 +292,42 @@ class AssembledSystem:
         return self.mesh.n_dof
 
 
-def _scatter_element_loads(left: np.ndarray, right: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """Accumulate per-element (left node, right node) loads into DOF order.
+def _scatter_element_loads(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Accumulate per-element (left node, right node) loads into DOF order, in place.
 
-    Element ``e`` spans nodes ``e`` and ``e + 1``; the left load of element 0
-    belongs to the pinned node and is dropped.  Loads may carry a leading
-    batch axis.  The sum is one add along the flat rows, after which the last
-    entry of each row but the last, which took the next row's first left
-    load, is set back to its right load.  ``out``, when given, is a
-    C-contiguous array of the loads' shape.
+    Element ``e`` spans nodes ``e`` and ``e + 1``: each element's left load is
+    added into the right load of the element before it, which shares that
+    node, and the left load of element 0 belongs to the pinned node and is
+    dropped.  Loads may carry a leading batch axis.  Returns ``right``.
     """
-    if out is None:
-        out = right.copy()
-    else:
-        out[...] = right
-    out.ravel()[:-1] += left.ravel()[1:]
-    if out.ndim > 1:
-        out[..., -1] = right[..., -1]
-    return out
+    right[..., :-1] += left[..., 1:]
+    return right
 
 
-def _scatter_element_matrix(d_left, d_right, off) -> TridiagMatrix:
-    """Assemble per-element 2x2 symmetric contributions into a TridiagMatrix.
+def _scatter_element_matrix(entries: np.ndarray) -> TridiagMatrix:
+    """The matrix of per-element 2x2 symmetric contributions, built in place.
 
-    The bands are written straight into the matrix's band buffer: the
-    diagonal by :func:`_scatter_element_loads`, and both off-diagonals by
-    one flat shift of ``off`` (entry ``(i+1, i)`` is element ``i + 1``'s),
-    whose block-end entries are then set to the padding's +0.0.
+    ``entries`` is a C-contiguous ``(3, ..., n)`` array of every element's
+    left-left, right-right and left-right entries, and becomes the band:
+    the diagonal scatters like :func:`_scatter_element_loads`, and the next
+    element's left-right entry is both off-diagonals, padded with +0.0.
     """
-    band = np.empty((3,) + d_right.shape)
-    _scatter_element_loads(d_left, d_right, out=band[1])
-    band[0::2].reshape(2, -1)[:, :-1] = off.ravel()[1:]
-    band[0::2, ..., -1] = 0.0
-    return TridiagMatrix.from_band(band)
+    lower, diag, upper = entries[0], entries[1], entries[2]  # named for what they become
+    _scatter_element_loads(lower, diag)
+    lower[..., :-1] = upper[..., 1:]
+    lower[..., -1] = 0.0
+    upper[...] = lower
+    return TridiagMatrix.from_band(entries)
 
 
 def _mass_matrix(mesh: MeshPartition) -> TridiagMatrix:
     h = mesh.element_sizes
-    return _scatter_element_matrix(h / 3.0, h / 3.0, h / 6.0)
+    return _scatter_element_matrix(np.array([h / 3.0, h / 3.0, h / 6.0]))
 
 
 def _stiffness_matrix(mesh: MeshPartition) -> TridiagMatrix:
     inv = 1.0 / mesh.element_sizes
-    return _scatter_element_matrix(inv, inv, -inv)
+    return _scatter_element_matrix(np.array([inv, inv, -inv]))
 
 
 def _moment_vector(mesh: MeshPartition) -> np.ndarray:
@@ -370,12 +362,9 @@ def element_values(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values (the pinned node is zero, so ``diffs[..., 0] = y[..., 0]``).
     ``gauss`` is :func:`gauss_values`, computed from those differences.
     """
-    # one flat shift, then the first entry of each row, which took the row
-    # before's last value, is the pinned zero; np.empty is C-contiguous
-    # whatever y's layout, so the write through the flat view lands in it
     left = np.empty(y.shape)
-    left.ravel()[1:] = y.ravel()[:-1]
-    left[..., 0] = 0.0
+    left[..., 1:] = y[..., :-1]
+    left[..., 0] = 0.0  # the pinned node
     diffs = y - left
     gauss = np.multiply.outer(GAUSS3_POINTS, diffs)
     gauss += left
@@ -396,8 +385,12 @@ def gauss_values(y: np.ndarray) -> np.ndarray:
 def _element_integrals(mesh: MeshPartition, weights: np.ndarray,
                        vals: np.ndarray) -> np.ndarray:
     """Per-element integrals of point-major Gauss values ``vals`` against the
-    rows of ``weights``: shape ``(len(weights),) + vals.shape[1:]``."""
-    out = (weights @ vals.reshape(3, -1)).reshape(weights.shape[:1] + vals.shape[1:])
+    rows of ``weights``: shape ``(len(weights),) + vals.shape[1:]``, C-contiguous.
+    A stack's values are multiplied as one ``(3, B n)`` matrix."""
+    if vals.ndim == 2:
+        out = weights @ vals
+    else:
+        out = (weights @ vals.reshape(3, -1)).reshape(weights.shape[:1] + vals.shape[1:])
     out *= mesh.element_sizes
     return out
 
@@ -430,16 +423,17 @@ def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic,
     The diffusion term of P1 functions is a sum of element fluxes: ``flux``
     holds ``s_e = (nu / h_e) (right - left)``, the conductance times
     :func:`element_values`' differences, which element ``e`` takes from its
-    left node's load and adds to its right node's before the one scatter.
-    The result equals ``linear * M y + cubic * cubic_term(y) + nu K y`` up to
-    round-off.  For a stack the coefficients are ``(B, 1)`` columns and
-    ``flux`` has one row per member.
+    left node's load and adds to its right node's before the scatter, in
+    place in the right loads.  The result equals ``linear * M y + cubic *
+    cubic_term(y) + nu K y`` up to round-off.  For a stack the coefficients
+    are ``(B, 1)`` columns and ``flux`` has one row per member.
     """
     vals = gauss * gauss
     vals *= cubic
     vals += linear
     vals *= gauss
-    left, right = _element_integrals(mesh, _W_LOAD, vals)
+    loads = _element_integrals(mesh, _W_LOAD, vals)
+    left, right = loads[0], loads[1]  # indexing: unpacking an array iterates it
     left -= flux
     right += flux
     return _scatter_element_loads(left, right)
@@ -452,13 +446,13 @@ def cubic_jacobian(mesh: MeshPartition, y: np.ndarray, *,
     Symmetric positive semidefinite; exact by the same degree argument.  A
     ``(B, n_dof)`` stack of states gives a stack of matrices.  ``gauss`` is
     ``gauss_values(y)``, point-major of shape ``(3, ..., n_elements)``, when
-    the caller has it already.
+    the caller has it already.  Its element integrals become its band in place.
     """
     if gauss is None:
         gauss = gauss_values(y)
     sq = gauss * gauss
     sq *= 3.0
-    return _scatter_element_matrix(*_element_integrals(mesh, _W_JAC, sq))
+    return _scatter_element_matrix(_element_integrals(mesh, _W_JAC, sq))
 
 
 def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
@@ -523,7 +517,7 @@ def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
         raise MeshError(f"state of shape {y.shape}, system expects {system.moment.shape}")
     return NormSet(
         l2=math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
-        linf=float(np.abs(y).max()),
+        linf=float(np.maximum.reduce(np.abs(y))),
         _system=system,
         _y=y.copy(),
     )

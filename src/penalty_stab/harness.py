@@ -288,9 +288,10 @@ def validate_config(cfg: dict, kind: str) -> dict:
         eps_list = _get(cfg, "experiment.epsilons")
         if (not isinstance(eps_list, list) or not eps_list
                 or any(not isinstance(e, (int, float)) or isinstance(e, bool)
-                       or not (_finite(e) and e > 0) for e in eps_list)):
+                       or not (_finite(e) and e >= 0) for e in eps_list)
+                or 0 in eps_list[:-1]):  # a last 0 is the Dirichlet feedback limit
             raise ConfigError("experiment.epsilons: expected a non-empty list of positive "
-                              "finite numbers")
+                              "finite numbers, optionally ending with 0")
         eps_list = [float(e) for e in eps_list]
         if any(b > a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("experiment.epsilons: must be descending")
@@ -615,10 +616,14 @@ def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
 
     run.failures.extend(f"epsilon={row.epsilon:g}: newton failure"
                         for row in report.rows if row.failed)
-    rates_per_row = [{"epsilon": row.epsilon, "r": row.r,
-                      "admissible": rate_report(_model_params(model, row.r,
-                                                              row.epsilon)).admissible}
-                     for row in report.rows]
+    rates_per_row = []
+    for row in report.rows:
+        rates = rate_report(_model_params(model, row.r, row.epsilon))
+        entry = {"epsilon": row.epsilon, "r": row.r, "admissible": rates.admissible}
+        if row.epsilon == 0.0:  # the Dirichlet feedback problem has bounds of its own
+            entry.update(gamma_dirichlet_max=rates.gamma_dirichlet_max,
+                         beta_star=rates.beta_star)
+        rates_per_row.append(entry)
     metadata = {"config": resolved, "rates_per_row": rates_per_row}
     if run.failures:
         metadata["failures"] = run.failures

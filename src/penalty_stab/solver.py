@@ -69,13 +69,17 @@ does not depend on the iterate is built as rarely as it can be:
 * once per step, in :func:`newton_solve`: the checks of ``y_prev``, the
   start and the stack's members, ``M Y_prev / k``, and at the end the
   controls, from one ``w . Y`` per run in Python floats;
-* per iteration: the nodal differences and Gauss values of the iterate, its
-  residual and stopping norm, and ``delta C'(Y)``, to whose own bands the
-  linear part is added in the same order of operations as a from-scratch
-  build, so the iterates do not change.
+* per iteration: the nodal differences and Gauss values of the iterate
+  (:func:`fem.element_values`), its residual (one :func:`fem.reaction_load`
+  pass and the boundary row) and stopping norm, ``delta C'(Y)``
+  (:func:`fem.cubic_jacobian`, whose element integrals become its band in
+  place), to whose band the linear part is added in the same order of
+  operations as a from-scratch build, so the iterates do not change, and
+  one :func:`solve_structured`.
 
 Newton never writes into ``Y_prev`` or its start: each iterate is a new
-array, and so is the result.
+array, and so is the result.  Every kernel returns a new array: none writes
+into its inputs, the :class:`LinearPart` or a buffer of an earlier call.
 
 A single simulation is strictly sequential in time: :func:`simulate` calls
 :func:`newton_solve` once per level on a 1-D state and records the level
@@ -216,11 +220,13 @@ class RankOneUpdate:
 
         Column 1 holds ``u``, filled once; each solve writes its right-hand
         side into column 0.  The elimination copies its input, so the
-        buffer is only ever read after that write.
+        buffer is only ever read after that write.  The buffer is
+        column-major, so each column, and each column of the elimination's
+        result, is one contiguous run of memory.
         """
-        pair = np.empty(self.u.shape + (2,))
-        pair[..., 1] = self.u
-        return pair
+        pair = np.empty((2,) + self.u.shape)
+        pair[1] = self.u
+        return np.moveaxis(pair, 0, -1)
 
 
 def _members_error(linear: LinearPart, y: np.ndarray) -> MeshError:
@@ -399,9 +405,8 @@ def jacobian(linear: LinearPart, system: AssembledSystem, y: np.ndarray,
     band *= linear.delta
     band += linear.core.band
     b = system.boundary_dof
-    lower, diag = band[0], band[1]
-    lower.T[b - 1] *= linear.scale  # .T[b - 1]: a stack's (B,) column; see residual
-    diag.T[b] = linear.scale * diag.T[b] + 1.0
+    core.lower.T[b - 1] *= linear.scale  # .T[b - 1]: a stack's (B,) column; see residual
+    core.diag.T[b] = linear.scale * core.diag.T[b] + 1.0
     return core, linear.rank_one
 
 
@@ -432,11 +437,13 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     both = core.solve(both)
     x_rhs, x_u = both[..., 0], both[..., 1]
     v_xu = np.vecdot(rank_one.v, x_u)
-    for s in v_xu.reshape(-1).tolist():
+    lone = v_xu.ndim == 0  # one system: a numpy scalar
+    for s in [float(v_xu)] if lone else v_xu.reshape(-1).tolist():
         if abs(1.0 + s) <= 1e-12 * max(1.0, abs(s)):
             raise SingularUpdateError(
                 f"rank-one update is singular: 1 + v.core^-1.u = {1.0 + s:.3e}")
-    return x_rhs - x_u * (np.vecdot(rank_one.v, x_rhs) / (1.0 + v_xu))[..., None]
+    weight = np.vecdot(rank_one.v, x_rhs) / (1.0 + v_xu)
+    return x_rhs - x_u * (weight if lone else weight[..., None])
 
 
 def _residual_norms(f: np.ndarray) -> list[float]:

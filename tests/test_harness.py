@@ -389,6 +389,40 @@ def test_epsilon_runner_schema(tmp_path):
     assert all(r[10] == "0" for r in rows)
 
 
+def test_epsilon_study_may_end_with_zero(tmp_path):
+    # the last run is the Dirichlet feedback problem, the limit of the list
+    cfg = epsilon_config()
+    cfg["experiment"]["epsilons"] = [1e-2, 1e-3, 0]
+    resolved = validate_config(cfg, "epsilon_study")
+    assert resolved["experiment"]["epsilons"] == [1e-2, 1e-3, 0.0]
+    run_epsilon_study(resolved, tmp_path)
+    metadata, _, rows = read_csv(tmp_path / "epsilon_study.csv")
+    assert len(rows) == 3 and all(row[10] == "0" for row in rows)
+    assert float(rows[2][0]) == 0.0 and float(rows[2][1]) == 0.0  # sqrt_eps gain at 0
+    assert all(math.isfinite(float(cell)) for cell in rows[2][:10])
+    assert float(rows[2][5]) > 0.0  # its difference to the eps = 1e-3 run
+    rates = json.loads(metadata["rates_per_row"])
+    bounds = harness.rate_report(ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0,
+                                             epsilon=0.0))
+    assert rates[2] == {"epsilon": 0.0, "r": 0.0, "admissible": False,
+                        "gamma_dirichlet_max": bounds.gamma_dirichlet_max,
+                        "beta_star": bounds.beta_star}
+    assert bounds.gamma_dirichlet_max is not None
+    assert set(rates[0]) == set(rates[1]) == {"epsilon", "r", "admissible"}
+    cfg["experiment"]["epsilons"] = [0]  # the limit alone: 0 is also last
+    assert validate_config(cfg, "epsilon_study")["experiment"]["epsilons"] == [0.0]
+
+
+@pytest.mark.parametrize("epsilons", [[0.1, -0.01], [0.1, 0.0, 0.0], [0, 0]],
+                         ids=["negative", "zero-before-last", "zero-first"])
+def test_validate_epsilons_zero_only_last_and_never_negative(epsilons):
+    # each list descends, so only the check of its values can turn it down
+    cfg = epsilon_config()
+    cfg["experiment"]["epsilons"] = epsilons
+    with pytest.raises(ConfigError, match="experiment.epsilons: expected"):
+        validate_config(cfg, "epsilon_study")
+
+
 def test_epsilon_runner_singleton_list(tmp_path):
     cfg = epsilon_config()
     cfg["experiment"]["epsilons"] = [0.01]
@@ -487,12 +521,13 @@ def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, command, config, over
 
 @pytest.mark.parametrize("command, config, override", [
     ("simulate", decay_config, "model.epsilon=0"),
-    ("epsilon-study", epsilon_config, "experiment.epsilons=[1.0,0.0]"),
+    ("epsilon-study", epsilon_config, "experiment.epsilons=[1.0,0.0,0.0]"),  # 0 not last
     ("convergence", convergence_config, "experiment.epsilon_rule.l=200"),  # c h^l underflows
 ])
 def test_cli_zero_epsilon_exits_one(tmp_path, capsys, command, config, override):
     # the library takes epsilon = 0 as the Dirichlet feedback problem; a
-    # config still names penalized runs, so it turns epsilon = 0 down
+    # config still names penalized runs, so it turns epsilon = 0 down, except
+    # as the last of an epsilon study's list, the limit of its runs
     path = write_config(tmp_path, config())
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
                  "--override", override])

@@ -595,6 +595,46 @@ def test_newton_writes_into_neither_y_prev_nor_start(stacked):
             assert not all(r.converged for r in reports)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack of 3"])
+def test_kernel_results_share_no_memory_with_inputs_run_or_previous_result(stacked):
+    # the kernels write their own buffers in place; none of them may be an
+    # input, an array the run holds, or the buffer of the call before
+    system = assemble(make_uniform_mesh(16))
+    x = system.mesh.nodes[1:]
+    members = [EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3, epsilon=0.0),
+               ModelParams(nu=0.1, alpha=0.05, delta=0.5, r=0.01, epsilon=1e-4)]
+    linear = LinearPart.of(members if stacked else EXAMPLE, system, 0.01)
+    y = 0.7 * sin_pi(x) + 0.1 * x
+    y = np.stack([y, -2.0 * y, 0.5 * y]) if stacked else y
+    y_prev = 0.9 * y
+    load = linear.mass.matvec(y_prev) / linear.k
+    run = [linear.core.band, linear.mass.band, linear.rank_one.pair, linear.rank_one.u,
+           linear.rank_one.v, linear.conductance, system.mass.band, system.stiffness.band,
+           system.moment, system.mesh.element_sizes]
+
+    def calls():
+        diffs, gauss = fem.element_values(y)
+        flux = linear.conductance * diffs
+        f = residual(linear, system, y, y_prev, prev_load=load, gauss=gauss, diffs=diffs)
+        core = jacobian(linear, system, y, gauss=gauss)[0]
+        return {
+            "element_values.diffs": (diffs, [y]),
+            "element_values.gauss": (gauss, [y]),
+            "reaction_load": (fem.reaction_load(system.mesh, gauss, linear.weight, linear.delta,
+                                                flux), [gauss, flux]),
+            "cubic_jacobian": (fem.cubic_jacobian(system.mesh, y, gauss=gauss).band, [y, gauss]),
+            "residual": (f, [y, y_prev, load, gauss, diffs]),
+            "jacobian": (core.band, [y, gauss]),
+            "solve_structured": (solve_structured(core, linear.rank_one, f), [core.band, f]),
+        }
+
+    first, second = calls(), calls()
+    for name, (result, inputs) in second.items():
+        for other in inputs + run + [first[name][0]]:
+            assert not np.shares_memory(result, other), name
+        assert np.array_equal(result, first[name][0]), name  # the same call, the same bits
+
+
 def test_newton_start_sets_the_first_iterate_only():
     system = assemble(make_uniform_mesh(16))
     y_prev = 0.5 * sin_pi(system.mesh.nodes[1:])
@@ -1025,6 +1065,38 @@ def test_penalized_runs_approach_dirichlet_feedback_at_rate_eps():
     assert diffs[0] == pytest.approx(8.53e-4, rel=1e-3)
     for a, b in zip(diffs, diffs[1:]):
         assert a / b == pytest.approx(10.0, rel=0.01)
+
+
+@pytest.mark.filterwarnings("ignore:stabilization conditions")
+@pytest.mark.parametrize("gain", [lambda eps: 0.05, math.sqrt], ids=["r=0.05", "r=sqrt(eps)"])
+def test_penalty_limit_is_first_order_in_eps(gain):
+    """``sup_t ||y_eps - y_0||_L2`` is ``C eps`` with ``C`` bounded: eps -> 0 is first order.
+
+    Each penalized member steps in one ``step_ensemble`` stack with its
+    ``eps = 0`` twin, the Dirichlet feedback problem at the same gain (nu
+    0.1, alpha 0.13, delta 0.13, ``sin(pi x)``, T = 1, k = 1/1050, N = 16).
+    Measured at N = 16: ``sup_t ||y_eps - y_0|| / eps`` is 0.8844-0.8888 with
+    r = 0.05 and 0.8807-0.8819 with r = sqrt(eps), for eps = 1e-3 to 1e-6,
+    and 0.8785-0.8852 at N = 32; the log10 ratios of successive decades are
+    0.9988-1.0003.  So the bound on ``C`` is 1.0, about 12% above the
+    largest measured value, and the ratios must be within 1 +- 0.05 from
+    eps = 1e-4 down, where the limit is reached.
+    """
+    epsilons = [1e-3, 1e-4, 1e-5, 1e-6]
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=gain(eps), epsilon=e)
+               for eps in epsilons for e in (eps, 0.0)]
+    mesh = make_uniform_mesh(16)
+    system = assemble(mesh)
+    y0 = project_initial(mesh, sin_pi)
+    sup = np.zeros(len(epsilons))
+    for level in step_ensemble(members, system, y0, TimeGrid(k=1.0 / 1050.0, n_steps=1050)):
+        assert level.members.size == len(members)
+        d = level.states[0::2] - level.states[1::2]
+        sup = np.maximum(sup, np.sqrt(np.vecdot(d, system.mass.matvec(d))))
+    constants = sup / np.array(epsilons)
+    assert np.all((0.8 < constants) & (constants < 1.0)), constants
+    decade_ratios = np.log10(sup[:-1] / sup[1:])
+    assert np.all(np.abs(decade_ratios[1:] - 1.0) <= 0.05), decade_ratios
 
 
 def test_simulate_uncontrolled_pins_boundary():
