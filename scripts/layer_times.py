@@ -1,4 +1,4 @@
-"""Time each layer of the solver at two mesh sizes, for one run and a stack of ten.
+"""Time each layer of the solver at two mesh sizes, for one run and stacks of ten.
 
 Usage (from the repository root)::
 
@@ -12,6 +12,11 @@ steps) and once for a stack of B=10 runs (the ``LinearPart`` of ten
 the shipped configs' coefficients (nu=0.1, alpha=0.13, delta=0.13, k=1/1050,
 ``y0`` the L2 projection of ``sin(pi x)``): the lone run has eps=0.01, the
 stack the epsilon study's eps=1 ... 1e-9, each with gain ``sqrt(eps)``.
+
+The column ``N=128 B=10 mixed`` times that stack with its ten deltas spread
+evenly over [0.1, 0.16].  The epsilon study's members share delta and
+alpha, so its ``LinearPart`` holds them as floats; the mixed stack's holds
+``(B, 1)`` columns, a path that no benchmark workload steps.
 
 A time is the minimum over K repeats (default 20) of the process time of a
 batch of calls divided by the batch size, in microseconds per call:
@@ -83,6 +88,7 @@ from penalty_stab.solver import (
 
 SIZES = (128, 2048)
 STACKS = (1, 10)
+MIXED_SIZE = 128  # the mesh size of the stack with mixed deltas
 K = 1.0 / 1050.0
 N_STEPS = 1050
 LAYERS = ("assemble", "element_values", "reaction_load", "residual", "cubic_term", "matvec",
@@ -106,16 +112,17 @@ def best(call, batch: int, repeats: int) -> float:
     return min(repeat_times(call, batch, repeats))
 
 
-def members(n_runs: int) -> list[ModelParams]:
+def members(n_runs: int, mixed: bool = False) -> list[ModelParams]:
     epsilons = [0.01] if n_runs == 1 else [10.0 ** -j for j in range(n_runs)]
-    return [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
-            for eps in epsilons]
+    deltas = [0.1 + 0.06 * j / (n_runs - 1) if mixed else 0.13 for j in range(n_runs)]
+    return [ModelParams(nu=0.1, alpha=0.13, delta=delta, r=math.sqrt(eps), epsilon=eps)
+            for eps, delta in zip(epsilons, deltas)]
 
 
-def layer_times(n: int, n_runs: int, repeats: int) -> dict[str, float | None]:
+def layer_times(n: int, n_runs: int, mixed: bool, repeats: int) -> dict[str, float | None]:
     mesh = make_uniform_mesh(n)
     system = assemble(mesh)
-    runs = members(n_runs)
+    runs = members(n_runs, mixed)
     linear = LinearPart.of(runs[0] if n_runs == 1 else runs, system, K)
     y0 = project_initial(mesh, lambda x: np.sin(np.pi * x))
     y_prev = y0 if n_runs == 1 else np.repeat(y0[None], n_runs, axis=0)
@@ -166,12 +173,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=20, help="repeats per timing (K)")
     args = parser.parse_args(argv)
-    columns = [(n, b) for n in SIZES for b in STACKS]
+    columns = [(n, b, mixed) for n in SIZES for b in STACKS
+               for mixed in ((False, True) if n == MIXED_SIZE and b > 1 else (False,))]
     table = {column: layer_times(*column, args.repeats) for column in columns}
-    print(f"{'µs per call':<18}" + "".join(f"{f'N={n} B={b}':>15}" for n, b in columns))
+    print(f"{'µs per call':<18}" + "".join(
+        f"{f'N={n} B={b}' + (' mixed' if mixed else ''):>17}" for n, b, mixed in columns))
     for layer in LAYERS:
         cells = [table[column][layer] for column in columns]
-        print(f"{layer:<18}" + "".join(f"{'-' if c is None else f'{c:.1f}':>15}" for c in cells))
+        print(f"{layer:<18}" + "".join(f"{'-' if c is None else f'{c:.1f}':>17}" for c in cells))
     return 0
 
 

@@ -57,6 +57,7 @@ from .solver import (
     EnsembleLevel,
     LinearPart,
     RankOneUpdate,
+    StackReport,
     StateTrajectory,
     StepReport,
     TimeGrid,

@@ -269,21 +269,21 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     alive, filled = np.arange(n), 0
     neighbours = _neighbours(alive)  # changes only when a run drops out
     for level in levels:
-        reports = level.reports
-        if level.members.size < len(reports):  # a run dropped out at this level
-            for i, report in reports.items():
-                failed[i] |= not report.converged
+        step = level.step
+        controls = step.control_value
+        if level.members.size < len(step):  # a run dropped out at this level
+            failed[level.attempted[~step.converged]] = True
             flush(alive, neighbours, filled)
             alive, filled = level.members, 0
             neighbours = _neighbours(alive)
-            reports = {i: reports[i] for i in alive.tolist()}
+            controls = controls[step.converged]
         if not alive.size:
             break
         if filled == block_length:
             flush(alive, neighbours, filled)
             filled = 0
         block_states[filled, :alive.size] = level.states
-        block_controls[filled, :alive.size] = [r.control_value for r in reports.values()]
+        block_controls[filled, :alive.size] = controls
         filled += 1
     if filled:
         flush(alive, neighbours, filled)

@@ -426,7 +426,7 @@ def reaction_load(mesh: MeshPartition, gauss: np.ndarray, linear, cubic,
     left node's load and adds to its right node's before the scatter, in
     place in the right loads.  The result equals ``linear * M y + cubic *
     cubic_term(y) + nu K y`` up to round-off.  For a stack the coefficients
-    are ``(B, 1)`` columns and ``flux`` has one row per member.
+    are floats or ``(B, 1)`` columns, and ``flux`` has one row per member.
     """
     vals = gauss * gauss
     vals *= cubic

@@ -15,7 +15,7 @@ import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,7 +109,23 @@ def apply_overrides(cfg: dict, overrides: Sequence[str]) -> dict:
     return cfg
 
 
-def _get(cfg: dict, path: str, default=...):
+class _Fields(dict):
+    """A raw config that records the dotted paths :func:`_get` reads from it."""
+
+    def __init__(self, cfg: dict) -> None:
+        super().__init__(cfg)
+        self.read: set[str] = set()
+
+    def unread(self, node: dict | None = None, prefix: str = "") -> Iterator[str]:
+        """The paths of the leaves that no read reached, neither they nor a parent."""
+        for key, value in (self if node is None else node).items():
+            path = f"{prefix}{key}"
+            if path not in self.read:
+                yield from self.unread(value, path + ".") if isinstance(value, dict) else [path]
+
+
+def _get(cfg: _Fields, path: str, default=...):
+    cfg.read.add(path)
     node = cfg
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -163,7 +179,7 @@ def _boolean(cfg: dict, path: str, default=...) -> bool:
 
 def _choice(cfg: dict, path: str, choices, *, default=...):
     value = _get(cfg, path, default)
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:  # a list is not a dict key
         raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {value!r}")
     return value
 
@@ -186,11 +202,17 @@ def _gain_rule(value, path: str) -> tuple[Callable[[float], float], str]:
     raise ConfigError(f"{path}: expected a rule name or a number, got {value!r}")
 
 
-def _time_grid(cfg: dict) -> TimeGrid:
+def _time_grid(cfg: _Fields) -> TimeGrid:
     T = _number(cfg, "time.T", positive=True)
     if _get(cfg, "time.n_steps", None) is not None:
         # bounded here so that T / n_steps cannot overflow; see _check_size
         n_steps = _integer(cfg, "time.n_steps", minimum=1, maximum=MAX_GRID_VALUES)
+        # a resolved config echoes k beside n_steps: it must take n_steps steps to T
+        if _get(cfg, "time.k", None) is not None:
+            k = _number(cfg, "time.k", positive=True)
+            if abs(n_steps * k - T) > 1e-9 * max(1.0, T):
+                raise ConfigError(f"time.k and time.n_steps: {n_steps} steps of {k!r} do not "
+                                  f"reach time.T = {T!r}")
         return TimeGrid(k=T / n_steps, n_steps=n_steps)
     k = _number(cfg, "time.k", positive=True)
     try:
@@ -219,11 +241,17 @@ def validate_config(cfg: dict, kind: str) -> dict:
     """Validate a raw config against ``kind`` and return it with defaults filled.
 
     The returned dict is the "resolved" config echoed into output metadata;
-    re-running it reproduces the experiment exactly.  A run larger than
-    :data:`MAX_GRID_VALUES` state values is rejected (:func:`_check_size`).
+    re-running it reproduces the experiment exactly.  Fields that only echo
+    a derived value (``time.k`` beside ``time.n_steps``, ``model.r_rule``
+    and ``experiment.gain_rule_resolved``) are accepted when they agree with
+    it.  A field that validation of ``kind`` does not read is rejected, so a
+    misspelt optional field is not silently replaced by its default.  A run
+    larger than :data:`MAX_GRID_VALUES` state values is rejected
+    (:func:`_check_size`).
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    cfg = _Fields(cfg)
     declared = _choice(cfg, "experiment.kind", KINDS)
     if declared != kind:
         raise ConfigError(f"experiment.kind: config declares {declared!r}, "
@@ -257,6 +285,13 @@ def validate_config(cfg: dict, kind: str) -> dict:
             model["r_rule"] = name
         else:
             model["r"] = _number(cfg, "model.r", nonnegative=True)
+        echoed = _get(cfg, "model.r_rule", None)
+        if echoed is not None:
+            if (not isinstance(echoed, str) or echoed not in GAIN_RULES
+                    or GAIN_RULES[echoed](model["epsilon"]) != model["r"]):
+                raise ConfigError(f"model.r_rule: {echoed!r} does not give model.r = "
+                                  f"{model['r']!r} at model.epsilon = {model['epsilon']!r}")
+            model["r_rule"] = echoed
         resolved["mesh"] = {"n_elements": _integer(cfg, "mesh.n_elements", minimum=2)}
         exp["include_uncontrolled"] = _boolean(cfg, "experiment.include_uncontrolled", False)
         exp["implicit_control"] = _boolean(cfg, "experiment.implicit_control", True)
@@ -301,7 +336,15 @@ def validate_config(cfg: dict, kind: str) -> dict:
     if kind != "decay":
         exp["gain_rule"] = _get(cfg, "experiment.gain_rule", "sqrt_eps")
         _, exp["gain_rule_resolved"] = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
+        echoed = _get(cfg, "experiment.gain_rule_resolved", None)
+        if echoed is not None and echoed != exp["gain_rule_resolved"]:
+            raise ConfigError(f"experiment.gain_rule_resolved: {echoed!r} is not the resolved "
+                              f"experiment.gain_rule {exp['gain_rule_resolved']!r}")
     _check_size(cfg, resolved)
+    for path in cfg.unread():  # the first field that no check read
+        if any(read.startswith(path + ".") for read in cfg.read):
+            raise ConfigError(f"{path}: expected an object, got {_get(cfg, path)!r}")
+        raise ConfigError(f"{path}: not a field of a {kind!r} config")
     return resolved
 
 
@@ -376,17 +419,22 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
 def emit_svg(path, x: np.ndarray, series: dict[str, np.ndarray], *,
              title: str = "", x_label: str = "", y_label: str = "",
              log_x: bool = False, log_y: bool = False) -> Path:
-    """Minimal SVG 1.1 polyline chart; a decoration, never load-bearing."""
+    """Minimal SVG 1.1 polyline chart; a decoration, never load-bearing.
+
+    A point with a value that is not positive on a log axis has no place on
+    it; the chart names the count and the x of such points of each series.
+    """
     width, height, margin = 640, 420, 58
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
     def transform(values, log_scale):
-        values = np.asarray(values, dtype=float)
         if log_scale:
             values = np.where(values > 0.0, values, np.nan)
             return np.log10(values)
         return values
 
+    x = np.asarray(x, dtype=float)
+    series = {name: np.asarray(vals, dtype=float) for name, vals in series.items()}
     tx = transform(x, log_x)
     tys = {name: transform(vals, log_y) for name, vals in series.items()}
     finite_y = np.concatenate([v[np.isfinite(v)] for v in tys.values()] or [np.array([0.0])])
@@ -438,6 +486,15 @@ def emit_svg(path, x: np.ndarray, series: dict[str, np.ndarray], *,
                      f'points="{points}"/>')
         parts.append(f'<text x="{width - margin - 4}" y="{margin + 14 + 14 * idx}" '
                      f'text-anchor="end" font-size="11" fill="{color}">{name}</text>')
+    line = len(tys)
+    for name, vals in series.items():
+        unplaced = x[(log_x & (x <= 0.0)) | (log_y & (vals <= 0.0))]
+        if unplaced.size:
+            at = ", ".join(f"{value:.4g}" for value in unplaced)
+            parts.append(f'<text x="{width - margin - 4}" y="{margin + 14 + 14 * line}" '
+                         f'text-anchor="end" font-size="10">{name}: {unplaced.size} point(s) '
+                         f'off the log axes, at x = {at}</text>')
+            line += 1
     parts.append("</svg>")
     path = Path(path)
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")

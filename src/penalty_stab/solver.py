@@ -93,8 +93,8 @@ per member, and each member leaves the iteration at its own convergence (or
 at a residual that is not finite) and extrapolates from its own levels, so
 every run equals its separate run in value; an exact zero may carry the
 other sign (see :meth:`fem.TridiagMatrix.solve`).  :func:`newton_solve`
-keeps its bookkeeping in Python floats for a 1-D state and in per-member
-lists for a stack.
+keeps its bookkeeping in Python floats for a 1-D state and in ``(B,)``
+arrays for a stack, whose members' reports are built only when read.
 """
 
 from __future__ import annotations
@@ -175,6 +175,32 @@ class StepReport:
     control_value: float
     converged: bool
     residual_norms: tuple[float, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class StackReport:
+    """Newton diagnostics for one time step of a stack, in ``(B,)`` arrays.
+
+    The first four fields hold each member's :class:`StepReport` field; entry
+    ``i`` of ``residual_norms`` holds the norms after update ``i`` (0: at the
+    start) of the members that took it.  Indexing and iteration build each
+    member's :class:`StepReport` on read, so they see a change to ``converged``.
+    """
+
+    newton_iterations: np.ndarray
+    final_residual_norm: np.ndarray
+    control_value: np.ndarray
+    converged: np.ndarray
+    residual_norms: list[np.ndarray]
+
+    def __len__(self) -> int:
+        return self.converged.size
+
+    def __getitem__(self, member: int) -> StepReport:  # iteration stops at its IndexError
+        n = int(self.newton_iterations[member])
+        return StepReport(n, float(self.final_residual_norm[member]),
+                          float(self.control_value[member]), bool(self.converged[member]),
+                          tuple(float(norms[member]) for norms in self.residual_norms[:n + 1]))
 
 
 @dataclass(eq=False)
@@ -315,9 +341,11 @@ class LinearPart:
     ``gain`` is the ``r`` of the boundary row's feedback condition ``y(1) +
     r (w . y)``.  ``rank_one`` is ``None`` when every gain is 0 or the
     control is lagged.  Built from a sequence of :class:`ModelParams`,
-    ``delta`` and ``weight`` are ``(B, 1)`` columns, which broadcast against
-    ``(B, N)`` state stacks, every other array field has one row per
-    member, and ``take`` keeps the band layout; ``scale`` and ``gain``,
+    ``delta`` and ``weight`` are each a float when every member's value has
+    the same bits (so the kernels multiply by a number), else ``(B, 1)``
+    columns, which broadcast against ``(B, N)`` state stacks; every other
+    array field has one row per member, and ``take`` keeps the band layout
+    and a float as it is; ``scale`` and ``gain``,
     which act on the boundary entries ``[..., b]``, are then ``(B,)``
     vectors, so a stack may mix variants.  ``conductance`` is ``(N,)`` for
     a run and ``(B, N)`` for a stack.
@@ -354,6 +382,9 @@ class LinearPart:
         if stacked:  # (B, 1) columns against (3, 1, N) bands
             core = weight * mass.band[:, None] + nu * stiffness.band[:, None]
             mass = mass.repeat(len(params))
+            # a column whose entries have the same bits (+0.0 and -0.0 do not) is one float
+            delta, weight = (float(c[0, 0]) if np.unique(c.astype(float).view(np.uint64)).size == 1
+                             else c for c in (delta, weight))
         else:
             core = weight * mass.band + nu * stiffness.band
         rank_one = None
@@ -369,10 +400,13 @@ class LinearPart:
 
     def take(self, index: np.ndarray) -> "LinearPart":
         """The linear part of the members ``index`` of a stack."""
+        def rows(column):  # a coefficient every member shares is kept as it is
+            return column if isinstance(column, float) else column[index]
+
         rank_one = self.rank_one
         if rank_one is not None:
             rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
-        return replace(self, delta=self.delta[index], weight=self.weight[index],
+        return replace(self, delta=rows(self.delta), weight=rows(self.weight),
                        conductance=self.conductance[index],
                        core=TridiagMatrix.from_band(self.core.band[:, index]),
                        mass=TridiagMatrix.from_band(self.mass.band[:, index]),
@@ -446,9 +480,9 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
     return x_rhs - x_u * (weight if lone else weight[..., None])
 
 
-def _residual_norms(f: np.ndarray) -> list[float]:
+def _residual_norms(f: np.ndarray) -> np.ndarray:
     """Newton's convergence norm, the Euclidean norm, of each residual row in ``f``."""
-    return np.sqrt(np.vecdot(f, f)).reshape(-1).tolist()
+    return np.sqrt(np.vecdot(f, f)).reshape(-1)
 
 
 def _evaluate(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray,
@@ -476,7 +510,7 @@ def _report(history: list[float], tol: float, gain: float, moment: float) -> Ste
 
 def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray,
                  tol: float = 1e-12, max_iter: int = 25, *, start: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, StepReport | tuple[StepReport, ...]]:
+                 ) -> tuple[np.ndarray, StepReport | StackReport]:
     """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
     ``linear`` is the run's :class:`LinearPart`: the time step, the
@@ -492,7 +526,8 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
 
     With a linear part of B members, ``y_prev`` is a ``(B, N)`` stack, the B
     steps share each iteration's residual, Jacobian and stacked solve, and
-    the result is the new stack and a tuple of B reports.  States whose
+    the result is the new stack and its :class:`StackReport`, whose entries
+    are the B members' reports.  States whose
     leading shape does not match the linear part's members raise
     :class:`MeshError`.  A member leaves the iteration once it converges,
     so it takes exactly the iterates of its own step, and a stack of one
@@ -504,7 +539,8 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     Both shapes evaluate and update the iterate the same way; they differ in
     the bookkeeping around it.  A 1-D state keeps one history of Python
     floats, which costs a lone run (the decay study's) less than the
-    per-member lists and drop-outs a stack needs.
+    drop-outs a stack needs; a stack keeps its members' facts in ``(B,)``
+    arrays and builds no :class:`StepReport` until one is read.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
@@ -524,34 +560,36 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
                     break
         return y, _report(history, tol, linear.gains[0], float(np.vecdot(y, system.moment)))
 
-    histories = [[norm] for norm in _residual_norms(f)]
-    gains = linear.gains
-    active = list(range(len(histories)))  # members still iterating
-    keep = [math.isfinite(history[0]) for history in histories]  # members that update next
+    norms = _residual_norms(f)
+    n_members, gain = norms.size, linear.gain
+    history = [norms]
+    active = np.arange(n_members)  # members still iterating
+    keep = np.isfinite(norms)  # members that update next
     result = None
     for iteration in range(max_iter + 1):
         if iteration:
             y, gauss, f = _update(linear, system, y, prev, load, gauss, f)
-            keep = []
-            for member, norm in zip(active, _residual_norms(f)):
-                histories[member].append(norm)
-                keep.append(tol < norm < math.inf)  # not converged, and finite
-        if all(keep) and iteration < max_iter:
+            norms = _residual_norms(f)
+            history.append(np.empty(n_members))
+            history[-1][active] = norms
+            keep = (tol < norms) & (norms < math.inf)  # not converged, and finite
+        n_keep = np.count_nonzero(keep)  # the cheapest of numpy's tests on a (B,) mask
+        if n_keep == keep.size and iteration < max_iter:
             continue
-        # members leave the iteration: store their states
+        # members leave the iteration: store their states and last norms
         if result is None:  # every member is still here; a start is copied
             result = y if iteration else y.copy()
+            final, iterations = norms.copy(), np.full(n_members, iteration)
         else:
-            result[active] = y
-        if iteration == max_iter or not any(keep):
+            result[active], final[active], iterations[active] = y, norms, iteration
+        if iteration == max_iter or not n_keep:
             break
         rows = np.flatnonzero(keep)
-        active = [active[j] for j in rows]
+        active = active[rows]
         y, prev, load, gauss, f = y[rows], prev[rows], load[rows], gauss[:, rows], f[rows]
         linear = linear.take(rows)
-    moments = np.vecdot(result, system.moment).tolist()
-    return result, tuple([_report(history, tol, gain, moment)
-                          for history, gain, moment in zip(histories, gains, moments)])
+    return result, StackReport(iterations, final, 0.0 - gain * np.vecdot(result, system.moment),
+                               final <= tol, history)
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,19 +598,25 @@ class EnsembleLevel:
 
     ``members`` lists, ascending, the runs whose steps have all converged up
     to this level, and ``states`` holds their states row by row.
-    ``reports`` maps every run that attempted this level's step to its
-    :class:`StepReport`, failed ones included; at level 0 it holds the
-    initial reports.
+    ``attempted`` lists the runs that attempted this level's step, failed
+    ones included, and ``step`` holds their :class:`StackReport` (at level
+    0, the initial reports); ``reports`` maps each to its
+    :class:`StepReport`, built on first read.
     """
 
     index: int
     members: np.ndarray
     states: np.ndarray
-    reports: dict[int, StepReport]
+    attempted: np.ndarray
+    step: StackReport
+
+    @cached_property
+    def reports(self) -> dict[int, StepReport]:
+        return dict(zip(self.attempted.tolist(), self.step))
 
 
 def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
-           initial: Sequence[StepReport], time_grid: TimeGrid,
+           initial: StackReport, time_grid: TimeGrid,
            settings: tuple[float, int]) -> Iterator[EnsembleLevel]:
     """Yield the levels of the runs of ``linear`` stepped from ``states``.
 
@@ -583,38 +627,33 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
     is taken once per drop-out; the march ends when none is left.
     """
     members = np.arange(states.shape[0])
-    keys = members.tolist()
-    yield EnsembleLevel(0, members, states, dict(enumerate(initial)))
+    yield EnsembleLevel(0, members, states, members, initial)
     previous = None
     for n in range(1, time_grid.n_steps + 1):
         start = None if previous is None else 2.0 * states - previous
-        previous = states
-        states, reports = newton_solve(linear, system, states, *settings, start=start)
-        attempted = dict(zip(keys, reports))
-        ok = [report.converged for report in reports]
-        if not all(ok):
-            rows = np.flatnonzero(ok)
+        previous, attempted = states, members
+        states, step = newton_solve(linear, system, states, *settings, start=start)
+        if not step.converged.all():
+            rows = np.flatnonzero(step.converged)
             members, states, previous = members[rows], states[rows], previous[rows]
-            keys = members.tolist()
             linear = linear.take(rows)
-        yield EnsembleLevel(n, members, states, attempted)
-        if not keys:
+        yield EnsembleLevel(n, members, states, attempted, step)
+        if not members.size:
             return
 
 
 def _initial_reports(members: Sequence[ModelParams], system: AssembledSystem,
-                     y0: np.ndarray) -> list[StepReport]:
-    """The level-0 report of each run; warn for each penalized one outside its conditions."""
+                     y0: np.ndarray) -> StackReport:
+    """The level-0 reports of the runs; warn for each penalized one outside its conditions."""
     for params in members:
         admissible, detail = check_admissibility(params)
         if not admissible and params.epsilon > 0.0:
             warnings.warn("stabilization conditions violated; decay is not certified "
                           f"({detail})", RuntimeWarning, stacklevel=3)
-    moment_y0 = float(np.vecdot(y0, system.moment))
-    return [StepReport(newton_iterations=0, final_residual_norm=0.0,
-                       control_value=0.0 - params.r * moment_y0, converged=True,
-                       residual_norms=(0.0,))
-            for params in members]
+    n, moment_y0 = len(members), float(np.vecdot(y0, system.moment))
+    return StackReport(np.zeros(n, dtype=int), np.zeros(n),
+                       0.0 - np.array([params.r for params in members], dtype=float) * moment_y0,
+                       np.ones(n, dtype=bool), [np.zeros(n)])
 
 
 def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
@@ -675,7 +714,7 @@ def simulate(params: ModelParams, mesh: MeshPartition,
         # the Dirichlet feedback problem at zero gain, from a pinned start
         params = replace(params, epsilon=0.0, r=0.0)
         y[system.boundary_dof] = 0.0
-    reports = _initial_reports([params], system, y)
+    reports = list(_initial_reports([params], system, y))
     linear = LinearPart.of(params, system, time_grid.k, implicit_control)
 
     states = np.zeros((time_grid.n_steps + 1, system.n_dof))

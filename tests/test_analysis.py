@@ -341,13 +341,14 @@ class FailAt:
 
     def __call__(self, linear, *args, **kwargs):
         y, reports = REAL_NEWTON_SOLVE(linear, *args, **kwargs)
-        lone = y.ndim == 1
-        reports = [reports] if lone else list(reports)
         for j, scale in enumerate(np.ravel(linear.scale).tolist()):
             self.steps[scale] += 1
             if self.fail_at.get(scale) == self.steps[scale]:
-                reports[j] = dataclasses.replace(reports[j], converged=False)
-        return (y, reports[0]) if lone else (y, tuple(reports))
+                if y.ndim == 1:
+                    reports = dataclasses.replace(reports, converged=False)
+                else:  # marked in the stack's report, which the march reads
+                    reports.converged[j] = False
+        return y, reports
 
 
 def assert_study_equals_separate_runs(monkeypatch, epsilons, fail_at=None, *,

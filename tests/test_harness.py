@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -41,6 +42,9 @@ from penalty_stab.harness import (
     validate_config,
     version_string,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def decay_config(**overrides):
@@ -145,6 +149,49 @@ def test_validate_time_accepts_explicit_step():
     cfg["time"] = {"T": 0.1, "k": 0.005}
     resolved = validate_config(cfg, "decay")
     assert resolved["time"]["n_steps"] == 20
+
+
+@pytest.mark.parametrize("kind, config, override", [
+    ("decay", decay_config, "newton.tolerance=1e-6"),
+    ("decay", decay_config, "experiment.gain_rule=\"sqrt_eps\""),  # read by the studies only
+    ("space_convergence", convergence_config, "experiment.epsilon_rule.k=2"),
+    ("space_convergence", convergence_config, "mesh.n_elements=8"),
+    ("epsilon_study", epsilon_config, "model.nuu=0.2"),
+    ("epsilon_study", epsilon_config, "experiment.projection=\"l2\""),
+])
+def test_validate_rejects_fields_it_does_not_read(kind, config, override):
+    # a misspelt optional field would otherwise run with the default it misses
+    cfg = apply_overrides(config(), [override])
+    field = override.split("=")[0]
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: not a field of a '{kind}'"):
+        validate_config(cfg, kind)
+    # a value where validation reads the fields of an object
+    with pytest.raises(ConfigError, match="^newton: expected an object, got 5$"):
+        validate_config(apply_overrides(config(), ["newton=5"]), kind)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_configs_and_their_resolved_echo_validate(config):
+    # the resolved config is echoed into every CSV and re-runnable as-is,
+    # with its derived fields (time.k, model.r_rule, gain_rule_resolved)
+    cfg = load_config(CONFIGS / config)
+    kind = cfg["experiment"]["kind"]
+    resolved = validate_config(cfg, kind)
+    assert validate_config(json.loads(json.dumps(resolved)), kind) == resolved
+
+
+@pytest.mark.parametrize("kind, config, override, fields", [
+    ("decay", decay_config, "time.k=0.01", "time.k and time.n_steps"),
+    ("decay", decay_config, 'model.r_rule="sqrt_2eps"', "model.r_rule"),
+    ("decay", decay_config, 'model.r_rule="sqrt"', "model.r_rule"),
+    ("decay", decay_config, "model.r_rule=[]", "model.r_rule"),
+    ("epsilon_study", epsilon_config, 'experiment.gain_rule_resolved="constant:0.1"',
+     "experiment.gain_rule_resolved"),
+])
+def test_validate_rejects_echoed_fields_that_disagree(kind, config, override, fields):
+    cfg = apply_overrides(config(), [override])
+    with pytest.raises(ConfigError, match=f"^{re.escape(fields)}: "):
+        validate_config(cfg, kind)
 
 
 def test_overrides_parse_json_values():
@@ -413,6 +460,22 @@ def test_epsilon_study_may_end_with_zero(tmp_path):
     assert validate_config(cfg, "epsilon_study")["experiment"]["epsilons"] == [0.0]
 
 
+def test_epsilon_study_chart_names_the_points_off_its_log_axis(tmp_path):
+    # the eps = 0 row has no place on the log epsilon axis; the CSV keeps it
+    cfg = apply_overrides(epsilon_config(), ["experiment.epsilons=[1e-2, 1e-3, 0]",
+                                             "experiment.svg=true"])
+    run_epsilon_study(validate_config(cfg, "epsilon_study"), tmp_path)
+    assert len(read_csv(tmp_path / "epsilon_study.csv")[2]) == 3
+    svg = (tmp_path / "epsilon_study.svg").read_text()
+    points = [len(line.split('points="')[1].split('"')[0].split())
+              for line in svg.splitlines() if "<polyline" in line]
+    assert points == [1, 2]  # diff_l2 has no difference on row 0, control_linf all rows
+    notes = [line.split(">")[1].split("<")[0] for line in svg.splitlines()
+             if "off the log axes" in line]
+    assert notes == ["diff_l2: 1 point(s) off the log axes, at x = 0",
+                     "control_linf: 1 point(s) off the log axes, at x = 0"]
+
+
 @pytest.mark.parametrize("epsilons", [[0.1, -0.01], [0.1, 0.0, 0.0], [0, 0]],
                          ids=["negative", "zero-before-last", "zero-first"])
 def test_validate_epsilons_zero_only_last_and_never_negative(epsilons):
@@ -475,6 +538,17 @@ def test_cli_override_applies(tmp_path, capsys):
     assert json.loads(metadata["config"])["mesh"]["n_elements"] == 8
     assert not (out / "decay_penalized_feedback.svg").exists()
     capsys.readouterr()
+
+
+def test_cli_misspelt_override_exits_one(tmp_path, capsys):
+    # the run used to go ahead at the default tolerance 1e-12
+    out = tmp_path / "out"
+    code = main(["epsilon-study", "--config", str(CONFIGS / "epsilon_study.json"),
+                 "--out", str(out), "--override", "newton.tolerance=1e-6"])
+    assert code == 1
+    assert "error: newton.tolerance: not a field of a 'epsilon_study' config" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_solver_failure_exits_two(tmp_path, capsys):
@@ -603,7 +677,6 @@ def test_load_config_rejects_non_object(tmp_path):
 # ---------------------------------------------------------------------------
 # run size bound and override fuzzing
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = {"decay": "simulate", "space_convergence": "convergence",
             "epsilon_study": "epsilon-study"}
 
@@ -649,9 +722,12 @@ def test_size_bound_checks_the_finest_mesh_of_each_kind(kind, mesh_field):
 EDGE_VALUES = ["0", "-1", "1", "2", "1e-320", "1e-300", "1e300", "null", "true", '"x"', "x",
                "[]", str(2 ** 63), str(10 ** 400), "9" * 5000]
 FUZZ_KEYS = ["time.T", "time.n_steps", "time.k", "mesh.n_elements", "model.nu", "model.alpha",
-             "model.delta", "model.epsilon", "model.r", "newton.tol", "newton.max_iter"]
-SMALL = {"time.n_steps": "4", "mesh.n_elements": "8", "experiment.n_elements_list": "[2, 4]",
-         "experiment.reference_n_elements": "8", "experiment.svg": "false"}
+             "model.delta", "model.epsilon", "model.r", "newton.tol", "newton.max_iter",
+             "initial", "projection"]
+SMALL = {"time.n_steps": "4", "experiment.svg": "false"}
+SMALL_MESHES = {"decay": {"mesh.n_elements": "8"}, "epsilon_study": {"mesh.n_elements": "8"},
+                "space_convergence": {"experiment.n_elements_list": "[2, 4]",
+                                      "experiment.reference_n_elements": "8"}}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -663,6 +739,7 @@ SMALL = {"time.n_steps": "4", "mesh.n_elements": "8", "experiment.n_elements_lis
 @example(config="epsilon_study.json", key="time.n_steps", value=str(10 ** 400), rejected={})
 @example(config="decay_quadratic_profile.json", key="model.nu", value=str(10 ** 400),
          rejected={})
+@example(config="epsilon_study.json", key="initial", value="[]", rejected={})
 @example(config="decay_controlled.json", key="newton.max_iter", value=str(10 ** 12),
          rejected={"newton.tol": "1e-320"})
 def test_cli_override_fuzzing_never_ends_in_a_traceback(config, key, value, rejected):
@@ -671,10 +748,10 @@ def test_cli_override_fuzzing_never_ends_in_a_traceback(config, key, value, reje
     # exit 1 before any run, here a tolerance no step can meet with a
     # newton.max_iter above harness.MAX_NEWTON_ITER, which would otherwise
     # iterate for as long as it asks.
-    overrides = {**SMALL, **rejected, key: value}
+    kind = json.loads((CONFIGS / config).read_text())["experiment"]["kind"]
+    overrides = {**SMALL, **SMALL_MESHES[kind], **rejected, key: value}
     if key == "time.k":
         overrides["time.n_steps"] = "null"  # k is read only without n_steps
-    kind = json.loads((CONFIGS / config).read_text())["experiment"]["kind"]
     run = RUNNERS[kind]
 
     def runner(resolved, out_dir):

@@ -1,6 +1,7 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from penalty_stab import fem
+from penalty_stab import fem, solver
 from penalty_stab import (
     LinearPart,
     MeshError,
@@ -37,7 +38,7 @@ from penalty_stab import (
     solve_structured,
     step_ensemble,
 )
-from penalty_stab.solver import _residual_norms
+from penalty_stab.solver import StepReport, _residual_norms
 
 RNG = np.random.default_rng(987654)
 
@@ -313,6 +314,42 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
         assert np.array_equal(array, copy)
 
 
+def bits(a):
+    """The bits of an array of doubles, which tell -0.0 from +0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("deltas, shared", [((0.13, 0.13, 0.13), True),
+                                            ((0.13, 0.5, 0.13), False),
+                                            ((0.0, -0.0, 0.0), False)],
+                         ids=["shared", "differ", "signed zeros"])
+def test_stack_holds_a_coefficient_its_members_share_as_a_float(deltas, shared):
+    # every member has alpha = 0.13, so weight = 1/k - alpha is shared in each case
+    system = assemble(make_uniform_mesh(12))
+    k, x = 0.01, system.mesh.nodes[1:]
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=d, r=math.sqrt(eps), epsilon=eps)
+               for d, eps in zip(deltas, (1e-1, 1e-4, 0.0))]
+    linear = LinearPart.of(members, system, k)
+    assert isinstance(linear.weight, float) and isinstance(linear.delta, float) == shared
+    # the same part with both coefficients as (B, 1) columns built by hand
+    columns = replace(linear, delta=np.array([[d] for d in deltas]),
+                      weight=np.full((3, 1), 1.0 / k - 0.13))
+    assert bits(linear.weight).tolist() == bits(columns.weight[0, 0]).tolist()
+    if not shared:
+        assert bits(linear.delta).tolist() == bits(columns.delta).tolist()
+    y = np.stack([0.7 * sin_pi(x), -1.2 * sin_pi(x) + x, 0.3 * x])
+    rows = np.array([0, 2])
+    for part, ref, states in [(linear, columns, y),
+                              (linear.take(rows), columns.take(rows), y[rows])]:
+        assert isinstance(part.weight, float) and isinstance(part.delta, float) == shared
+        assert np.array_equal(bits(residual(part, system, states, 0.9 * states)),
+                              bits(residual(ref, system, states, 0.9 * states)))
+        assert np.array_equal(bits(jacobian(part, system, states)[0].band),
+                              bits(jacobian(ref, system, states)[0].band))
+    if not shared:
+        assert bits(linear.take(rows).delta).tolist() == bits(columns.delta[rows]).tolist()
+
+
 # ---------------------------------------------------------------------------
 # structured solve
 
@@ -519,7 +556,7 @@ def assert_stack_of_one_steps_alike(system, k, y_prev, y, report, **settings):
     stacked, reports = newton_solve(LinearPart.of([EXAMPLE], system, k), system, y_prev[None],
                                     **settings)
     assert np.array_equal(stacked, y[None], equal_nan=True)
-    assert repr(reports) == repr((report,))
+    assert repr(tuple(reports)) == repr((report,))
 
 
 def test_newton_nonconvergence_reported_not_raised():
@@ -595,7 +632,8 @@ def test_newton_writes_into_neither_y_prev_nor_start(stacked):
             assert not all(r.converged for r in reports)
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack of 3"])
+@pytest.mark.parametrize("stacked", [False, True, "shared"],
+                         ids=["lone", "stack of 3", "stack of 3 sharing delta and alpha"])
 def test_kernel_results_share_no_memory_with_inputs_run_or_previous_result(stacked):
     # the kernels write their own buffers in place; none of them may be an
     # input, an array the run holds, or the buffer of the call before
@@ -603,7 +641,10 @@ def test_kernel_results_share_no_memory_with_inputs_run_or_previous_result(stack
     x = system.mesh.nodes[1:]
     members = [EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3, epsilon=0.0),
                ModelParams(nu=0.1, alpha=0.05, delta=0.5, r=0.01, epsilon=1e-4)]
+    if stacked == "shared":  # an epsilon study's stack: delta and weight are floats
+        members = [replace(EXAMPLE, r=math.sqrt(eps), epsilon=eps) for eps in (1.0, 1e-4, 0.0)]
     linear = LinearPart.of(members if stacked else EXAMPLE, system, 0.01)
+    assert isinstance(linear.delta, float) == (stacked in (False, "shared"))
     y = 0.7 * sin_pi(x) + 0.1 * x
     y = np.stack([y, -2.0 * y, 0.5 * y]) if stacked else y
     y_prev = 0.9 * y
@@ -775,6 +816,42 @@ def test_residual_at_the_returned_state_is_within_tolerance(step):
         assert report.converged
         assert norm <= tol
         assert norm == report.final_residual_norm
+
+
+def assert_arrays_are_the_member_reports(stack):
+    """Each ``(B,)`` array of ``stack`` holds its members' :class:`StepReport` fields.
+
+    Compared by ``repr``, which is NaN-aware and spells every float exactly.
+    """
+    reports = list(stack)
+    assert len(reports) == len(stack) == stack.converged.size
+    assert all(type(report) is StepReport for report in reports)
+    for field in fields(StepReport)[:4]:
+        assert repr(getattr(stack, field.name).tolist()) == \
+            repr([getattr(report, field.name) for report in reports]), field.name
+    for b, report in enumerate(reports):
+        taken = stack.residual_norms[:report.newton_iterations + 1]
+        assert repr(report.residual_norms) == repr(tuple(float(norms[b]) for norms in taken))
+        assert repr(report.residual_norms[-1]) == repr(report.final_residual_norm)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(newton_steps(), st.sampled_from([1, 2, 25]))
+def test_stack_report_arrays_are_the_reports_of_lone_steps(step, max_iter):
+    # members leave the iteration after different counts, or run out of updates
+    n, members, amplitudes, k, start_scale = step
+    system = assemble(make_uniform_mesh(n))
+    x = system.mesh.nodes[1:]
+    y_prev = np.stack([a * sin_pi(x) + 0.1 * a * x * (1.0 - x) for a in amplitudes])
+    start = None if start_scale is None else start_scale * y_prev
+    y, stack = newton_solve(LinearPart.of(members, system, k), system, y_prev, max_iter=max_iter,
+                            start=start)
+    assert_arrays_are_the_member_reports(stack)
+    for b, params in enumerate(members):
+        lone_y, lone = newton_solve(LinearPart.of(params, system, k), system, y_prev[b],
+                                    max_iter=max_iter, start=None if start is None else start[b])
+        assert np.array_equal(y[b], lone_y)
+        assert repr(stack[b]) == repr(lone)
 
 
 def test_newton_nan_state_reported_not_raised():
@@ -954,6 +1031,45 @@ def test_whole_stacks_equal_lone_runs_and_decay_property(case):
             assert energy_monitor(from_level(traj, 1), gamma).passed
         else:
             assert energy_monitor(traj, max_decay_rate(params)).passed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(admissible_stacks(), st.data())
+def test_a_member_marked_unconverged_is_dropped_and_reported_alike(case, data):
+    # a test double marks one member's step unconverged in the stack's report;
+    # the march drops that member, and the level's reports say it failed
+    members, mesh, grid, y0 = case
+    failing = data.draw(st.integers(0, len(members) - 1))
+    fail_at = data.draw(st.integers(1, grid.n_steps))
+    real, steps = solver.newton_solve, []
+
+    def marking(linear, *args, **kwargs):
+        y, stack = real(linear, *args, **kwargs)
+        steps.append(stack)
+        if len(steps) == fail_at:  # no member has left before: row j is member j
+            stack.converged[failing] = False
+        return y, stack
+
+    system = assemble(mesh)
+    y_start = project_initial(mesh, y0)
+    unmarked = list(step_ensemble(members, system, y_start, grid))
+    with mock.patch.object(solver, "newton_solve", marking):
+        levels = list(step_ensemble(members, system, y_start, grid))
+    others = [i for i in range(len(members)) if i != failing]
+    assert len(steps) == len(levels) - 1 == (grid.n_steps if others else fail_at)
+    for level, reference in zip(levels, unmarked):
+        assert_arrays_are_the_member_reports(level.step)
+        assert level.reports == dict(zip(level.attempted.tolist(), level.step))
+        gone = level.index >= fail_at
+        assert level.members.tolist() == (others if gone else list(range(len(members))))
+        assert (failing in level.reports) == (level.index <= fail_at)
+        if level.index == fail_at:
+            assert level.step is steps[fail_at - 1] and not level.step.converged[failing]
+        for i, report in level.reports.items():
+            marked = i == failing and level.index == fail_at
+            assert report == replace(reference.reports[i], converged=not marked)
+        for row, i in enumerate(level.members.tolist()):
+            assert np.array_equal(level.states[row], reference.states[i])
 
 
 def test_simulate_decay_is_monotone():
