@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -27,15 +27,15 @@ from .analysis import (
     observed_orders,
 )
 from .errors import ConfigError, ParameterDomainError
-from .fem import assemble, make_uniform_mesh
+from .fem import assemble, make_uniform_mesh, project_initial
 from .params import ModelParams, rate_report
-from .solver import TimeGrid, simulate
+from .solver import TimeGrid, simulate, step_ensemble
 
 KINDS = ("decay", "space_convergence", "epsilon_study")
 
 # Largest number of state values, ``(n_steps + 1) x n_elements`` on the
-# finest mesh, that a config may ask for: a full trajectory of them is 2 GB
-# of doubles, over 100 times the shipped maximum (1051 x 2048, convergence).
+# finest mesh, that a config may ask for: a full trajectory of them is 2 GB of
+# doubles, over 100 times the shipped maximum (1051 x 2048, convergence, streamed).
 MAX_GRID_VALUES = 250_000_000
 
 # Largest ``newton.max_iter``.  A step that cannot meet ``newton.tol`` runs
@@ -508,8 +508,8 @@ def emit_svg(path, x: np.ndarray, series: dict[str, np.ndarray], *,
 class _Run:
     """What every runner starts from, and the outputs it collects.
 
-    ``solve`` holds the keyword arguments that :func:`simulate` and
-    :func:`epsilon_cauchy_study` share: the projection and Newton options.
+    ``solve`` holds the keyword arguments that :func:`simulate`, :meth:`march`
+    and :func:`epsilon_cauchy_study` share: the projection and Newton options.
     """
 
     def __init__(self, resolved: dict, out_dir) -> None:
@@ -523,6 +523,19 @@ class _Run:
         self.files: list[Path] = []
         self.failures: list[str] = []
         self.notes: list[str] = []
+
+    def march(self, params: ModelParams, mesh) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """One lone :func:`step_ensemble` run on ``mesh``, streamed: its last converged
+        state, its controls and its failed step (``None`` if none); no trajectory."""
+        newton = dict(self.solve)
+        y0 = project_initial(mesh, self.profile, mode=newton.pop("projection"))
+        controls: list[float] = []
+        for level in step_ensemble(params, assemble(mesh), y0, self.grid, **newton):
+            if not level.members.size:
+                return final, np.array(controls), level.index
+            final = level.states
+            controls.append(level.step.control_value)
+        return final, np.array(controls), None
 
     def svg(self, name: str, x, series, **kwargs) -> None:
         """Chart ``name`` in the output directory; a failure only adds a note."""
@@ -588,7 +601,8 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
     errors are sup-over-time distances to the control of one shared
     reference run whose epsilon and gain follow the same rule evaluated at
     the reference mesh size; that comparison tracks the gain rule's own
-    scaling and reproduces the expected ``l/2`` control orders.  Observed
+    scaling and reproduces the expected ``l/2`` control orders.  Every run
+    is streamed (:meth:`_Run.march`), so the study holds no trajectory.  Observed
     orders are appended between rows.  A Newton failure ends the study: the
     rows finished before it are written, every order empty when fewer than
     two were, and the failure is listed in the metadata.
@@ -608,10 +622,10 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
 
     eps_ref = rule_c * (1.0 / n_ref) ** rule_l
     control_ref_params = _model_params(model, float(gain(eps_ref)), eps_ref)
-    control_reference = simulate(control_ref_params, ref_mesh, run.profile, grid, **run.solve)
-    if control_reference.failed_at is not None:
+    _, reference_controls, failed_at = run.march(control_ref_params, ref_mesh)
+    if failed_at is not None:
         failures.append(f"control reference (epsilon={eps_ref:g}): newton failure "
-                        f"at step {control_reference.failed_at}")
+                        f"at step {failed_at}")
 
     for n in exp["n_elements_list"]:
         if failures:
@@ -622,16 +636,14 @@ def run_space_convergence(resolved: dict, out_dir) -> HarnessResult:
         rates_per_row.append({"h": h, "epsilon": eps, "r": params.r,
                               "admissible": rate_report(params).admissible})
         mesh = make_uniform_mesh(n)
-        coarse = simulate(params, mesh, run.profile, grid, **run.solve)
-        reference = simulate(params, ref_mesh, run.profile, grid, "dirichlet_feedback",
-                             **run.solve)
-        if coarse.failed_at is not None or reference.failed_at is not None:
+        coarse, controls, coarse_failed = run.march(params, mesh)
+        reference, _, reference_failed = run.march(replace(params, epsilon=0.0), ref_mesh)
+        if coarse_failed is not None or reference_failed is not None:
             failures.append(f"h=1/{n}: newton failure "
-                            f"(coarse step {coarse.failed_at}, reference step {reference.failed_at})")
+                            f"(coarse step {coarse_failed}, reference step {reference_failed})")
             break
-        err_l2, err_linf = error_vs_reference(coarse.states[-1], reference.states[-1],
-                                              assemble(mesh), ref_mesh)
-        control_err = float(np.max(np.abs(coarse.controls - control_reference.controls)))
+        err_l2, err_linf = error_vs_reference(coarse, reference, assemble(mesh), ref_mesh)
+        control_err = float(np.max(np.abs(controls - reference_controls)))
         rows.append([h, eps, grid.k, err_l2, None, err_linf, None, control_err, None])
 
     # error_l2, error_linf and control_error_linf, each followed by its order

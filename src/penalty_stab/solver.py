@@ -81,10 +81,11 @@ Newton never writes into ``Y_prev`` or its start: each iterate is a new
 array, and so is the result.  Every kernel returns a new array: none writes
 into its inputs, the :class:`LinearPart` or a buffer of an earlier call.
 
-A single simulation is strictly sequential in time: :func:`simulate` calls
-:func:`newton_solve` once per level on a 1-D state and records the level
-itself.  Runs that share a mesh and a time grid are stepped together instead
-(:func:`step_ensemble`), whatever their variants: their states form a
+One march steps every run, strictly sequential in time:
+:func:`step_ensemble` yields its levels, one :func:`newton_solve` per level,
+and :func:`simulate` records the levels of a lone run, which steps as a 1-D
+state.  Runs that share a mesh and a time grid step together through the
+same march, whatever their variants: their states form a
 ``(B, N)`` stack, each Newton iteration evaluates one stacked residual and
 Jacobian, and one banded elimination solves all B cores, whose couplings in
 the stacked band, ``dgtsv``'s flat ``(3, B, N)`` layout, are exactly zero
@@ -122,7 +123,7 @@ from .fem import (
 )
 from .params import ModelParams, check_admissibility
 
-VARIANTS = ("penalized_feedback", "dirichlet_feedback", "uncontrolled_dirichlet")
+VARIANTS = ("penalized_feedback", "uncontrolled_dirichlet")
 
 
 @dataclass(frozen=True)
@@ -597,9 +598,10 @@ class EnsembleLevel:
     """One time level of the runs stepped by :func:`step_ensemble`.
 
     ``members`` lists, ascending, the runs whose steps have all converged up
-    to this level, and ``states`` holds their states row by row.
-    ``attempted`` lists the runs that attempted this level's step, failed
-    ones included, and ``step`` holds their :class:`StackReport` (at level
+    to this level, and ``states`` holds their states row by row (a lone run
+    is run 0, with a 1-D state).  ``attempted`` lists the runs that
+    attempted this level's step, failed ones included, and ``step`` holds
+    their :class:`StackReport` or a lone run's :class:`StepReport` (at level
     0, the initial reports); ``reports`` maps each to its
     :class:`StepReport`, built on first read.
     """
@@ -608,32 +610,37 @@ class EnsembleLevel:
     members: np.ndarray
     states: np.ndarray
     attempted: np.ndarray
-    step: StackReport
+    step: StackReport | StepReport
 
     @cached_property
     def reports(self) -> dict[int, StepReport]:
-        return dict(zip(self.attempted.tolist(), self.step))
+        step = self.step
+        return dict(zip(self.attempted.tolist(), [step] if isinstance(step, StepReport) else step))
 
 
 def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
-           initial: StackReport, time_grid: TimeGrid,
+           initial: StackReport | StepReport, time_grid: TimeGrid,
            settings: tuple[float, int]) -> Iterator[EnsembleLevel]:
     """Yield the levels of the runs of ``linear`` stepped from ``states``.
 
-    Each step is one :func:`newton_solve` of the members still stepping,
-    started from ``None`` at the first step, then from the linear
-    extrapolation ``2 y_n - y_{n-1}`` of each member's own last two levels.
-    A member whose step fails is dropped, and the linear part of the others
-    is taken once per drop-out; the march ends when none is left.
+    ``states`` is a stack or a lone 1-D state.  Each step is one
+    :func:`newton_solve` of the members still stepping, started from ``None``
+    at the first step, then from the linear extrapolation ``2 y_n - y_{n-1}``
+    of each member's own last two levels.  A member whose step fails is
+    dropped with its state, and the linear part of the others is taken once
+    per drop-out; the march ends when none is left.
     """
-    members = np.arange(states.shape[0])
+    lone = states.ndim == 1
+    members = np.arange(1 if lone else states.shape[0])
     yield EnsembleLevel(0, members, states, members, initial)
     previous = None
     for n in range(1, time_grid.n_steps + 1):
         start = None if previous is None else 2.0 * states - previous
         previous, attempted = states, members
         states, step = newton_solve(linear, system, states, *settings, start=start)
-        if not step.converged.all():
+        if lone and not step.converged:
+            members, states = members[:0], states[:0]
+        elif not lone and not step.converged.all():
             rows = np.flatnonzero(step.converged)
             members, states, previous = members[rows], states[rows], previous[rows]
             linear = linear.take(rows)
@@ -642,30 +649,17 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
             return
 
 
-def _initial_reports(members: Sequence[ModelParams], system: AssembledSystem,
-                     y0: np.ndarray) -> StackReport:
-    """The level-0 reports of the runs; warn for each penalized one outside its conditions."""
-    for params in members:
-        admissible, detail = check_admissibility(params)
-        if not admissible and params.epsilon > 0.0:
-            warnings.warn("stabilization conditions violated; decay is not certified "
-                          f"({detail})", RuntimeWarning, stacklevel=3)
-    n, moment_y0 = len(members), float(np.vecdot(y0, system.moment))
-    return StackReport(np.zeros(n, dtype=int), np.zeros(n),
-                       0.0 - np.array([params.r for params in members], dtype=float) * moment_y0,
-                       np.ones(n, dtype=bool), [np.zeros(n)])
-
-
-def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
+def step_ensemble(params: ModelParams | Sequence[ModelParams], system: AssembledSystem,
                   y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = 1e-12,
                   newton_max_iter: int = 25, implicit_control: bool = True
                   ) -> Iterator[EnsembleLevel]:
-    """Step runs that share a mesh, a time grid and ``y0`` together.
+    """Step a run, or runs that share a mesh, a time grid and ``y0`` together.
 
-    The runs advance as one ``(B, N)`` stack through :func:`newton_solve`,
-    one :class:`EnsembleLevel` per time level, initial level first; a
-    single run is a stack of one.  Each run takes exactly the iterates it
-    would take alone, so its levels equal its :func:`simulate` in value; an
+    One :class:`ModelParams` is a lone run, stepped as a 1-D state, and a
+    sequence a ``(B, N)`` stack (the dispatch of :meth:`LinearPart.of`); both
+    take one march, one :class:`EnsembleLevel` per time level, initial level
+    first, and no level aliases ``y0``.  Each run of a stack takes exactly
+    the iterates it would take alone, so it equals its lone run in value; an
     exact zero may carry the other sign, as the stacked elimination can
     turn a block's ``-0.0`` into ``+0.0`` (see :meth:`fem.TridiagMatrix.solve`).
     A run whose step does not converge is dropped at that level and the
@@ -677,10 +671,21 @@ def step_ensemble(members: Sequence[ModelParams], system: AssembledSystem,
     penalized run that violates the stabilization conditions triggers a
     warning.
     """
-    initial = _initial_reports(members, system, y0)
-    linear = LinearPart.of(members, system, time_grid.k, implicit_control)
-    return _march(linear, system, np.repeat(y0[None], len(members), axis=0), initial,
-                  time_grid, (newton_tol, newton_max_iter))
+    stacked = not isinstance(params, ModelParams)
+    members = params if stacked else [params]
+    for member in members:
+        admissible, detail = check_admissibility(member)
+        if not admissible and member.epsilon > 0.0:
+            warnings.warn("stabilization conditions violated; decay is not certified "
+                          f"({detail})", RuntimeWarning, stacklevel=2)
+    n, moment_y0 = len(members), float(np.vecdot(y0, system.moment))
+    initial = StackReport(np.zeros(n, dtype=int), np.zeros(n),
+                          0.0 - np.array([p.r for p in members], dtype=float) * moment_y0,
+                          np.ones(n, dtype=bool), [np.zeros(n)])
+    linear = LinearPart.of(params, system, time_grid.k, implicit_control)
+    states = np.repeat(y0[None], n, axis=0) if stacked else y0.copy()
+    return _march(linear, system, states, initial if stacked else initial[0], time_grid,
+                  (newton_tol, newton_max_iter))
 
 
 def simulate(params: ModelParams, mesh: MeshPartition,
@@ -688,64 +693,48 @@ def simulate(params: ModelParams, mesh: MeshPartition,
              variant: str = "penalized_feedback", *, projection: str = "l2",
              newton_tol: float = 1e-12, newton_max_iter: int = 25,
              implicit_control: bool = True) -> StateTrajectory:
-    """Run the fully discrete scheme over ``time_grid``.
+    """Run the fully discrete scheme over ``time_grid`` and record every level.
 
-    ``variant="penalized_feedback"`` steps the penalized scheme with the
-    feedback control; ``variant="dirichlet_feedback"`` steps ``params`` at
-    ``epsilon = 0``, which imposes the feedback boundary condition exactly
-    (the ``eps -> 0`` limit); ``variant="uncontrolled_dirichlet"`` pins
-    both endpoints to zero and drops every penalty and control term, as the
-    Dirichlet feedback variant at ``r = 0`` from the initial state with its
-    boundary value set to zero (its controls are ``+0.0``).  The run steps
-    as a 1-D state, one :func:`newton_solve` per level from the
-    extrapolated start, and equals the one-run :func:`step_ensemble` bit for
-    bit.  Every recorded level keeps its state, its control and the ``l2``
-    and ``linf`` of one :func:`fem.norms` call.  Penalized parameters that
-    violate the stabilization conditions trigger a warning, not an error;
-    some study regimes violate them deliberately.
+    ``variant="penalized_feedback"`` steps ``params`` as they are: the
+    penalized scheme with the feedback control, or at ``epsilon = 0`` the
+    Dirichlet feedback problem (the ``eps -> 0`` limit).
+    ``variant="uncontrolled_dirichlet"`` pins both endpoints to zero and
+    drops every penalty and control term, as the Dirichlet feedback problem
+    at ``r = 0`` from the initial state with its boundary value set to zero
+    (its controls are ``+0.0``).  The run is the lone :func:`step_ensemble`
+    march, so it equals it bit for bit.  Every recorded level keeps its
+    state, its control and the ``l2`` and ``linf`` of one
+    :func:`fem.norms` call.  Penalized parameters that violate the
+    stabilization conditions trigger a warning, not an error; some study
+    regimes violate them deliberately.
     """
     if variant not in VARIANTS:
         raise ParameterDomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     system = assemble(mesh)
     y = project_initial(mesh, y0, mode=projection)
-    if variant == "dirichlet_feedback":
-        params = replace(params, epsilon=0.0)
-    elif variant == "uncontrolled_dirichlet":
+    if variant == "uncontrolled_dirichlet":
         # the Dirichlet feedback problem at zero gain, from a pinned start
         params = replace(params, epsilon=0.0, r=0.0)
         y[system.boundary_dof] = 0.0
-    reports = list(_initial_reports([params], system, y))
-    linear = LinearPart.of(params, system, time_grid.k, implicit_control)
 
     states = np.zeros((time_grid.n_steps + 1, system.n_dof))
-    controls: list[float] = []
-    l2: list[float] = []
-    linf: list[float] = []
+    reports, controls, l2, linf = [], [], [], []
     failed_at = None
-    previous = None
-    for n in range(time_grid.n_steps + 1):
-        if n:
-            start = None if previous is None else 2.0 * y - previous
-            previous, (y, report) = y, newton_solve(linear, system, y, newton_tol,
-                                                    newton_max_iter, start=start)
-            reports.append(report)
-            if not report.converged:
-                failed_at = n
-                break
-        states[n] = y
-        controls.append(reports[-1].control_value)
-        ns = norms(system, y)
+    for level in step_ensemble(params, system, y, time_grid, newton_tol=newton_tol,
+                               newton_max_iter=newton_max_iter,
+                               implicit_control=implicit_control):
+        reports.append(level.step)
+        if not level.members.size:
+            failed_at = level.index
+            break
+        states[level.index] = level.states
+        controls.append(level.step.control_value)
+        ns = norms(system, level.states)
         l2.append(ns.l2)
         linf.append(ns.linf)
 
     recorded = len(controls)
-    return StateTrajectory(
-        variant=variant,
-        times=time_grid.times()[:recorded],
-        states=states[:recorded],
-        controls=np.array(controls),
-        l2=np.array(l2),
-        linf=np.array(linf),
-        step_reports=reports,
-        failed_at=failed_at,
-    )
+    return StateTrajectory(variant=variant, times=time_grid.times()[:recorded],
+                           states=states[:recorded], controls=np.array(controls),
+                           l2=np.array(l2), linf=np.array(linf), step_reports=reports,
+                           failed_at=failed_at)

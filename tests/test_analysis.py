@@ -445,13 +445,16 @@ def test_fitted_decay_rate_is_at_least_the_certified_rate(config):
     model = resolved["model"]
     params = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
                          r=model["r"], epsilon=model["epsilon"])
-    certified = {"penalized_feedback": max_decay_rate(params),
-                 "dirichlet_feedback": dirichlet_rate_bounds(params).gamma_max,
-                 "uncontrolled_dirichlet": dirichlet_rate_bounds(
-                     dataclasses.replace(params, r=0.0)).gamma_max}
+    # (name, parameters, simulate variant, certified rate); epsilon = 0 is the
+    # Dirichlet feedback problem
+    certified = [("penalized_feedback", params, "penalized_feedback", max_decay_rate(params)),
+                 ("dirichlet_feedback", dataclasses.replace(params, epsilon=0.0),
+                  "penalized_feedback", dirichlet_rate_bounds(params).gamma_max),
+                 ("uncontrolled_dirichlet", params, "uncontrolled_dirichlet",
+                  dirichlet_rate_bounds(dataclasses.replace(params, r=0.0)).gamma_max)]
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
     grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
-    for variant, gamma in certified.items():
-        traj = simulate(params, mesh, INITIAL_PROFILES[resolved["initial"]], grid, variant)
+    for name, run_params, variant, gamma in certified:
+        traj = simulate(run_params, mesh, INITIAL_PROFILES[resolved["initial"]], grid, variant)
         assert traj.failed_at is None
-        assert fit_decay_rate(traj).gamma_fit >= gamma > 0.0, variant
+        assert fit_decay_rate(traj).gamma_fit >= gamma > 0.0, name

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -22,6 +23,7 @@ from penalty_stab import (
     harness,
     make_uniform_mesh,
     simulate,
+    step_ensemble,
 )
 from penalty_stab.cli import main
 from penalty_stab.errors import ConfigError
@@ -350,7 +352,8 @@ def test_convergence_runner_state_errors_against_dirichlet_feedback(tmp_path):
         mesh = make_uniform_mesh(n)
         row_params = params(0.01 * (1.0 / n) ** 2.0)
         coarse = simulate(row_params, mesh, profile, grid)
-        hard = simulate(row_params, ref_mesh, profile, grid, "dirichlet_feedback")
+        # epsilon = 0 is the Dirichlet feedback problem
+        hard = simulate(dataclasses.replace(row_params, epsilon=0.0), ref_mesh, profile, grid)
         err_l2, err_linf = error_vs_reference(coarse.states[-1], hard.states[-1],
                                               assemble(mesh), ref_mesh)
         assert float(row["error_l2"]) == err_l2
@@ -360,11 +363,12 @@ def test_convergence_runner_state_errors_against_dirichlet_feedback(tmp_path):
 
 
 class FailSimulation:
-    """Test double for ``harness.simulate`` that fails the ``fail_call``-th call.
+    """Test double for ``harness.step_ensemble`` whose ``fail_call``-th run fails.
 
-    Calls are counted from 1.  The failed call's trajectory is the real one
-    cut as a Newton failure at step 1 cuts it: the initial level is kept and
-    the step's report, marked unconverged, is appended.
+    Calls are counted from 1; each streams one lone run.  The failed call's
+    levels are the real ones cut as a Newton failure at step 1 cuts them:
+    the initial level is kept, and the first step's level, its report marked
+    unconverged, holds no state and ends the march.
     """
 
     def __init__(self, fail_call):
@@ -373,22 +377,21 @@ class FailSimulation:
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        traj = simulate(*args, **kwargs)
+        levels = step_ensemble(*args, **kwargs)
         if self.calls != self.fail_call:
-            return traj
-        failed = dataclasses.replace(traj.step_reports[1], converged=False)
-        return dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
-                                   controls=traj.controls[:1], l2=traj.l2[:1],
-                                   linf=traj.linf[:1],
-                                   step_reports=[traj.step_reports[0], failed], failed_at=1)
+            return levels
+        initial, first = next(levels), next(levels)
+        failed = dataclasses.replace(first, members=first.members[:0], states=first.states[:0],
+                                     step=dataclasses.replace(first.step, converged=False))
+        return iter([initial, failed])
 
 
 def run_failing_convergence(tmp_path, monkeypatch, fail_call):
-    """Run the CLI on the small convergence config, SVG on, with one failed simulation."""
+    """Run the CLI on the small convergence config, SVG on, with one failed run."""
     cfg = convergence_config()
     cfg["experiment"]["svg"] = True
     path = write_config(tmp_path, cfg)
-    monkeypatch.setattr(harness, "simulate", FailSimulation(fail_call))
+    monkeypatch.setattr(harness, "step_ensemble", FailSimulation(fail_call))
     out = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["convergence", "--config", str(path), "--out", str(out)])
@@ -397,10 +400,10 @@ def run_failing_convergence(tmp_path, monkeypatch, fail_call):
 
 
 def test_convergence_control_reference_failure_writes_header_only(tmp_path, monkeypatch):
-    # the shared control reference is the first simulation of the run
+    # the shared control reference is the first run of the study
     code, out, metadata, header, rows = run_failing_convergence(tmp_path, monkeypatch, 1)
     assert code == 2
-    assert harness.simulate.calls == 1  # no row is attempted
+    assert harness.step_ensemble.calls == 1  # no row is attempted
     assert header[0] == "h" and rows == []
     assert "control reference" in json.loads(metadata["failures"])[0]
     assert json.loads(metadata["rates_per_row"]) == []
@@ -408,11 +411,11 @@ def test_convergence_control_reference_failure_writes_header_only(tmp_path, monk
 
 
 def test_convergence_second_row_reference_failure_keeps_first_row(tmp_path, monkeypatch):
-    # simulations: control reference, row 1's coarse and reference, row 2's
-    # coarse and reference (the fifth, which fails)
+    # runs: control reference, row 1's coarse and reference, row 2's coarse
+    # and reference (the fifth, which fails)
     code, out, metadata, header, rows = run_failing_convergence(tmp_path, monkeypatch, 5)
     assert code == 2
-    assert harness.simulate.calls == 5
+    assert harness.step_ensemble.calls == 5
     assert json.loads(metadata["failures"]) == [
         "h=1/8: newton failure (coarse step None, reference step 1)"]
     assert len(json.loads(metadata["rates_per_row"])) == 2
@@ -421,6 +424,24 @@ def test_convergence_second_row_reference_failure_keeps_first_row(tmp_path, monk
     assert row["order_l2"] == row["order_linf"] == row["control_order_linf"] == ""
     assert float(row["h"]) == 0.25 and float(row["error_l2"]) > 0.0
     assert not (out / "convergence.svg").exists()
+
+
+def test_convergence_runner_holds_no_trajectory(tmp_path):
+    # every run is streamed: the study's peak allocation stays below one
+    # reference trajectory, (n_steps + 1) x (N + 1) doubles on the reference mesh
+    cfg = convergence_config()
+    cfg["experiment"].update(n_elements_list=[8, 16], reference_n_elements=512)
+    cfg["time"]["n_steps"] = 400
+    resolved = validate_config(cfg, "space_convergence")
+    version_string()  # cached once per process; its subprocess is not the study's
+    tracemalloc.start()
+    try:
+        result = run_space_convergence(resolved, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < 401 * 513 * 8  # 1.65 MB
 
 
 def test_epsilon_runner_schema(tmp_path):

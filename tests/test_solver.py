@@ -920,7 +920,10 @@ def test_simulate_records_full_trajectory():
 def test_simulate_norms_equal_norms_of_recorded_states_bit_for_bit(variant):
     mesh = make_uniform_mesh(16)
     grid = TimeGrid(k=0.01, n_steps=30)
-    traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant)
+    if variant == "dirichlet_feedback":  # epsilon = 0 is the Dirichlet feedback problem
+        traj = simulate(replace(EXAMPLE, epsilon=0.0), mesh, sin_pi, grid)
+    else:
+        traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant)
     system = assemble(mesh)
     assert traj.failed_at is None
     for n, state in enumerate(traj.states):
@@ -938,26 +941,39 @@ def test_simulate_norms_equal_norms_of_recorded_states_bit_for_bit(variant):
     ("penalized_feedback", True, {"newton_tol": 3e-14, "newton_max_iter": 2}),
 ], ids=["penalized", "dirichlet_feedback", "uncontrolled", "lagged_control", "failed_step"])
 def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, settings):
-    # simulate steps a 1-D state, step_ensemble a (1, N) stack
+    # simulate records the lone march, which steps a 1-D state; a one-run
+    # stack steps a (1, N) stack and equals it too
     mesh = make_uniform_mesh(16)
     grid = TimeGrid(k=1.0 / 50.0, n_steps=40)
-    traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant, implicit_control=implicit,
-                    **settings)
     params, y0 = EXAMPLE, project_initial(mesh, sin_pi)
     if variant != "penalized_feedback":
         params = replace(params, epsilon=0.0)
+    if variant == "dirichlet_feedback":  # epsilon = 0 is the Dirichlet feedback problem
+        traj = simulate(params, mesh, sin_pi, grid, implicit_control=implicit, **settings)
+    else:
+        traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant, implicit_control=implicit,
+                        **settings)
     if variant == "uncontrolled_dirichlet":
         params, y0[-1] = replace(params, r=0.0), 0.0
-    levels = list(step_ensemble([params], assemble(mesh), y0, grid, implicit_control=implicit,
-                                **settings))
-    assert len(levels) == len(traj.step_reports)
-    for level, report in zip(levels, traj.step_reports):
-        assert level.reports == {0: report}
+    system = assemble(mesh)
+    lone = list(step_ensemble(params, system, y0, grid, implicit_control=implicit, **settings))
+    stack = list(step_ensemble([params], system, y0, grid, implicit_control=implicit,
+                               **settings))
+    assert not np.shares_memory(lone[0].states, y0)
+    assert len(lone) == len(stack) == len(traj.step_reports)
+    for level, one, report in zip(lone, stack, traj.step_reports):
+        assert level.step == report  # a lone level's step is its StepReport
+        assert level.reports == one.reports == {0: report}
+        assert level.index == one.index
+        assert np.array_equal(level.members, one.members)
+        assert np.array_equal(level.attempted, one.attempted)
+        assert level.states.shape == one.states.shape[1:] or not level.members.size
     # a failed step's level holds no state, and the trajectory stops before it
-    assert traj.failed_at == (None if levels[-1].members.size else levels[-1].index)
-    assert traj.n_recorded == len(levels) - (traj.failed_at is not None)
-    for level, state, control in zip(levels, traj.states, traj.controls):
-        assert np.array_equal(level.states[0], state)
+    assert traj.failed_at == (None if lone[-1].members.size else lone[-1].index)
+    assert traj.n_recorded == len(lone) - (traj.failed_at is not None)
+    assert lone[-1].states.size == stack[-1].states.size
+    for level, one, state, control in zip(lone, stack, traj.states, traj.controls):
+        assert np.array_equal(level.states, state) and np.array_equal(one.states[0], state)
         assert control == level.reports[0].control_value
     assert (traj.failed_at is None) == (settings == {})
 
@@ -1019,8 +1035,7 @@ def test_whole_stacks_equal_lone_runs_and_decay_property(case):
     levels = list(step_ensemble(members, assemble(mesh), project_initial(mesh, y0), grid))
     for i, params in enumerate(members):
         dirichlet = params.epsilon == 0.0
-        traj = simulate(params, mesh, y0, grid,
-                        "dirichlet_feedback" if dirichlet else "penalized_feedback")
+        traj = simulate(params, mesh, y0, grid)  # epsilon = 0 is the Dirichlet feedback problem
         assert traj.failed_at is None
         assert [level.reports[i] for level in levels] == traj.step_reports
         for level, state, control in zip(levels, traj.states, traj.controls, strict=True):
@@ -1122,7 +1137,7 @@ def test_dirichlet_feedback_matches_dense_oracle():
         ref_jac = oracles.dense_jacobian(*coefficients, 0.0, mesh.nodes, y, 0.1)
         assert np.max(np.abs(dense - ref_jac)) <= 1e-12 * np.max(np.abs(ref_jac))
     grid = TimeGrid(k=0.1, n_steps=3)
-    traj = simulate(EXAMPLE, mesh, sin_pi, grid, "dirichlet_feedback")
+    traj = simulate(replace(EXAMPLE, epsilon=0.0), mesh, sin_pi, grid)
     ref = oracles.dense_simulate(*coefficients, 0.0, mesh.nodes, project_initial(mesh, sin_pi),
                                  grid.k, grid.n_steps)
     assert np.max(np.abs(traj.states - ref)) <= 1e-10
@@ -1137,9 +1152,10 @@ def test_dirichlet_feedback_at_zero_gain_is_the_pinned_baseline():
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)
     grid = TimeGrid(k=0.01, n_steps=30)
     mesh = make_uniform_mesh(16)
-    runs = [simulate(params, mesh, lambda x: x * (1.0 - x), grid, variant,
+    runs = [simulate(run_params, mesh, lambda x: x * (1.0 - x), grid, variant,
                      projection="interpolation")
-            for variant in ("dirichlet_feedback", "uncontrolled_dirichlet")]
+            for run_params, variant in ((replace(params, epsilon=0.0), "penalized_feedback"),
+                                        (params, "uncontrolled_dirichlet"))]
     assert np.array_equal(runs[0].states, runs[1].states)
     for hard, pinned in zip(runs[0].step_reports, runs[1].step_reports):
         assert hard.newton_iterations == pinned.newton_iterations
@@ -1169,14 +1185,14 @@ def test_penalized_runs_approach_dirichlet_feedback_at_rate_eps():
     system = assemble(mesh)
     grid = TimeGrid(k=1.0 / 1050.0, n_steps=210)
 
-    def run(epsilon, variant):
+    def run(epsilon):
         params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.05, epsilon=epsilon)
-        traj = simulate(params, mesh, sin_pi, grid, variant)
+        traj = simulate(params, mesh, sin_pi, grid)
         assert traj.failed_at is None
         return traj.states
 
-    hard = run(1.0, "dirichlet_feedback")
-    diffs = [max(norms(system, a - b).l2 for a, b in zip(run(eps, "penalized_feedback"), hard))
+    hard = run(0.0)  # the Dirichlet feedback problem
+    diffs = [max(norms(system, a - b).l2 for a, b in zip(run(eps), hard))
              for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)]
     assert diffs[0] == pytest.approx(8.53e-4, rel=1e-3)
     for a, b in zip(diffs, diffs[1:]):
@@ -1228,6 +1244,9 @@ def test_simulate_rejects_unknown_variant():
     grid = TimeGrid(k=0.01, n_steps=2)
     with pytest.raises(ParameterDomainError):
         simulate(EXAMPLE, make_uniform_mesh(8), sin_pi, grid, "robin_lagged")
+    # epsilon = 0 is the Dirichlet feedback problem, and no variant names it again
+    with pytest.raises(ParameterDomainError, match="dirichlet_feedback"):
+        simulate(EXAMPLE, make_uniform_mesh(8), sin_pi, grid, "dirichlet_feedback")
 
 
 def test_simulate_explicit_control_close_to_implicit():
@@ -1263,7 +1282,7 @@ def test_only_penalized_members_warn_when_inadmissible():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         list(step_ensemble([dirichlet], system, y0, grid))
-        simulate(params, system.mesh, sin_pi, grid, "dirichlet_feedback")
+        simulate(dirichlet, system.mesh, sin_pi, grid)
 
 
 def test_simulate_warns_when_inadmissible():
