@@ -12,8 +12,9 @@ Each ``--override`` is passed to every CLI call on both sides, for example
 ``--override newton.tol=1e-14`` to compare studies whose runs fail.
 Every CSV either side writes is compared on its header and data rows and on
 its ``#`` metadata block (resolved config, rate report, variant), all but the
-``# version:`` line, which names the revision.  One verdict line is printed
-per config.  When a CSV's rows differ but its header and row count agree,
+``# version:`` line, which names the revision.  Every SVG either side writes
+is compared byte for byte.  One verdict line is printed per config, naming
+each file that differs or that one side did not write.  When a CSV's rows differ but its header and row count agree,
 one more line per differing column gives the largest absolute and relative
 difference over its rows; a cell that is not a finite number on both sides
 counts as an infinite difference.  The exit status is 0 when every config
@@ -96,6 +97,42 @@ def _column_sizes(rows_a: list[str], rows_b: list[str]) -> dict[str, tuple[float
     return sizes
 
 
+def compare_outputs(out_a: Path, out_b: Path) -> tuple[list[str], list[str], list[str]]:
+    """Compare the CSVs and SVGs of two output directories.
+
+    Returns the problems (one per file that differs or is missing on one
+    side, or ``no CSV written``), the lines giving the size of each
+    differing CSV column, and the names of the files compared.
+    """
+    outs = (out_a, out_b)
+    problems, sizes = [], []
+    names = sorted({p.name for out in outs for p in out.glob("*.csv")})
+    if not names:
+        problems.append("no CSV written")
+    for name in names:
+        parts = [_parts(out / name) for out in outs]
+        if parts[0] is None or parts[1] is None:
+            problems.append(f"{name} missing on one side")
+            continue
+        (meta_a, rows_a), (meta_b, rows_b) = parts
+        if meta_a != meta_b:
+            problems.append(f"{name} metadata differs")
+        if rows_a != rows_b:
+            first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b),
+                         min(len(rows_a), len(rows_b)))
+            problems.append(f"{name} differs from numeric line {first}")
+            sizes += [f"  {name} {column}: max abs {size:.3g}, max rel {rel:.3g}"
+                      for column, (size, rel) in _column_sizes(rows_a, rows_b).items()]
+    svgs = sorted({p.name for out in outs for p in out.glob("*.svg")})
+    for name in svgs:
+        paths = [out / name for out in outs]
+        if not all(path.exists() for path in paths):
+            problems.append(f"{name} missing on one side")
+        elif paths[0].read_bytes() != paths[1].read_bytes():
+            problems.append(f"{name} differs")
+    return problems, sizes, names + svgs
+
+
 def compare(root: Path, rev: str, overrides: list[str]) -> bool:
     """Print one verdict per config; return whether all of them match."""
     configs = sorted((root / "configs").glob("*.json"))
@@ -109,26 +146,9 @@ def compare(root: Path, rev: str, overrides: list[str]) -> bool:
             for side, src in sides.items():
                 outs[side].parent.mkdir(parents=True, exist_ok=True)
                 codes[side] = _run(src, config, outs[side], overrides)
-            problems, sizes = [], []
+            problems, sizes, names = compare_outputs(outs["tree"], outs["rev"])
             if len(set(codes.values())) > 1:
-                problems.append(f"exit status {codes}")
-            names = sorted({p.name for out in outs.values() for p in out.glob("*.csv")})
-            if not names:
-                problems.append("no CSV written")
-            for name in names:
-                parts = [_parts(out / name) for out in outs.values()]
-                if parts[0] is None or parts[1] is None:
-                    problems.append(f"{name} missing on one side")
-                    continue
-                (meta_a, rows_a), (meta_b, rows_b) = parts
-                if meta_a != meta_b:
-                    problems.append(f"{name} metadata differs")
-                if rows_a != rows_b:
-                    first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b),
-                                 min(len(rows_a), len(rows_b)))
-                    problems.append(f"{name} differs from numeric line {first}")
-                    sizes += [f"  {name} {column}: max abs {size:.3g}, max rel {rel:.3g}"
-                              for column, (size, rel) in _column_sizes(rows_a, rows_b).items()]
+                problems.insert(0, f"exit status {codes}")
             verdict = "identical" if not problems else "DIFFERENT: " + "; ".join(problems)
             print(f"{config.name}: {verdict} ({', '.join(names)}; exit {codes['tree']})")
             for line in sizes:

@@ -34,16 +34,20 @@ batch of calls divided by the batch size, in microseconds per call:
                       load, and the elements' nodal differences and Gauss
                       values;
 ``cubic_term``        ``fem.cubic_term``;
-``matvec``            the mass matrix times the previous level, as a Newton
-                      step forms its load ``M y_prev / k``: the run's
-                      ``LinearPart.mass``, which is ``system.mass`` for a
-                      lone run and a stack of its copies for B=10;
+``matvec``            the mass matrix times a level, the product the march
+                      forms once per level and hands both to the next
+                      Newton step, as its load ``M y_prev / k``, and to
+                      ``norms``: the run's ``LinearPart.mass``, which is
+                      ``system.mass`` for a lone run and a stack of its
+                      copies for B=10;
 ``jacobian``          ``solver.jacobian`` with the run's ``LinearPart`` and
                       the Gauss values;
 ``solve_structured``  ``solver.solve_structured`` on that Jacobian and
                       residual;
-``norms``             ``fem.norms`` of one state (stacks do not call it, so
-                      the B=10 column shows ``-``);
+``norms``             ``fem.norms`` of one state with its mass product,
+                      ``norms(system, y, mass_y=...)``, as ``simulate``
+                      calls it (stacks do not call it, so the B=10 column
+                      shows ``-``);
 ``newton iteration``  one Newton iteration: ``newton_solve`` at
                       ``max_iter=6`` minus ``max_iter=1``, divided by 5, with
                       a tolerance no step meets (one more iteration alone is
@@ -130,6 +134,7 @@ def layer_times(n: int, n_runs: int, mixed: bool, repeats: int) -> dict[str, flo
     diffs, gauss = element_values(y)
     flux = linear.conductance * diffs
     pieces = {"prev_load": linear.mass.matvec(y_prev) / K, "gauss": gauss, "diffs": diffs}
+    mass_y = linear.mass.matvec(y)
     f = residual(linear, system, y, y_prev, **pieces)
     core, rank_one = jacobian(linear, system, y, gauss=gauss)
     batch = max(1, 20000 // (n * n_runs))  # about 0.1 ms of numpy work per batch
@@ -162,7 +167,8 @@ def layer_times(n: int, n_runs: int, mixed: bool, repeats: int) -> dict[str, flo
             "jacobian": best(lambda: jacobian(linear, system, y, gauss=gauss), batch, repeats),
             "solve_structured": best(lambda: solve_structured(core, rank_one, f),
                                      batch, repeats),
-            "norms": best(lambda: norms(system, y), batch, repeats) if n_runs == 1 else None,
+            "norms": (best(lambda: norms(system, y, mass_y=mass_y), batch, repeats)
+                      if n_runs == 1 else None),
             "newton iteration": (newton(6) - newton(1)) / 5,
             "time step": min(step_times) / N_STEPS,
             "time step median": statistics.median(step_times) / N_STEPS,

@@ -214,9 +214,11 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     rows; a block is also flushed when a run drops out and after the last
     level.  Every reduction is per state, so the rows equal a level-by-level
     fold bit for bit, and memory does not grow with the number of levels.
-    A block's mass products run along its flat rows, through one stack of
-    ``L B`` mass matrices built once per study, and the neighbour pairs are
-    found once per set of live runs.
+    The state L2 norms take each level's mass product from the march
+    (:attr:`EnsembleLevel.mass_states`), buffered beside its states; the
+    differences' products run along a block's flat rows, through one stack
+    of ``L B`` mass matrices built once per study, and the neighbour pairs
+    are found once per set of live runs.
     """
     epsilons = [float(e) for e in epsilons]
     if any(e2 > e1 for e1, e2 in zip(epsilons, epsilons[1:])):
@@ -236,20 +238,21 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     diff_l2, diff_linf, control_diff = (np.full(n - 1, -np.inf) for _ in range(3))
     block_length = _fold_block_length(n, system.n_dof)
     block_states = np.empty((block_length, n, system.n_dof))
+    block_mass = np.empty((block_length, n, system.n_dof))  # the levels' mass products
     block_controls = np.empty((block_length, n))
-    # one mass matrix per state of a full block, in the stacked band layout
-    block_mass = mass.repeat(block_length * n)
+    # one mass matrix per difference of a full block, in the stacked band layout
+    diff_mass = mass.repeat(block_length * n)
 
     def masses(states: np.ndarray) -> TridiagMatrix:
-        """The first rows of ``block_mass``, one per state of ``states``."""
-        return TridiagMatrix.from_band(block_mass.band[:, :states.size // system.n_dof])
+        """The first rows of ``diff_mass``, one per state of ``states``."""
+        return TridiagMatrix.from_band(diff_mass.band[:, :states.size // system.n_dof])
 
     def flush(alive: np.ndarray, neighbours: tuple[np.ndarray, np.ndarray],
               filled: int) -> None:
         states = block_states[:filled, :alive.size]
         controls = block_controls[:filled, :alive.size]
         # reduced like fem.norms, so the columns match a run's own l2 history
-        l2 = np.sqrt(np.maximum(np.vecdot(states, masses(states).matvec(states)), 0.0))
+        l2 = np.sqrt(np.maximum(np.vecdot(states, block_mass[:filled, :alive.size]), 0.0))
         linf = np.max(np.abs(states), axis=-1, initial=0.0)
         state_l2[alive], state_linf[alive] = l2[-1], linf[-1]
         l2_sup[alive] = np.maximum(l2_sup[alive], l2.max(axis=0))
@@ -283,6 +286,7 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
             flush(alive, neighbours, filled)
             filled = 0
         block_states[filled, :alive.size] = level.states
+        block_mass[filled, :alive.size] = level.mass_states
         block_controls[filled, :alive.size] = controls
         filled += 1
     if filled:

@@ -478,7 +478,7 @@ def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
     return _mass_matrix(mesh).solve(load)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class NormSet:
     """L2, max-nodal, L4, and H1-seminorm of a discrete state.
 
@@ -503,7 +503,8 @@ class NormSet:
         return math.sqrt(max(float(self._y @ self._system.stiffness.matvec(self._y)), 0.0))
 
 
-def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
+def norms(system: AssembledSystem, y: np.ndarray, *,
+          mass_y: np.ndarray | None = None) -> NormSet:
     """Norms of a state on the system's mesh, as a :class:`NormSet`.
 
     ``l2 = sqrt(y' M y)`` and ``h1_semi = sqrt(y' K y)`` are exact; ``l4``
@@ -511,12 +512,17 @@ def norms(system: AssembledSystem, y: np.ndarray) -> NormSet:
     which for P1 functions coincides with the true sup-norm.  Only ``l2`` and
     ``linf`` are computed in the call; ``l4`` and ``h1_semi`` are computed on
     first access from a copy of ``y`` taken here, so changing ``y`` after the
-    call does not change them.
+    call does not change them.  ``mass_y`` is the product
+    ``system.mass.matvec(y)`` when the caller has it already (a march level's
+    ``mass_states``), so ``l2`` costs one dot product; it is formed here
+    when not given, with the same bits.
     """
     if y.shape != system.moment.shape:
         raise MeshError(f"state of shape {y.shape}, system expects {system.moment.shape}")
+    if mass_y is None:
+        mass_y = system.mass.matvec(y)
     return NormSet(
-        l2=math.sqrt(max(float(y @ system.mass.matvec(y)), 0.0)),
+        l2=math.sqrt(max(float(y @ mass_y), 0.0)),
         linf=float(np.maximum.reduce(np.abs(y))),
         _system=system,
         _y=y.copy(),

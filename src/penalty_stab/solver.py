@@ -22,7 +22,8 @@ right node.  Both terms come from one pass over the elements and one scatter
 of their loads.  The fluxes, of size ``nu/h``, set the residual's round-off
 floor at the level a tridiagonal product ``nu K Y`` gives it
 (``scripts/newton_floor.py`` prints the floor per mesh size).  A Newton
-step forms ``M Y_prev / k`` once; each iterate's differences and Gauss
+step divides the previous level's mass product by ``k`` once, as ``M
+Y_prev / k``; each iterate's differences and Gauss
 values are computed together, both serve its residual, and the Gauss values
 also its Jacobian.  The control is treated
 implicitly (the feedback functional is evaluated at the unknown state),
@@ -66,9 +67,13 @@ does not depend on the iterate is built as rarely as it can be:
   and gain, the rank-one feedback row with its right-hand-side
   buffer (:attr:`RankOneUpdate.pair`), and the gains as floats for the
   controls;
+* once per level, in the march: the mass product ``M Y_n`` of the new
+  level (:attr:`EnsembleLevel.mass_states`), which the next
+  :func:`newton_solve` divides by ``k`` as its ``M Y_prev / k`` and
+  :func:`simulate` hands to :func:`fem.norms`;
 * once per step, in :func:`newton_solve`: the checks of ``y_prev``, the
-  start and the stack's members, ``M Y_prev / k``, and at the end the
-  controls, from one ``w . Y`` per run in Python floats;
+  start and the stack's members, ``M Y_prev / k`` from that product, and at
+  the end the controls, from one ``w . Y`` per run in Python floats;
 * per iteration: the nodal differences and Gauss values of the iterate
   (:func:`fem.element_values`), its residual (one :func:`fem.reaction_load`
   pass and the boundary row) and stopping norm, ``delta C'(Y)``
@@ -159,7 +164,7 @@ class TimeGrid:
         return cls(k=k, n_steps=n)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepReport:
     """Newton diagnostics for one time step.
 
@@ -333,7 +338,7 @@ class LinearPart:
     +0.0 in the last column of every member, so :func:`jacobian` adds it to
     ``delta C'(y)`` band for band in one add over whole rows.  ``mass`` is
     the mass matrix, one copy per member for a stack, whose padded rows let
-    :func:`newton_solve` form ``M Y_prev / k`` by flat products.
+    the march form each level's ``M Y_n`` by flat products.
     ``weight`` is the ``1/k - alpha`` that :func:`residual` integrates with
     the cubic term, and ``conductance`` the ``nu / h_e`` of every element,
     which turns the elements' nodal differences into the fluxes of ``nu K
@@ -510,14 +515,18 @@ def _report(history: list[float], tol: float, gain: float, moment: float) -> Ste
 
 
 def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray,
-                 tol: float = 1e-12, max_iter: int = 25, *, start: np.ndarray | None = None
+                 tol: float = 1e-12, max_iter: int = 25, *, start: np.ndarray | None = None,
+                 prev_mass: np.ndarray | None = None
                  ) -> tuple[np.ndarray, StepReport | StackReport]:
     """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
     ``linear`` is the run's :class:`LinearPart`: the time step, the
     variant and the control are its own.  The iteration starts from
     ``start`` (``y_prev`` when not given); the residual's previous level is
-    ``y_prev`` either way.  It stops when the Euclidean norm of the residual
+    ``y_prev`` either way.  ``prev_mass`` is ``linear.mass.matvec(y_prev)``
+    when the caller has it already (the march forms it once per level); it
+    is formed here when not given, with the same bits, and divided by ``k``
+    here either way.  It stops when the Euclidean norm of the residual
     drops to ``tol``.  A step that exhausts ``max_iter`` returns its
     diagnostics with ``converged=False`` instead of raising; so does a step
     whose residual norm is not finite, which takes no further update (none
@@ -547,7 +556,9 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     y = y_prev if start is None else start  # never written: each iterate is a new array
     _check_states(linear, system, y, y_prev)
-    prev, load = y_prev, linear.mass.matvec(y_prev) / linear.k
+    if prev_mass is None:
+        prev_mass = linear.mass.matvec(y_prev)
+    prev, load = y_prev, prev_mass / linear.k
     gauss, f = _evaluate(linear, system, y, prev, load)
     if y.ndim == 1:
         history = [math.sqrt(float(np.vecdot(f, f)))]
@@ -593,7 +604,7 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
                                final <= tol, history)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class EnsembleLevel:
     """One time level of the runs stepped by :func:`step_ensemble`.
 
@@ -603,7 +614,10 @@ class EnsembleLevel:
     attempted this level's step, failed ones included, and ``step`` holds
     their :class:`StackReport` or a lone run's :class:`StepReport` (at level
     0, the initial reports); ``reports`` maps each to its
-    :class:`StepReport`, built on first read.
+    :class:`StepReport`, built on first read.  ``mass_states`` is the mass
+    product ``M y`` of every row of ``states``, formed once per level: the
+    next step's previous load and the ``mass_y`` of :func:`fem.norms`.  A
+    level with no members holds ``None``.
     """
 
     index: int
@@ -611,6 +625,7 @@ class EnsembleLevel:
     states: np.ndarray
     attempted: np.ndarray
     step: StackReport | StepReport
+    mass_states: np.ndarray | None
 
     @cached_property
     def reports(self) -> dict[int, StepReport]:
@@ -628,23 +643,27 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
     at the first step, then from the linear extrapolation ``2 y_n - y_{n-1}``
     of each member's own last two levels.  A member whose step fails is
     dropped with its state, and the linear part of the others is taken once
-    per drop-out; the march ends when none is left.
+    per drop-out; the march ends when none is left.  Each level's mass
+    product is formed once, after any drop-out, and handed to the next step.
     """
     lone = states.ndim == 1
     members = np.arange(1 if lone else states.shape[0])
-    yield EnsembleLevel(0, members, states, members, initial)
+    mass = linear.mass.matvec(states)
+    yield EnsembleLevel(0, members, states, members, initial, mass)
     previous = None
     for n in range(1, time_grid.n_steps + 1):
         start = None if previous is None else 2.0 * states - previous
         previous, attempted = states, members
-        states, step = newton_solve(linear, system, states, *settings, start=start)
+        states, step = newton_solve(linear, system, states, *settings, start=start,
+                                    prev_mass=mass)
         if lone and not step.converged:
             members, states = members[:0], states[:0]
         elif not lone and not step.converged.all():
             rows = np.flatnonzero(step.converged)
             members, states, previous = members[rows], states[rows], previous[rows]
             linear = linear.take(rows)
-        yield EnsembleLevel(n, members, states, attempted, step)
+        mass = linear.mass.matvec(states) if members.size else None
+        yield EnsembleLevel(n, members, states, attempted, step, mass)
         if not members.size:
             return
 
@@ -669,15 +688,32 @@ def step_ensemble(params: ModelParams | Sequence[ModelParams], system: Assembled
     number of steps.  A member with ``epsilon = 0`` solves the Dirichlet
     feedback problem, so one stack may mix it with penalized members.  Each
     penalized run that violates the stabilization conditions triggers a
-    warning.
+    warning, which points at the caller's line.
     """
-    stacked = not isinstance(params, ModelParams)
-    members = params if stacked else [params]
-    for member in members:
+    _warn_inadmissible(params)
+    return _levels(params, system, y0, time_grid, (newton_tol, newton_max_iter),
+                   implicit_control)
+
+
+def _warn_inadmissible(params: ModelParams | Sequence[ModelParams]) -> None:
+    """Warn for each penalized run that violates the stabilization conditions.
+
+    The warning points at the line that called this function's caller, the
+    public entry point, so the default filter shows it once per such line.
+    """
+    for member in [params] if isinstance(params, ModelParams) else params:
         admissible, detail = check_admissibility(member)
         if not admissible and member.epsilon > 0.0:
             warnings.warn("stabilization conditions violated; decay is not certified "
-                          f"({detail})", RuntimeWarning, stacklevel=2)
+                          f"({detail})", RuntimeWarning, stacklevel=3)
+
+
+def _levels(params: ModelParams | Sequence[ModelParams], system: AssembledSystem,
+            y0: np.ndarray, time_grid: TimeGrid, settings: tuple[float, int],
+            implicit_control: bool) -> Iterator[EnsembleLevel]:
+    """The march of :func:`step_ensemble`, which warns before it."""
+    stacked = not isinstance(params, ModelParams)
+    members = params if stacked else [params]
     n, moment_y0 = len(members), float(np.vecdot(y0, system.moment))
     initial = StackReport(np.zeros(n, dtype=int), np.zeros(n),
                           0.0 - np.array([p.r for p in members], dtype=float) * moment_y0,
@@ -685,7 +721,7 @@ def step_ensemble(params: ModelParams | Sequence[ModelParams], system: Assembled
     linear = LinearPart.of(params, system, time_grid.k, implicit_control)
     states = np.repeat(y0[None], n, axis=0) if stacked else y0.copy()
     return _march(linear, system, states, initial if stacked else initial[0], time_grid,
-                  (newton_tol, newton_max_iter))
+                  settings)
 
 
 def simulate(params: ModelParams, mesh: MeshPartition,
@@ -704,8 +740,9 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     (its controls are ``+0.0``).  The run is the lone :func:`step_ensemble`
     march, so it equals it bit for bit.  Every recorded level keeps its
     state, its control and the ``l2`` and ``linf`` of one
-    :func:`fem.norms` call.  Penalized parameters that violate the
-    stabilization conditions trigger a warning, not an error; some study
+    :func:`fem.norms` call, which takes the level's mass product from the
+    march.  Penalized parameters that violate the stabilization conditions
+    trigger a warning at the caller's line, not an error; some study
     regimes violate them deliberately.
     """
     if variant not in VARIANTS:
@@ -720,16 +757,16 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     states = np.zeros((time_grid.n_steps + 1, system.n_dof))
     reports, controls, l2, linf = [], [], [], []
     failed_at = None
-    for level in step_ensemble(params, system, y, time_grid, newton_tol=newton_tol,
-                               newton_max_iter=newton_max_iter,
-                               implicit_control=implicit_control):
+    _warn_inadmissible(params)
+    for level in _levels(params, system, y, time_grid, (newton_tol, newton_max_iter),
+                         implicit_control):
         reports.append(level.step)
         if not level.members.size:
             failed_at = level.index
             break
         states[level.index] = level.states
         controls.append(level.step.control_value)
-        ns = norms(system, level.states)
+        ns = norms(system, level.states, mass_y=level.mass_states)
         l2.append(ns.l2)
         linf.append(ns.linf)
 

@@ -854,6 +854,28 @@ def test_stack_report_arrays_are_the_reports_of_lone_steps(step, max_iter):
         assert repr(stack[b]) == repr(lone)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(newton_steps(), st.sampled_from([1, 25]))
+def test_newton_given_the_previous_mass_product_steps_alike(step, max_iter):
+    # the march hands each step the mass product of its previous level
+    n, members, amplitudes, k, start_scale = step
+    system = assemble(make_uniform_mesh(n))
+    x = system.mesh.nodes[1:]
+    y_prev = np.stack([a * sin_pi(x) + 0.1 * a * x * (1.0 - x) for a in amplitudes])
+    start = None if start_scale is None else start_scale * y_prev
+    lone = (members[0], y_prev[0], None if start is None else start[0])
+    for params, prev, first in (lone, (members, y_prev, start)):
+        linear = LinearPart.of(params, system, k)
+        y, report = newton_solve(linear, system, prev, max_iter=max_iter, start=first)
+        shared_y, shared = newton_solve(linear, system, prev, max_iter=max_iter, start=first,
+                                        prev_mass=linear.mass.matvec(prev))
+        assert shared_y.tobytes() == y.tobytes()
+        if isinstance(report, StepReport):
+            assert repr(shared) == repr(report)
+        else:
+            assert repr(list(shared)) == repr(list(report))
+
+
 def test_newton_nan_state_reported_not_raised():
     system = assemble(make_uniform_mesh(8))
     y_prev = np.ones(8)
@@ -962,6 +984,8 @@ def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, se
     assert not np.shares_memory(lone[0].states, y0)
     assert len(lone) == len(stack) == len(traj.step_reports)
     for level, one, report in zip(lone, stack, traj.step_reports):
+        assert_level_carries_the_mass_product(params, system, grid.k, level)
+        assert_level_carries_the_mass_product([params], system, grid.k, one)
         assert level.step == report  # a lone level's step is its StepReport
         assert level.reports == one.reports == {0: report}
         assert level.index == one.index
@@ -1048,6 +1072,31 @@ def test_whole_stacks_equal_lone_runs_and_decay_property(case):
             assert energy_monitor(traj, max_decay_rate(params)).passed
 
 
+def assert_level_carries_the_mass_product(params, system, k, level):
+    """``level.mass_states`` is the mass product of its states, bit for bit,
+    through the linear part of its members; ``None`` when none is left."""
+    if not level.members.size:
+        assert level.mass_states is None
+        return
+    linear = LinearPart.of(params, system, k)
+    if not isinstance(params, ModelParams):
+        linear = linear.take(level.members)
+    expected = linear.mass.matvec(level.states)
+    assert level.mass_states.shape == expected.shape
+    assert level.mass_states.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(admissible_stacks())
+def test_each_level_carries_the_mass_product_of_its_states(case):
+    members, mesh, grid, y0 = case
+    system = assemble(mesh)
+    y_start = project_initial(mesh, y0)
+    for params in (members[0], members):  # a lone run and a stack
+        for level in step_ensemble(params, system, y_start, grid):
+            assert_level_carries_the_mass_product(params, system, grid.k, level)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(admissible_stacks(), st.data())
 def test_a_member_marked_unconverged_is_dropped_and_reported_alike(case, data):
@@ -1074,6 +1123,7 @@ def test_a_member_marked_unconverged_is_dropped_and_reported_alike(case, data):
     assert len(steps) == len(levels) - 1 == (grid.n_steps if others else fail_at)
     for level, reference in zip(levels, unmarked):
         assert_arrays_are_the_member_reports(level.step)
+        assert_level_carries_the_mass_product(members, system, grid.k, level)
         assert level.reports == dict(zip(level.attempted.tolist(), level.step))
         gone = level.index >= fail_at
         assert level.members.tolist() == (others if gone else list(range(len(members))))
@@ -1290,3 +1340,38 @@ def test_simulate_warns_when_inadmissible():
     grid = TimeGrid(k=0.01, n_steps=3)
     with pytest.warns(RuntimeWarning, match="stabilization conditions"):
         simulate(params, make_uniform_mesh(8), sin_pi, grid)
+
+
+@pytest.mark.parametrize("entry", ["simulate", "lone", "stack"])
+def test_inadmissibility_warning_points_at_the_caller(entry):
+    # the default filter shows a warning once per line it points at, so it
+    # must point at the caller's line, not at one inside the solver
+    params = ModelParams(nu=0.01, alpha=0.1, delta=0.1, r=np.sqrt(0.002), epsilon=0.001)
+    mesh, grid = make_uniform_mesh(8), TimeGrid(k=0.01, n_steps=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "simulate":
+            simulate(params, mesh, sin_pi, grid)
+        else:
+            step_ensemble(params if entry == "lone" else [params], assemble(mesh),
+                          project_initial(mesh, sin_pi), grid)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__
+
+
+def test_simulate_forms_the_mass_product_once_per_level(monkeypatch):
+    # the march forms M y_n once; the next step's load and the level's norms share it
+    calls = {"matvec": 0, "norms": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(TridiagMatrix, "matvec", counted("matvec", TridiagMatrix.matvec))
+    monkeypatch.setattr(solver, "norms", counted("norms", solver.norms))
+    n_steps = 12
+    traj = simulate(EXAMPLE, make_uniform_mesh(16), sin_pi, TimeGrid(k=0.01, n_steps=n_steps))
+    assert traj.failed_at is None
+    assert calls == {"matvec": n_steps + 1, "norms": n_steps + 1}
