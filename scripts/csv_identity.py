@@ -14,7 +14,12 @@ Every CSV either side writes is compared on its header and data rows and on
 its ``#`` metadata block (resolved config, rate report, variant), all but the
 ``# version:`` line, which names the revision.  Every SVG either side writes
 is compared byte for byte.  One verdict line is printed per config, naming
-each file that differs or that one side did not write.  When a CSV's rows differ but its header and row count agree,
+each file that differs or that one side did not write.  A differing metadata
+block is named by the ``#`` keys that ``REV`` lacks, that the working tree
+lacks or whose values differ, each as ``added``, ``removed`` or ``changed``
+going from ``REV`` to the working tree; within a JSON object value such as
+``config``, by the dotted path of each such field (``config.newton.tol
+changed``).  When a CSV's rows differ but its header and row count agree,
 one more line per differing column gives the largest absolute and relative
 difference over its rows; a cell that is not a finite number on both sides
 counts as an infinite difference.  The exit status is 0 when every config
@@ -67,6 +72,38 @@ def _parts(path: Path) -> tuple[list[str], list[str]] | None:
     return meta, [line for line in lines if not line.startswith("#")]
 
 
+def _metadata(lines: list[str]) -> dict:
+    """The ``# key: value`` lines as a dict, each value parsed as JSON when it is JSON."""
+    meta = {}
+    for line in lines:
+        key, _, value = line[1:].partition(":")
+        try:
+            meta[key.strip()] = json.loads(value)
+        except ValueError:
+            meta[key.strip()] = value.strip()
+    return meta
+
+
+def _changes(old, new, path: str = "") -> list[str]:
+    """The dotted paths that ``new`` adds to, removes from or changes in ``old``.
+
+    Objects are compared field by field, in the order of ``old`` and then the
+    fields only ``new`` has; any other value is compared as its JSON text.
+    """
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if json.dumps(old) == json.dumps(new) else [f"{path} changed"]
+    changes = []
+    for key in [*old, *(key for key in new if key not in old)]:
+        sub = f"{path}.{key}" if path else key
+        if key not in new:
+            changes.append(f"{sub} removed")
+        elif key not in old:
+            changes.append(f"{sub} added")
+        else:
+            changes += _changes(old[key], new[key], sub)
+    return changes
+
+
 def _column_sizes(rows_a: list[str], rows_b: list[str]) -> dict[str, tuple[float, float]]:
     """The largest absolute and relative difference of each differing column.
 
@@ -102,7 +139,8 @@ def compare_outputs(out_a: Path, out_b: Path) -> tuple[list[str], list[str], lis
 
     Returns the problems (one per file that differs or is missing on one
     side, or ``no CSV written``), the lines giving the size of each
-    differing CSV column, and the names of the files compared.
+    differing CSV column, and the names of the files compared.  Metadata
+    changes are named going from ``out_a`` to ``out_b``.
     """
     outs = (out_a, out_b)
     problems, sizes = [], []
@@ -116,7 +154,8 @@ def compare_outputs(out_a: Path, out_b: Path) -> tuple[list[str], list[str], lis
             continue
         (meta_a, rows_a), (meta_b, rows_b) = parts
         if meta_a != meta_b:
-            problems.append(f"{name} metadata differs")
+            changes = _changes(_metadata(meta_a), _metadata(meta_b)) or ["in layout only"]
+            problems.append(f"{name} metadata differs: {', '.join(changes)}")
         if rows_a != rows_b:
             first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b),
                          min(len(rows_a), len(rows_b)))
@@ -146,7 +185,7 @@ def compare(root: Path, rev: str, overrides: list[str]) -> bool:
             for side, src in sides.items():
                 outs[side].parent.mkdir(parents=True, exist_ok=True)
                 codes[side] = _run(src, config, outs[side], overrides)
-            problems, sizes, names = compare_outputs(outs["tree"], outs["rev"])
+            problems, sizes, names = compare_outputs(outs["rev"], outs["tree"])
             if len(set(codes.values())) > 1:
                 problems.insert(0, f"exit status {codes}")
             verdict = "identical" if not problems else "DIFFERENT: " + "; ".join(problems)

@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .analysis import (
     DecayFit,
     EpsilonRow,
-    EpsilonStudyReport,
     MonitorResult,
     energy_monitor,
     epsilon_cauchy_study,

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import AnalysisError, MeshError
 from .fem import AssembledSystem, MeshPartition, TridiagMatrix, assemble, project_initial
 from .params import ModelParams
-from .solver import StateTrajectory, TimeGrid, step_ensemble
+from .solver import NEWTON_MAX_ITER, NEWTON_TOL, StateTrajectory, TimeGrid, step_ensemble
 from .solver import simulate  # noqa: F401  unused here; perfbench probes analysis.simulate
 
 #: Norm samples below this multiple of machine epsilon times the initial norm
@@ -163,11 +163,6 @@ class EpsilonRow:
     failed: bool = False
 
 
-@dataclass(frozen=True)
-class EpsilonStudyReport:
-    rows: tuple[EpsilonRow, ...]
-
-
 #: Bytes of states the epsilon study buffers before it reduces them in one pass.
 #: Larger blocks cut no further per-call overhead, but they cost memory.
 _FOLD_BLOCK_BYTES = 65536
@@ -197,13 +192,15 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
                          time_grid: TimeGrid, epsilons: Sequence[float],
                          gain_rule: Callable[[float], float], *,
                          y0: Callable[[np.ndarray], np.ndarray],
-                         projection: str = "l2", newton_tol: float = 1e-12,
-                         newton_max_iter: int = 25) -> EpsilonStudyReport:
+                         newton_tol: float = NEWTON_TOL,
+                         newton_max_iter: int = NEWTON_MAX_ITER) -> tuple[EpsilonRow, ...]:
     """Run the penalized scheme over a descending list of penalty values.
 
-    All runs share the mesh and time grid, so successive solutions live on
-    the identical space-time grid and their differences are plain norms of
-    state differences.  The gain of each run is ``gain_rule(epsilon)``; a
+    Returns one :class:`EpsilonRow` per penalty value, in the list's order.
+    All runs share the mesh and time grid, and all start from the L2
+    projection of ``y0``, so successive solutions live on the identical
+    space-time grid and their differences are plain norms of state
+    differences.  The gain of each run is ``gain_rule(epsilon)``; a
     last epsilon of 0 is the Dirichlet feedback problem, the list's limit.
     A failed run marks its row and poisons the adjacent difference entries.
 
@@ -224,7 +221,7 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
     if any(e2 > e1 for e1, e2 in zip(epsilons, epsilons[1:])):
         raise AnalysisError("epsilons must be descending")
     if not epsilons:
-        return EpsilonStudyReport(rows=())
+        return ()
     system = assemble(mesh)
     mass = system.mass
     members = [ModelParams(nu=params_base.nu, alpha=params_base.alpha,
@@ -267,8 +264,8 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
             dc = np.abs(controls[:, 1:] - controls[:, :-1]).max(axis=0)[pairs]
             control_diff[i_prev] = np.maximum(control_diff[i_prev], dc)
 
-    levels = step_ensemble(members, system, project_initial(mesh, y0, mode=projection),
-                           time_grid, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
+    levels = step_ensemble(members, system, project_initial(mesh, y0), time_grid,
+                           newton_tol=newton_tol, newton_max_iter=newton_max_iter)
     alive, filled = np.arange(n), 0
     neighbours = _neighbours(alive)  # changes only when a run drops out
     for level in levels:
@@ -314,4 +311,4 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
             control_diff_linf=diffs[2],
             failed=bool(failed[i]),
         ))
-    return EpsilonStudyReport(rows=tuple(rows))
+    return tuple(rows)

@@ -455,21 +455,15 @@ def cubic_jacobian(mesh: MeshPartition, y: np.ndarray, *,
     return _scatter_element_matrix(_element_integrals(mesh, _W_JAC, sq))
 
 
-def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray],
-                    mode: str = "l2") -> np.ndarray:
-    """Discretize an initial profile ``f`` with ``f(0) = 0``.
+def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The L2 projection of an initial profile ``f`` with ``f(0) = 0``.
 
-    ``mode="l2"`` (default) solves ``M c = (f, phi_i)`` with the load computed
-    by the 3-point Gauss rule per element; ``mode="interpolation"`` samples
-    ``f`` at the nodes.  Both reproduce members of the P1 space exactly.
+    Solves ``M c = (f, phi_i)`` with the load computed by the 3-point Gauss
+    rule per element, which reproduces members of the P1 space exactly.
     """
     f0 = float(f(np.asarray(0.0)))
     if abs(f0) > 1e-9:
         raise ParameterDomainError(f"initial profile must vanish at x = 0, got f(0) = {f0!r}")
-    if mode == "interpolation":
-        return np.asarray(f(mesh.nodes[1:]), dtype=float)
-    if mode != "l2":
-        raise ParameterDomainError(f"unknown projection mode {mode!r}")
     x_left = mesh.nodes[:-1]
     h = mesh.element_sizes
     # f at the Gauss points of every element, shape (n_elements, 3)

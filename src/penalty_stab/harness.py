@@ -20,16 +20,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    EpsilonStudyReport,
-    epsilon_cauchy_study,
-    error_vs_reference,
-    observed_orders,
-)
+from .analysis import epsilon_cauchy_study, error_vs_reference, observed_orders
 from .errors import ConfigError, ParameterDomainError
 from .fem import assemble, make_uniform_mesh, project_initial
 from .params import ModelParams, rate_report
-from .solver import TimeGrid, simulate, step_ensemble
+from .solver import NEWTON_MAX_ITER, NEWTON_TOL, TimeGrid, simulate, step_ensemble
 
 KINDS = ("decay", "space_convergence", "epsilon_study")
 
@@ -268,10 +263,9 @@ def validate_config(cfg: dict, kind: str) -> dict:
     grid = _time_grid(cfg)
     resolved["time"] = {"T": grid.T, "n_steps": grid.n_steps, "k": grid.k}
     resolved["initial"] = _choice(cfg, "initial", INITIAL_PROFILES)
-    resolved["projection"] = _choice(cfg, "projection", ("l2", "interpolation"), default="l2")
     resolved["newton"] = {
-        "tol": _number(cfg, "newton.tol", default=1e-12, positive=True),
-        "max_iter": _integer(cfg, "newton.max_iter", default=25, minimum=1,
+        "tol": _number(cfg, "newton.tol", default=NEWTON_TOL, positive=True),
+        "max_iter": _integer(cfg, "newton.max_iter", default=NEWTON_MAX_ITER, minimum=1,
                              maximum=MAX_NEWTON_ITER),
     }
     exp["svg"] = _boolean(cfg, "experiment.svg", True)
@@ -294,7 +288,6 @@ def validate_config(cfg: dict, kind: str) -> dict:
             model["r_rule"] = echoed
         resolved["mesh"] = {"n_elements": _integer(cfg, "mesh.n_elements", minimum=2)}
         exp["include_uncontrolled"] = _boolean(cfg, "experiment.include_uncontrolled", False)
-        exp["implicit_control"] = _boolean(cfg, "experiment.implicit_control", True)
 
     elif kind == "space_convergence":
         ns = _get(cfg, "experiment.n_elements_list")
@@ -518,8 +511,9 @@ def emit_svg(path, x: np.ndarray, series: dict[str, np.ndarray], *,
 class _Run:
     """What every runner starts from, and the outputs it collects.
 
-    ``solve`` holds the keyword arguments that :func:`simulate`, :meth:`march`
-    and :func:`epsilon_cauchy_study` share: the projection and Newton options.
+    ``solve`` holds the keyword arguments that :func:`simulate`,
+    :func:`step_ensemble` and :func:`epsilon_cauchy_study` share: the Newton
+    options.  Every run starts from the L2 projection of the profile.
     """
 
     def __init__(self, resolved: dict, out_dir) -> None:
@@ -528,8 +522,7 @@ class _Run:
         self.grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
         self.profile = INITIAL_PROFILES[resolved["initial"]]
         newton = resolved["newton"]
-        self.solve = {"projection": resolved["projection"], "newton_tol": newton["tol"],
-                      "newton_max_iter": newton["max_iter"]}
+        self.solve = {"newton_tol": newton["tol"], "newton_max_iter": newton["max_iter"]}
         self.files: list[Path] = []
         self.failures: list[str] = []
         self.notes: list[str] = []
@@ -537,10 +530,9 @@ class _Run:
     def march(self, params: ModelParams, mesh) -> tuple[np.ndarray, np.ndarray, int | None]:
         """One lone :func:`step_ensemble` run on ``mesh``, streamed: its last converged
         state, its controls and its failed step (``None`` if none); no trajectory."""
-        newton = dict(self.solve)
-        y0 = project_initial(mesh, self.profile, mode=newton.pop("projection"))
+        y0 = project_initial(mesh, self.profile)
         controls: list[float] = []
-        for level in step_ensemble(params, assemble(mesh), y0, self.grid, **newton):
+        for level in step_ensemble(params, assemble(mesh), y0, self.grid, **self.solve):
             if not level.members.size:
                 return final, np.array(controls), level.index
             final = level.states
@@ -580,8 +572,7 @@ def run_decay_experiment(resolved: dict, out_dir) -> HarnessResult:
 
     rates = rate_report(params).as_dict()
     for variant in variants:
-        traj = simulate(params, mesh, run.profile, run.grid, variant, **run.solve,
-                        implicit_control=resolved["experiment"]["implicit_control"])
+        traj = simulate(params, mesh, run.profile, run.grid, variant, **run.solve)
         metadata = {"config": resolved, "rates": rates, "variant": variant}
         if traj.failed_at is not None:
             msg = (f"{variant}: newton did not converge at step {traj.failed_at} "
@@ -689,14 +680,13 @@ def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
     base = _model_params(model, 0.0, exp["epsilons"][0])
 
-    report: EpsilonStudyReport = epsilon_cauchy_study(
-        base, mesh, run.grid, exp["epsilons"], _gain(exp["gain_rule"]), y0=run.profile,
-        **run.solve)
+    study = epsilon_cauchy_study(base, mesh, run.grid, exp["epsilons"],
+                                 _gain(exp["gain_rule"]), y0=run.profile, **run.solve)
 
     run.failures.extend(f"epsilon={row.epsilon:g}: newton failure"
-                        for row in report.rows if row.failed)
+                        for row in study if row.failed)
     rates_per_row = []
-    for row in report.rows:
+    for row in study:
         rates = rate_report(_model_params(model, row.r, row.epsilon))
         entry = {"epsilon": row.epsilon, "r": row.r, "admissible": rates.admissible}
         if row.epsilon == 0.0:  # the Dirichlet feedback problem has bounds of its own
@@ -712,13 +702,13 @@ def run_epsilon_study(resolved: dict, out_dir) -> HarnessResult:
     rows = [[row.epsilon, row.r, row.state_l2, row.state_linf, row.control_linf,
              row.diff_l2, row.diff_linf, row.control_diff_linf,
              row.state_l2_sup, row.state_linf_sup, int(row.failed)]
-            for row in report.rows]
+            for row in study]
     run.files.append(emit_csv(run.out_dir / "epsilon_study.csv", header, rows, metadata))
-    if resolved["experiment"]["svg"] and len(report.rows) >= 2:
-        eps = np.array([row.epsilon for row in report.rows])
+    if resolved["experiment"]["svg"] and len(study) >= 2:
+        eps = np.array([row.epsilon for row in study])
         diffs = np.array([np.nan if row.diff_l2 is None else row.diff_l2
-                          for row in report.rows])
-        controls = np.array([row.control_linf for row in report.rows])
+                          for row in study])
+        controls = np.array([row.control_linf for row in study])
         run.svg("epsilon_study.svg", eps, {"diff_l2": diffs, "control_linf": controls},
                 title="continuation in epsilon", x_label="epsilon", y_label="value",
                 log_x=True, log_y=True)

@@ -23,13 +23,13 @@ of their loads.  The fluxes, of size ``nu/h``, set the residual's round-off
 floor at the level a tridiagonal product ``nu K Y`` gives it
 (``scripts/newton_floor.py`` prints the floor per mesh size).  A Newton
 step divides the previous level's mass product by ``k`` once, as ``M
-Y_prev / k``; each iterate's differences and Gauss
-values are computed together, both serve its residual, and the Gauss values
-also its Jacobian.  The control is treated
-implicitly (the feedback functional is evaluated at the unknown state),
-which adds the rank-one row ``r e_b w^T`` to the otherwise tridiagonal
-Newton matrix; the linear solves exploit that structure via a tridiagonal
-elimination plus a Sherman-Morrison correction.  The boundary row's scale
+Y_prev / k``; each iterate's differences and Gauss values are computed
+together, both serve its residual, and the Gauss values also its Jacobian.
+The feedback functional acts on the unknown state, as the paper's control
+``u(t) = -r integral(x y(t, x) dx)`` acts on the current one, which adds
+the rank-one row ``r e_b w^T`` to the otherwise tridiagonal Newton matrix;
+the linear solves exploit that structure via a tridiagonal elimination
+plus a Sherman-Morrison correction.  The boundary row's scale
 and its constraint are folded into the last row of the tridiagonal core, so
 the banded solve is unmodified.
 
@@ -43,19 +43,19 @@ variant steps through the one Newton loop, :func:`newton_solve`, and a
 stack may mix them.
 
 Newton starts each step after the first from the linear extrapolation
-``2 Y_n - Y_{n-1}`` of the last two levels (the first starts from ``Y_0``),
+``2 Y_n - Y_{n-1}`` of the last two levels (the first starts from ``Y_0``,
+which :func:`simulate` takes as the L2 projection of the initial profile),
 a predictor whose error is ``O(k^2)``, so one update usually converges.  It
 stops on the Euclidean residual norm.  The boundary row carries no ``nu/eps``
 amplification, so its round-off does not grow as eps shrinks.
 
 A run is one object, its :class:`LinearPart`, built by
-``LinearPart.of(params, system, k, implicit_control)`` from one
-:class:`ModelParams` or a sequence of them (a stack).  The Newton kernels
-take it first and read everything else of the run from it: the time step
-``k``, ``delta``, whether the control is implicit, and the boundary row's
-scale ``eps/nu``, which is the variant.  So :func:`residual`,
-:func:`jacobian` and :func:`newton_solve` take ``(linear, system, ...)``
-and nothing that could name a second run.
+``LinearPart.of(params, system, k)`` from one :class:`ModelParams` or a
+sequence of them (a stack).  The Newton kernels take it first and read
+everything else of the run from it: the time step ``k``, ``delta``, the
+gain and the boundary row's scale ``eps/nu``, which is the variant.  So
+:func:`residual`, :func:`jacobian` and :func:`newton_solve` take
+``(linear, system, ...)`` and nothing that could name a second run.
 
 Only ``delta C'(Y)`` in the Newton matrix depends on the state, and what
 does not depend on the iterate is built as rarely as it can be:
@@ -129,6 +129,11 @@ from .fem import (
 from .params import ModelParams, check_admissibility
 
 VARIANTS = ("penalized_feedback", "uncontrolled_dirichlet")
+
+# Newton's default stopping tolerance on the Euclidean residual norm, and its
+# default iteration limit per step
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 25
 
 
 @dataclass(frozen=True)
@@ -293,9 +298,8 @@ def residual(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev:
     round-off floor is the same as with the tridiagonal product ``nu K y``
     (``scripts/newton_floor.py``).  The boundary row is the interior
     formula times ``linear.scale`` plus the feedback condition ``y(1) + r
-    (w . y_c)``: the penalized row times ``eps/nu``, and at scale 0 the
-    Dirichlet feedback row.  The feedback functional acts on ``y_c = y``
-    when ``linear.implicit``, else on the lagged ``y_prev``.
+    (w . y)``: the penalized row times ``eps/nu``, and at scale 0 the
+    Dirichlet feedback row.
 
     ``linear`` is the run's :class:`LinearPart`, which carries everything
     of the run: ``k``, ``delta``, the control and the variant.  A linear
@@ -315,11 +319,10 @@ def residual(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev:
     f = reaction_load(system.mesh, gauss, linear.weight, linear.delta,
                       linear.conductance * diffs)
     f -= prev_load
-    yc = y if linear.implicit else y_prev
     b = system.boundary_dof
     # .T[b] is column b of a stack and entry b of a lone state, a numpy
     # scalar, whose arithmetic costs a tenth of that of the 0-d view [..., b]
-    f.T[b] = linear.scale * f.T[b] + (y.T[b] + linear.gain * np.vecdot(yc, system.moment))
+    f.T[b] = linear.scale * f.T[b] + (y.T[b] + linear.gain * np.vecdot(y, system.moment))
     return f
 
 
@@ -327,10 +330,9 @@ def residual(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev:
 class LinearPart:
     """One run, or a stack of runs, as the Newton kernels see it.
 
-    ``k``, ``delta`` and ``implicit`` (whether the feedback acts on the new
-    state or on the previous level) are the run's settings that are not
-    matrices.  The rest is the state-independent part of the Newton matrix
-    of :func:`residual`.  Every Newton matrix of a run shares the
+    ``k`` and ``delta`` are the run's settings that are not matrices.  The
+    rest is the state-independent part of the Newton matrix of
+    :func:`residual`.  Every Newton matrix of a run shares the
     tridiagonal ``(1/k - alpha) M + nu K`` (``core``), the boundary row and
     the rank-one feedback row; only ``delta C'(y)`` changes with the state.
     ``core`` is held in :class:`fem.TridiagMatrix`'s band layout, padded
@@ -345,21 +347,19 @@ class LinearPart:
     y``.  ``scale``, ``eps/nu``, multiplies the boundary row's interior
     terms; it is 0 for the Dirichlet feedback problem (``eps = 0``).
     ``gain`` is the ``r`` of the boundary row's feedback condition ``y(1) +
-    r (w . y)``.  ``rank_one`` is ``None`` when every gain is 0 or the
-    control is lagged.  Built from a sequence of :class:`ModelParams`,
-    ``delta`` and ``weight`` are each a float when every member's value has
-    the same bits (so the kernels multiply by a number), else ``(B, 1)``
-    columns, which broadcast against ``(B, N)`` state stacks; every other
-    array field has one row per member, and ``take`` keeps the band layout
-    and a float as it is; ``scale`` and ``gain``,
-    which act on the boundary entries ``[..., b]``, are then ``(B,)``
-    vectors, so a stack may mix variants.  ``conductance`` is ``(N,)`` for
-    a run and ``(B, N)`` for a stack.
+    r (w . y)``.  ``rank_one`` is ``None`` exactly when every gain is 0.
+    Built from a sequence of :class:`ModelParams`, ``delta`` and ``weight``
+    are each a float when every member's value has the same bits (so the
+    kernels multiply by a number), else ``(B, 1)`` columns, which broadcast
+    against ``(B, N)`` state stacks; every other array field has one row
+    per member, and ``take`` keeps the band layout and a float as it is;
+    ``scale`` and ``gain``, which act on the boundary entries ``[..., b]``,
+    are then ``(B,)`` vectors, so a stack may mix variants.
+    ``conductance`` is ``(N,)`` for a run and ``(B, N)`` for a stack.
     """
 
     k: float
     delta: np.ndarray | float
-    implicit: bool
     weight: np.ndarray | float
     conductance: np.ndarray
     core: TridiagMatrix
@@ -374,8 +374,8 @@ class LinearPart:
         return np.ravel(self.gain).tolist()
 
     @classmethod
-    def of(cls, params: ModelParams | Sequence[ModelParams], system: AssembledSystem, k: float,
-           implicit_control: bool = True) -> "LinearPart":
+    def of(cls, params: ModelParams | Sequence[ModelParams], system: AssembledSystem,
+           k: float) -> "LinearPart":
         """The linear part of one run, or of a stack from a sequence of parameters."""
         if k <= 0.0:
             raise ParameterDomainError(f"time step must be positive, got {k!r}")
@@ -394,12 +394,11 @@ class LinearPart:
         else:
             core = weight * mass.band + nu * stiffness.band
         rank_one = None
-        if implicit_control and np.count_nonzero(r):
+        if np.count_nonzero(r):
             u = np.zeros(core.shape[1:])
             u[..., system.boundary_dof] = 1.0
             rank_one = RankOneUpdate(u=u, v=r * system.moment)
-        return cls(k=k, delta=delta, implicit=implicit_control, weight=weight,
-                   conductance=nu / system.mesh.element_sizes,
+        return cls(k=k, delta=delta, weight=weight, conductance=nu / system.mesh.element_sizes,
                    core=TridiagMatrix.from_band(core), mass=mass,
                    scale=np.ravel(epsilon / nu) if stacked else epsilon / nu,
                    gain=np.ravel(r) if stacked else r, rank_one=rank_one)
@@ -426,11 +425,10 @@ def jacobian(linear: LinearPart, system: AssembledSystem, y: np.ndarray,
     The tridiagonal core is ``M/k + nu K - alpha M + delta C'(y)`` with its
     boundary row (diagonal and lower entry) multiplied by ``linear.scale``
     and 1 added to the boundary diagonal; the upper entry of the row above
-    is not scaled, so the core is not symmetric.  The implicit feedback
-    contributes the dense boundary row ``r e_b w^T``, returned separately
-    (``None`` when every gain is 0 or the control is lagged).  A linear
-    part of B members takes a ``(B, N)`` stack of states and gives stacks
-    of both parts.
+    is not scaled, so the core is not symmetric.  The feedback contributes
+    the dense boundary row ``r e_b w^T``, returned separately (``None`` when
+    every gain is 0).  A linear part of B members takes a ``(B, N)`` stack
+    of states and gives stacks of both parts.
 
     ``linear`` is the run's :class:`LinearPart`.  Only ``delta C'(y)`` is
     computed here, and the returned rank-one part is the linear part's own.
@@ -515,8 +513,8 @@ def _report(history: list[float], tol: float, gain: float, moment: float) -> Ste
 
 
 def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray,
-                 tol: float = 1e-12, max_iter: int = 25, *, start: np.ndarray | None = None,
-                 prev_mass: np.ndarray | None = None
+                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER, *,
+                 start: np.ndarray | None = None, prev_mass: np.ndarray | None = None
                  ) -> tuple[np.ndarray, StepReport | StackReport]:
     """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
@@ -669,9 +667,8 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
 
 
 def step_ensemble(params: ModelParams | Sequence[ModelParams], system: AssembledSystem,
-                  y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = 1e-12,
-                  newton_max_iter: int = 25, implicit_control: bool = True
-                  ) -> Iterator[EnsembleLevel]:
+                  y0: np.ndarray, time_grid: TimeGrid, *, newton_tol: float = NEWTON_TOL,
+                  newton_max_iter: int = NEWTON_MAX_ITER) -> Iterator[EnsembleLevel]:
     """Step a run, or runs that share a mesh, a time grid and ``y0`` together.
 
     One :class:`ModelParams` is a lone run, stepped as a 1-D state, and a
@@ -686,13 +683,13 @@ def step_ensemble(params: ModelParams | Sequence[ModelParams], system: Assembled
     solve after the first starts from the extrapolation ``2 y_n - y_{n-1}``,
     so the last two levels are held, and memory does not grow with the
     number of steps.  A member with ``epsilon = 0`` solves the Dirichlet
-    feedback problem, so one stack may mix it with penalized members.  Each
-    penalized run that violates the stabilization conditions triggers a
-    warning, which points at the caller's line.
+    feedback problem, so one stack may mix it with penalized members; every
+    member's feedback acts on its new state.  Each penalized run that
+    violates the stabilization conditions triggers a warning, which points
+    at the caller's line.
     """
     _warn_inadmissible(params)
-    return _levels(params, system, y0, time_grid, (newton_tol, newton_max_iter),
-                   implicit_control)
+    return _levels(params, system, y0, time_grid, (newton_tol, newton_max_iter))
 
 
 def _warn_inadmissible(params: ModelParams | Sequence[ModelParams]) -> None:
@@ -709,8 +706,8 @@ def _warn_inadmissible(params: ModelParams | Sequence[ModelParams]) -> None:
 
 
 def _levels(params: ModelParams | Sequence[ModelParams], system: AssembledSystem,
-            y0: np.ndarray, time_grid: TimeGrid, settings: tuple[float, int],
-            implicit_control: bool) -> Iterator[EnsembleLevel]:
+            y0: np.ndarray, time_grid: TimeGrid, settings: tuple[float, int]
+            ) -> Iterator[EnsembleLevel]:
     """The march of :func:`step_ensemble`, which warns before it."""
     stacked = not isinstance(params, ModelParams)
     members = params if stacked else [params]
@@ -718,7 +715,7 @@ def _levels(params: ModelParams | Sequence[ModelParams], system: AssembledSystem
     initial = StackReport(np.zeros(n, dtype=int), np.zeros(n),
                           0.0 - np.array([p.r for p in members], dtype=float) * moment_y0,
                           np.ones(n, dtype=bool), [np.zeros(n)])
-    linear = LinearPart.of(params, system, time_grid.k, implicit_control)
+    linear = LinearPart.of(params, system, time_grid.k)
     states = np.repeat(y0[None], n, axis=0) if stacked else y0.copy()
     return _march(linear, system, states, initial if stacked else initial[0], time_grid,
                   settings)
@@ -726,14 +723,15 @@ def _levels(params: ModelParams | Sequence[ModelParams], system: AssembledSystem
 
 def simulate(params: ModelParams, mesh: MeshPartition,
              y0: Callable[[np.ndarray], np.ndarray], time_grid: TimeGrid,
-             variant: str = "penalized_feedback", *, projection: str = "l2",
-             newton_tol: float = 1e-12, newton_max_iter: int = 25,
-             implicit_control: bool = True) -> StateTrajectory:
+             variant: str = "penalized_feedback", *, newton_tol: float = NEWTON_TOL,
+             newton_max_iter: int = NEWTON_MAX_ITER) -> StateTrajectory:
     """Run the fully discrete scheme over ``time_grid`` and record every level.
 
-    ``variant="penalized_feedback"`` steps ``params`` as they are: the
-    penalized scheme with the feedback control, or at ``epsilon = 0`` the
-    Dirichlet feedback problem (the ``eps -> 0`` limit).
+    The run starts from the L2 projection of the profile ``y0``
+    (:func:`fem.project_initial`).  ``variant="penalized_feedback"`` steps
+    ``params`` as they are: the penalized scheme with the feedback control,
+    or at ``epsilon = 0`` the Dirichlet feedback problem (the ``eps -> 0``
+    limit).
     ``variant="uncontrolled_dirichlet"`` pins both endpoints to zero and
     drops every penalty and control term, as the Dirichlet feedback problem
     at ``r = 0`` from the initial state with its boundary value set to zero
@@ -748,7 +746,7 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     if variant not in VARIANTS:
         raise ParameterDomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     system = assemble(mesh)
-    y = project_initial(mesh, y0, mode=projection)
+    y = project_initial(mesh, y0)
     if variant == "uncontrolled_dirichlet":
         # the Dirichlet feedback problem at zero gain, from a pinned start
         params = replace(params, epsilon=0.0, r=0.0)
@@ -758,8 +756,7 @@ def simulate(params: ModelParams, mesh: MeshPartition,
     reports, controls, l2, linf = [], [], [], []
     failed_at = None
     _warn_inadmissible(params)
-    for level in _levels(params, system, y, time_grid, (newton_tol, newton_max_iter),
-                         implicit_control):
+    for level in _levels(params, system, y, time_grid, (newton_tol, newton_max_iter)):
         reports.append(level.step)
         if not level.members.size:
             failed_at = level.index

@@ -234,9 +234,8 @@ def study_base():
 
 def test_epsilon_study_repeated_value_gives_zero_diffs():
     grid = TimeGrid(k=0.01, n_steps=10)
-    report = epsilon_cauchy_study(study_base(), make_uniform_mesh(8), grid,
-                                  [0.01, 0.01], math.sqrt, y0=sin_pi)
-    row = report.rows[1]
+    row = epsilon_cauchy_study(study_base(), make_uniform_mesh(8), grid,
+                               [0.01, 0.01], math.sqrt, y0=sin_pi)[1]
     assert row.diff_l2 == 0.0
     assert row.diff_linf == 0.0
     assert row.control_diff_linf == 0.0
@@ -244,9 +243,8 @@ def test_epsilon_study_repeated_value_gives_zero_diffs():
 
 def test_epsilon_study_control_columns_match_analytics():
     grid = TimeGrid(k=1.0 / 1050.0, n_steps=105)
-    report = epsilon_cauchy_study(study_base(), make_uniform_mesh(64), grid,
-                                  [1.0, 0.1], math.sqrt, y0=sin_pi)
-    first, second = report.rows
+    first, second = epsilon_cauchy_study(study_base(), make_uniform_mesh(64), grid,
+                                         [1.0, 0.1], math.sqrt, y0=sin_pi)
     assert first.control_linf == pytest.approx(1.0 / math.pi, rel=1e-9)
     assert second.control_linf == pytest.approx(math.sqrt(0.1) / math.pi, rel=1e-9)
     # the sup-over-time control difference peaks just after t=0; it is bounded
@@ -262,18 +260,18 @@ def test_epsilon_study_rejects_ascending_list():
                              [0.01, 0.1], math.sqrt, y0=sin_pi)
     empty = epsilon_cauchy_study(study_base(), make_uniform_mesh(8), grid, [], math.sqrt,
                                  y0=sin_pi)
-    assert empty.rows == ()
+    assert empty == ()
 
 
 def test_epsilon_study_row_fields_populated():
     grid = TimeGrid(k=0.01, n_steps=20)
-    report = epsilon_cauchy_study(study_base(), make_uniform_mesh(16), grid,
-                                  [0.1, 0.01], math.sqrt, y0=sin_pi)
-    assert len(report.rows) == 2
-    first = report.rows[0]
+    rows = epsilon_cauchy_study(study_base(), make_uniform_mesh(16), grid,
+                                [0.1, 0.01], math.sqrt, y0=sin_pi)
+    assert len(rows) == 2
+    first = rows[0]
     assert first.diff_l2 is None and first.control_diff_linf is None
     assert first.r == pytest.approx(math.sqrt(0.1))
-    for row in report.rows:
+    for row in rows:
         assert not row.failed
         assert row.state_l2_sup >= row.state_l2 > 0.0
         assert row.state_linf_sup >= row.state_linf > 0.0
@@ -281,9 +279,9 @@ def test_epsilon_study_row_fields_populated():
 
 def test_epsilon_study_diffs_nonnegative_and_finite():
     grid = TimeGrid(k=0.01, n_steps=30)
-    report = epsilon_cauchy_study(study_base(), make_uniform_mesh(16), grid,
-                                  [1.0, 0.1, 0.01], math.sqrt, y0=sin_pi)
-    for row in report.rows[1:]:
+    rows = epsilon_cauchy_study(study_base(), make_uniform_mesh(16), grid,
+                                [1.0, 0.1, 0.01], math.sqrt, y0=sin_pi)
+    for row in rows[1:]:
         assert row.diff_l2 > 0.0 and np.isfinite(row.diff_l2)
         assert row.diff_linf > 0.0 and np.isfinite(row.diff_linf)
 
@@ -369,8 +367,8 @@ def assert_study_equals_separate_runs(monkeypatch, epsilons, fail_at=None, *,
     expected, trajectories = serial_epsilon_rows(base, mesh, grid, epsilons, math.sqrt, sin_pi)
 
     inject_failures()
-    report = epsilon_cauchy_study(base, mesh, grid, epsilons, math.sqrt, y0=sin_pi)
-    for row, want in zip(report.rows, expected, strict=True):
+    rows = epsilon_cauchy_study(base, mesh, grid, epsilons, math.sqrt, y0=sin_pi)
+    for row, want in zip(rows, expected, strict=True):
         for field in dataclasses.fields(EpsilonRow):
             got, ref = getattr(row, field.name), getattr(want, field.name)
             both_nan = isinstance(got, float) and isinstance(ref, float) and \

@@ -142,10 +142,9 @@ def test_project_zero_profile():
     assert np.array_equal(project_initial(mesh, lambda x: 0.0 * np.asarray(x)), np.zeros(8))
 
 
-@pytest.mark.parametrize("mode", ["l2", "interpolation"])
-def test_projection_reproduces_linear_functions(mode):
+def test_projection_reproduces_linear_functions():
     mesh = make_uniform_mesh(8)
-    coeffs = project_initial(mesh, lambda x: np.asarray(x), mode=mode)
+    coeffs = project_initial(mesh, lambda x: np.asarray(x))
     assert np.allclose(coeffs, mesh.nodes[1:], rtol=1e-13, atol=1e-14)
 
 
@@ -168,17 +167,15 @@ def test_projection_differs_from_interpolant_at_second_order():
     gaps = []
     for n in (8, 16):
         mesh = make_uniform_mesh(n)
-        gap = project_initial(mesh, sin_pi) - project_initial(mesh, sin_pi, "interpolation")
+        gap = project_initial(mesh, sin_pi) - sin_pi(mesh.nodes[1:])  # minus the interpolant
         gaps.append(float(np.max(np.abs(gap))))
     assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.5)
 
 
-def test_projection_rejects_nonzero_origin_and_unknown_mode():
+def test_projection_rejects_nonzero_origin():
     mesh = make_uniform_mesh(4)
     with pytest.raises(ParameterDomainError):
         project_initial(mesh, lambda x: np.asarray(x) + 1.0)
-    with pytest.raises(ParameterDomainError):
-        project_initial(mesh, sin_pi, mode="spectral")
 
 
 def test_evaluate_is_zero_at_origin():

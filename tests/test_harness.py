@@ -89,7 +89,6 @@ def epsilon_config():
 
 def test_validate_fills_defaults():
     resolved = validate_config(decay_config(), "decay")
-    assert resolved["projection"] == "l2"
     assert resolved["newton"] == {"tol": 1e-12, "max_iter": 25}
     assert resolved["model"]["r"] == pytest.approx(0.1)
     assert resolved["model"]["r_rule"] == "sqrt_eps"
@@ -160,6 +159,10 @@ def test_validate_time_accepts_explicit_step():
     ("space_convergence", convergence_config, "mesh.n_elements=8"),
     ("epsilon_study", epsilon_config, "model.nuu=0.2"),
     ("epsilon_study", epsilon_config, "experiment.projection=\"l2\""),
+    # the nodal-interpolated start and the lagged control are no fields
+    ("decay", decay_config, "projection=\"interpolation\""),
+    ("epsilon_study", epsilon_config, "projection=\"l2\""),
+    ("decay", decay_config, "experiment.implicit_control=false"),
 ])
 def test_validate_rejects_fields_it_does_not_read(kind, config, override):
     # a misspelt optional field would otherwise run with the default it misses
@@ -657,8 +660,7 @@ def test_cli_gain_whose_square_overflows_exits_cleanly(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("value", ["False", "1"])
-@pytest.mark.parametrize("field", ["experiment.svg", "experiment.include_uncontrolled",
-                                   "experiment.implicit_control"])
+@pytest.mark.parametrize("field", ["experiment.svg", "experiment.include_uncontrolled"])
 def test_cli_boolean_fields_take_only_json_booleans(tmp_path, capsys, field, value):
     # "False" is not JSON, so the override keeps the string, which is truthy
     path = write_config(tmp_path, decay_config())
@@ -744,7 +746,7 @@ EDGE_VALUES = ["0", "-1", "1", "2", "1e-320", "1e-300", "1e300", "null", "true",
                "[]", str(2 ** 63), str(10 ** 400), "9" * 5000]
 FUZZ_KEYS = ["time.T", "time.n_steps", "time.k", "mesh.n_elements", "model.nu", "model.alpha",
              "model.delta", "model.epsilon", "model.r", "newton.tol", "newton.max_iter",
-             "initial", "projection"]
+             "initial"]
 SMALL = {"time.n_steps": "4", "experiment.svg": "false"}
 SMALL_MESHES = {"decay": {"mesh.n_elements": "8"}, "epsilon_study": {"mesh.n_elements": "8"},
                 "space_convergence": {"experiment.n_elements_list": "[2, 4]",

@@ -50,3 +50,24 @@ def test_newton_floor_prints_one_line_per_run(monkeypatch, capsys):
         assert n == "16" and variant in script.VARIANTS
         assert float(median) <= float(largest) <= script.NEWTON_TOL
         assert int(iters) >= 5  # at least one update per step
+
+
+def test_criterion1_sweep_prints_one_line_per_setup(monkeypatch, capsys):
+    script = load_script("criterion1_sweep")
+    # a small study: rows 8 and 16 against a 32-element reference, 10 steps
+    monkeypatch.setattr(script, "ROWS", script.ROWS + ["experiment.reference_n_elements=32",
+                                                       "time.n_steps=10"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == "setup" and len(lines) == 4
+    errors = {}
+    for line, name in zip(lines[1:], ("as shipped", "k/4 (time.n_steps=40)",
+                                      "nodal-interpolated start")):
+        assert line.startswith(name), line
+        error, ratio = map(float, line.split()[-2:])
+        assert error > 0.0
+        assert math.isclose(ratio, error / script.PUBLISHED_L2, rel_tol=1e-3, abs_tol=0.006)
+        errors[name] = error
+    # the patched start is undone, and it moved the error
+    assert script.harness.project_initial is not script.nodal_start
+    assert errors["nodal-interpolated start"] != errors["as shipped"]

@@ -171,7 +171,7 @@ def test_residual_rejects_mismatched_states():
         LinearPart.of(EXAMPLE, system, 0.0)
 
 
-@pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "lagged", "stack_take"])
+@pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "stack_take"])
 def test_residual_with_precomputed_pieces_is_bit_identical(case):
     system = assemble(make_uniform_mesh(12))
     x = system.mesh.nodes[1:]
@@ -184,7 +184,7 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
         y, y_prev = np.stack([y, -2.0 * y]), np.stack([y_prev, 1.5 * y_prev])
     else:
         params = replace(EXAMPLE, epsilon=0.0) if case == "dirichlet_feedback" else EXAMPLE
-        linear = LinearPart.of(params, system, k, implicit_control=case != "lagged")
+        linear = LinearPart.of(params, system, k)
     diffs, gauss = fem.element_values(y)
     pieces = {"prev_load": system.mass.matvec(y_prev) / k, "gauss": gauss, "diffs": diffs}
     expected = residual(linear, system, y, y_prev)
@@ -196,11 +196,6 @@ def test_residual_with_precomputed_pieces_is_bit_identical(case):
     wrong_level = system.mass.matvec(y) / k
     assert not np.array_equal(residual(linear, system, y, y_prev, prev_load=wrong_level), expected)
     assert not np.array_equal(residual(linear, system, y, y_prev, diffs=2.0 * diffs), expected)
-    if case == "lagged":  # the feedback acts on y_prev, in the boundary row only
-        implicit = residual(replace(linear, implicit=True), system, y, y_prev)
-        assert np.array_equal(implicit[:-1], expected[:-1])
-        assert implicit[-1] - expected[-1] == pytest.approx(
-            EXAMPLE.r * float(system.moment @ (y - y_prev)), rel=1e-9)
 
 
 def test_jacobian_matches_finite_differences_columnwise():
@@ -269,18 +264,15 @@ def from_scratch_core(params, system, y, k):
     return diag, lower, off
 
 
-@pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "zero_gain", "lagged",
-                                  "stack_take"])
+@pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "zero_gain", "stack_take"])
 def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
     system = assemble(make_uniform_mesh(12))
     y = 0.7 * sin_pi(system.mesh.nodes[1:])
-    runs, options, k = [EXAMPLE], {}, 0.01
+    runs, k = [EXAMPLE], 0.01
     if case == "dirichlet_feedback":
         runs = [replace(EXAMPLE, epsilon=0.0)]
     elif case == "zero_gain":
         runs = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)]
-    elif case == "lagged":
-        options = {"implicit_control": False}
     if case == "stack_take":
         members = [EXAMPLE, ModelParams(nu=0.2, alpha=0.1, delta=1.0, r=0.3, epsilon=0.05),
                    ModelParams(nu=0.1, alpha=0.05, delta=0.5, r=0.01, epsilon=1e-4)]
@@ -288,7 +280,7 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
         linear = LinearPart.of(members, system, k).take(np.array([0, 2]))
         y = np.stack([y, 2.0 * y])
     else:
-        linear = LinearPart.of(runs[0], system, k, **options)
+        linear = LinearPart.of(runs[0], system, k)
     prebuilt = [linear.core.diag, linear.core.band[0], linear.scale]
     if linear.rank_one is not None:
         prebuilt += [linear.rank_one.u, linear.rank_one.v]
@@ -298,7 +290,7 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
     # a linear part built for each call, straight from the runs it holds
     fresh = runs[0] if case != "stack_take" else runs
     results = [(jacobian(linear, system, state, gauss=fem.gauss_values(state)),
-                jacobian(LinearPart.of(fresh, system, k, **options), system, state))
+                jacobian(LinearPart.of(fresh, system, k), system, state))
                for state in states]
     for state, ((core, rank_one), (ref_core, ref_rank_one)) in zip(states, results):
         for b, params in enumerate(runs):
@@ -306,7 +298,7 @@ def test_jacobian_with_prebuilt_linear_part_is_bit_identical(case):
             for name, band in zip(("diag", "lower", "upper"), expected):
                 assert np.array_equal(np.atleast_2d(getattr(core, name))[b], band)
                 assert np.array_equal(np.atleast_2d(getattr(ref_core, name))[b], band)
-        assert (rank_one is None) == (ref_rank_one is None) == (case in ("zero_gain", "lagged"))
+        assert (rank_one is None) == (ref_rank_one is None) == (case == "zero_gain")
         if rank_one is not None:
             assert np.array_equal(rank_one.u, ref_rank_one.u)
             assert np.array_equal(rank_one.v, ref_rank_one.v)
@@ -581,17 +573,16 @@ def test_newton_stack_equals_separate_steps():
         (EXAMPLE, 0.5 * sin_pi(x)),
         (ModelParams(nu=0.1, alpha=0.5, delta=2.0, r=0.3, epsilon=0.05), 2.0 * sin_pi(x)),
     ]
-    for implicit in (True, False):
-        linear = LinearPart.of([p for p, _ in members], system, 0.5, implicit_control=implicit)
-        y_prev = np.stack([y for _, y in members])
-        y, reports = newton_solve(linear, system, y_prev, tol=1e-13, max_iter=4)
-        separate = [newton_solve(LinearPart.of(p, system, 0.5, implicit_control=implicit),
-                                 system, y0, tol=1e-13, max_iter=4) for p, y0 in members]
-        assert len({r.newton_iterations for r in reports}) > 1
-        assert not all(r.converged for r in reports)
-        for b, (y_b, report_b) in enumerate(separate):
-            assert np.array_equal(y[b], y_b)
-            assert reports[b] == report_b
+    linear = LinearPart.of([p for p, _ in members], system, 0.5)
+    y_prev = np.stack([y for _, y in members])
+    y, reports = newton_solve(linear, system, y_prev, tol=1e-13, max_iter=4)
+    separate = [newton_solve(LinearPart.of(p, system, 0.5), system, y0, tol=1e-13, max_iter=4)
+                for p, y0 in members]
+    assert len({r.newton_iterations for r in reports}) > 1
+    assert not all(r.converged for r in reports)
+    for b, (y_b, report_b) in enumerate(separate):
+        assert np.array_equal(y[b], y_b)
+        assert reports[b] == report_b
 
 
 def test_newton_rejects_a_stack_that_does_not_match_its_linear_part():
@@ -954,15 +945,14 @@ def test_simulate_norms_equal_norms_of_recorded_states_bit_for_bit(variant):
         assert traj.linf[n] == ns.linf
 
 
-@pytest.mark.parametrize("variant, implicit, settings", [
-    ("penalized_feedback", True, {}),
-    ("dirichlet_feedback", True, {}),
-    ("uncontrolled_dirichlet", True, {}),
-    ("penalized_feedback", False, {}),
+@pytest.mark.parametrize("variant, settings", [
+    ("penalized_feedback", {}),
+    ("dirichlet_feedback", {}),
+    ("uncontrolled_dirichlet", {}),
     # the first step needs 3 updates here: the run fails and is truncated
-    ("penalized_feedback", True, {"newton_tol": 3e-14, "newton_max_iter": 2}),
-], ids=["penalized", "dirichlet_feedback", "uncontrolled", "lagged_control", "failed_step"])
-def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, settings):
+    ("penalized_feedback", {"newton_tol": 3e-14, "newton_max_iter": 2}),
+], ids=["penalized", "dirichlet_feedback", "uncontrolled", "failed_step"])
+def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, settings):
     # simulate records the lone march, which steps a 1-D state; a one-run
     # stack steps a (1, N) stack and equals it too
     mesh = make_uniform_mesh(16)
@@ -971,16 +961,14 @@ def test_simulate_equals_one_run_step_ensemble_bit_for_bit(variant, implicit, se
     if variant != "penalized_feedback":
         params = replace(params, epsilon=0.0)
     if variant == "dirichlet_feedback":  # epsilon = 0 is the Dirichlet feedback problem
-        traj = simulate(params, mesh, sin_pi, grid, implicit_control=implicit, **settings)
+        traj = simulate(params, mesh, sin_pi, grid, **settings)
     else:
-        traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant, implicit_control=implicit,
-                        **settings)
+        traj = simulate(EXAMPLE, mesh, sin_pi, grid, variant, **settings)
     if variant == "uncontrolled_dirichlet":
         params, y0[-1] = replace(params, r=0.0), 0.0
     system = assemble(mesh)
-    lone = list(step_ensemble(params, system, y0, grid, implicit_control=implicit, **settings))
-    stack = list(step_ensemble([params], system, y0, grid, implicit_control=implicit,
-                               **settings))
+    lone = list(step_ensemble(params, system, y0, grid, **settings))
+    stack = list(step_ensemble([params], system, y0, grid, **settings))
     assert not np.shares_memory(lone[0].states, y0)
     assert len(lone) == len(stack) == len(traj.step_reports)
     for level, one, report in zip(lone, stack, traj.step_reports):
@@ -1196,20 +1184,24 @@ def test_dirichlet_feedback_matches_dense_oracle():
 
 
 def test_dirichlet_feedback_at_zero_gain_is_the_pinned_baseline():
-    # interpolated x(1 - x) vanishes at x = 1, so both variants start from
-    # the same state (the pinned baseline zeroes the boundary value of its
-    # initial state, which the feedback variant keeps as projected)
+    # the L2 projection of x(1 - x) is not 0 at x = 1, and the pinned baseline
+    # zeroes that value of its start: from the same pinned start, the
+    # Dirichlet feedback problem at zero gain steps exactly as the baseline
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)
     grid = TimeGrid(k=0.01, n_steps=30)
     mesh = make_uniform_mesh(16)
-    runs = [simulate(run_params, mesh, lambda x: x * (1.0 - x), grid, variant,
-                     projection="interpolation")
-            for run_params, variant in ((replace(params, epsilon=0.0), "penalized_feedback"),
-                                        (params, "uncontrolled_dirichlet"))]
-    assert np.array_equal(runs[0].states, runs[1].states)
-    for hard, pinned in zip(runs[0].step_reports, runs[1].step_reports):
-        assert hard.newton_iterations == pinned.newton_iterations
-        assert hard.residual_norms == pinned.residual_norms
+
+    def profile(x):
+        return x * (1.0 - x)
+
+    y0 = project_initial(mesh, profile)
+    assert y0[-1] != 0.0
+    y0[-1] = 0.0
+    hard = list(step_ensemble(replace(params, epsilon=0.0), assemble(mesh), y0, grid))
+    pinned = simulate(params, mesh, profile, grid, "uncontrolled_dirichlet")
+    assert pinned.failed_at is None
+    assert np.array_equal(np.array([level.states for level in hard]), pinned.states)
+    assert [level.step for level in hard] == pinned.step_reports
 
 
 def test_uncontrolled_matches_dense_oracle_from_pinned_projection():
@@ -1297,15 +1289,6 @@ def test_simulate_rejects_unknown_variant():
     # epsilon = 0 is the Dirichlet feedback problem, and no variant names it again
     with pytest.raises(ParameterDomainError, match="dirichlet_feedback"):
         simulate(EXAMPLE, make_uniform_mesh(8), sin_pi, grid, "dirichlet_feedback")
-
-
-def test_simulate_explicit_control_close_to_implicit():
-    grid = TimeGrid(k=0.001, n_steps=50)
-    mesh = make_uniform_mesh(16)
-    implicit = simulate(EXAMPLE, mesh, sin_pi, grid)
-    explicit = simulate(EXAMPLE, mesh, sin_pi, grid, implicit_control=False)
-    gap = np.max(np.abs(implicit.states[-1] - explicit.states[-1]))
-    assert 0.0 < gap < 1e-3  # differs by O(k * control), not identical
 
 
 def test_simulate_truncates_on_newton_failure():
