@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import epsilon_cauchy_study, error_vs_reference, observed_orders
-from .errors import ConfigError, ParameterDomainError
+from .errors import ConfigError
 from .fem import assemble, make_uniform_mesh, project_initial
 from .params import ModelParams, rate_report
 from .solver import NEWTON_MAX_ITER, NEWTON_TOL, TimeGrid, simulate, step_ensemble
@@ -184,39 +184,22 @@ def _gain(rule) -> Callable[[float], float]:
     return GAIN_RULES[rule] if isinstance(rule, str) else (lambda _eps, _r=float(rule): _r)
 
 
-def _gain_rule(value, path: str) -> tuple[Callable[[float], float], str]:
+def _gain_rule(value, path: str) -> str | float:
+    """``value`` if it is a gain rule: a name in :data:`GAIN_RULES` or a
+    finite number >= 0, which :func:`_gain` takes as a constant gain."""
     if isinstance(value, str):
         if value not in GAIN_RULES:
             raise ConfigError(f"{path}: unknown gain rule {value!r}; "
                               f"expected one of {sorted(GAIN_RULES)} or a number")
-        return _gain(value), value
+        return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if not (_finite(value) and value >= 0):
             raise ConfigError(f"{path}: constant gain must be finite and >= 0, got {value!r}")
-        return _gain(value), f"constant:{float(value):.17g}"
+        return value
     raise ConfigError(f"{path}: expected a rule name or a number, got {value!r}")
 
 
-def _time_grid(cfg: _Fields) -> TimeGrid:
-    T = _number(cfg, "time.T", positive=True)
-    if _get(cfg, "time.n_steps", None) is not None:
-        # bounded here so that T / n_steps cannot overflow; see _check_size
-        n_steps = _integer(cfg, "time.n_steps", minimum=1, maximum=MAX_GRID_VALUES)
-        # a resolved config echoes k beside n_steps: it must take n_steps steps to T
-        if _get(cfg, "time.k", None) is not None:
-            k = _number(cfg, "time.k", positive=True)
-            if abs(n_steps * k - T) > 1e-9 * max(1.0, T):
-                raise ConfigError(f"time.k and time.n_steps: {n_steps} steps of {k!r} do not "
-                                  f"reach time.T = {T!r}")
-        return TimeGrid(k=T / n_steps, n_steps=n_steps)
-    k = _number(cfg, "time.k", positive=True)
-    try:
-        return TimeGrid.from_final_time(k, T)
-    except ParameterDomainError as exc:  # k does not reach T in whole steps
-        raise ConfigError(f"time.k: {exc}") from None
-
-
-def _check_size(cfg: dict, resolved: dict) -> None:
+def _check_size(resolved: dict) -> None:
     """Reject a run whose ``(n_steps + 1) x n_elements`` on its finest mesh
     exceeds :data:`MAX_GRID_VALUES`, before anything is allocated."""
     if resolved["experiment"]["kind"] == "space_convergence":
@@ -226,8 +209,7 @@ def _check_size(cfg: dict, resolved: dict) -> None:
         mesh_field, n_elements = "mesh.n_elements", resolved["mesh"]["n_elements"]
     n_steps = resolved["time"]["n_steps"]
     if (n_steps + 1) * n_elements > MAX_GRID_VALUES:
-        time_field = "time.k" if _get(cfg, "time.n_steps", None) is None else "time.n_steps"
-        raise ConfigError(f"{time_field} and {mesh_field}: (n_steps + 1) x n_elements must be "
+        raise ConfigError(f"time.n_steps and {mesh_field}: (n_steps + 1) x n_elements must be "
                           f"<= {MAX_GRID_VALUES}, got n_steps = {n_steps} and "
                           f"n_elements = {n_elements}")
 
@@ -235,14 +217,15 @@ def _check_size(cfg: dict, resolved: dict) -> None:
 def validate_config(cfg: dict, kind: str) -> dict:
     """Validate a raw config against ``kind`` and return it with defaults filled.
 
-    The returned dict is the "resolved" config echoed into output metadata;
-    re-running it reproduces the experiment exactly.  Fields that only echo
-    a derived value (``time.k`` beside ``time.n_steps``, ``model.r_rule``
-    and ``experiment.gain_rule_resolved``) are accepted when they agree with
-    it.  A field that validation of ``kind`` does not read is rejected, so a
-    misspelt optional field is not silently replaced by its default.  A run
-    larger than :data:`MAX_GRID_VALUES` state values is rejected
-    (:func:`_check_size`).
+    The returned dict is the "resolved" config echoed into output metadata:
+    the config as given plus the defaults of the optional fields it leaves
+    out, and nothing derived.  Re-running it reproduces the experiment
+    exactly.  The runners derive what they need where they use it: the time
+    step ``T / n_steps`` and the gain of a rule.  A field that validation of
+    ``kind`` does not read is rejected, so a misspelt optional field is not
+    silently replaced by its default.  A time step whose reciprocal is not
+    finite, and a run larger than :data:`MAX_GRID_VALUES` state values
+    (:func:`_check_size`), are rejected.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -260,8 +243,15 @@ def validate_config(cfg: dict, kind: str) -> dict:
         "delta": _number(cfg, "model.delta", nonnegative=True),
     }
     resolved["model"] = model
-    grid = _time_grid(cfg)
-    resolved["time"] = {"T": grid.T, "n_steps": grid.n_steps, "k": grid.k}
+    resolved["time"] = time = {
+        "T": _number(cfg, "time.T", positive=True),
+        # bounded here so that T / n_steps cannot overflow; see _check_size
+        "n_steps": _integer(cfg, "time.n_steps", minimum=1, maximum=MAX_GRID_VALUES),
+    }
+    k = time["T"] / time["n_steps"]
+    if not (k > 0.0 and math.isfinite(1.0 / k)):  # the step divides by k
+        raise ConfigError(f"time.T and time.n_steps: the time step T / n_steps = {k!r} "
+                          "has no finite reciprocal")
     resolved["initial"] = _choice(cfg, "initial", INITIAL_PROFILES)
     resolved["newton"] = {
         "tol": _number(cfg, "newton.tol", default=NEWTON_TOL, positive=True),
@@ -272,20 +262,7 @@ def validate_config(cfg: dict, kind: str) -> dict:
 
     if kind == "decay":
         model["epsilon"] = _number(cfg, "model.epsilon", positive=True)
-        r_raw = _get(cfg, "model.r")
-        if isinstance(r_raw, str):
-            rule, name = _gain_rule(r_raw, "model.r")
-            model["r"] = rule(model["epsilon"])
-            model["r_rule"] = name
-        else:
-            model["r"] = _number(cfg, "model.r", nonnegative=True)
-        echoed = _get(cfg, "model.r_rule", None)
-        if echoed is not None:
-            if (not isinstance(echoed, str) or echoed not in GAIN_RULES
-                    or GAIN_RULES[echoed](model["epsilon"]) != model["r"]):
-                raise ConfigError(f"model.r_rule: {echoed!r} does not give model.r = "
-                                  f"{model['r']!r} at model.epsilon = {model['epsilon']!r}")
-            model["r_rule"] = echoed
+        model["r"] = _gain_rule(_get(cfg, "model.r"), "model.r")
         resolved["mesh"] = {"n_elements": _integer(cfg, "mesh.n_elements", minimum=2)}
         exp["include_uncontrolled"] = _boolean(cfg, "experiment.include_uncontrolled", False)
 
@@ -327,13 +304,9 @@ def validate_config(cfg: dict, kind: str) -> dict:
         resolved["mesh"] = {"n_elements": _integer(cfg, "mesh.n_elements", minimum=2)}
 
     if kind != "decay":
-        exp["gain_rule"] = _get(cfg, "experiment.gain_rule", "sqrt_eps")
-        _, exp["gain_rule_resolved"] = _gain_rule(exp["gain_rule"], "experiment.gain_rule")
-        echoed = _get(cfg, "experiment.gain_rule_resolved", None)
-        if echoed is not None and echoed != exp["gain_rule_resolved"]:
-            raise ConfigError(f"experiment.gain_rule_resolved: {echoed!r} is not the resolved "
-                              f"experiment.gain_rule {exp['gain_rule_resolved']!r}")
-    _check_size(cfg, resolved)
+        exp["gain_rule"] = _gain_rule(_get(cfg, "experiment.gain_rule", "sqrt_eps"),
+                                      "experiment.gain_rule")
+    _check_size(resolved)
     for path in cfg.unread():  # the first field that no check read
         if any(read.startswith(path + ".") for read in cfg.read):
             raise ConfigError(f"{path}: expected an object, got {_get(cfg, path)!r}")
@@ -511,6 +484,7 @@ def emit_svg(path, x: np.ndarray, series: dict[str, np.ndarray], *,
 class _Run:
     """What every runner starts from, and the outputs it collects.
 
+    ``grid`` takes ``time.n_steps`` steps of ``time.T / time.n_steps``.
     ``solve`` holds the keyword arguments that :func:`simulate`,
     :func:`step_ensemble` and :func:`epsilon_cauchy_study` share: the Newton
     options.  Every run starts from the L2 projection of the profile.
@@ -519,7 +493,8 @@ class _Run:
     def __init__(self, resolved: dict, out_dir) -> None:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
+        T, n_steps = resolved["time"]["T"], resolved["time"]["n_steps"]
+        self.grid = TimeGrid(k=T / n_steps, n_steps=n_steps)
         self.profile = INITIAL_PROFILES[resolved["initial"]]
         newton = resolved["newton"]
         self.solve = {"newton_tol": newton["tol"], "newton_max_iter": newton["max_iter"]}
@@ -564,7 +539,7 @@ def run_decay_experiment(resolved: dict, out_dir) -> HarnessResult:
     """
     run = _Run(resolved, out_dir)
     model = resolved["model"]
-    params = _model_params(model, model["r"], model["epsilon"])
+    params = _model_params(model, _gain(model["r"])(model["epsilon"]), model["epsilon"])
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
     variants = ["penalized_feedback"]
     if resolved["experiment"]["include_uncontrolled"]:

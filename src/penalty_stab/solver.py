@@ -156,18 +156,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.k
 
-    @classmethod
-    def from_final_time(cls, k: float, T: float) -> "TimeGrid":
-        """Grid with step ``k`` reaching ``T``; ``k`` must divide ``T``."""
-        if not (k > 0.0 and T > 0.0):
-            raise ParameterDomainError("k and T must be positive")
-        if not math.isfinite(T / k):
-            raise ParameterDomainError(f"time step {k!r} is too small for the final time {T!r}")
-        n = round(T / k)
-        if n < 1 or abs(n * k - T) > 1e-9 * max(1.0, T):
-            raise ParameterDomainError(f"time step {k!r} does not divide the final time {T!r}")
-        return cls(k=k, n_steps=n)
-
 
 @dataclass
 class StepReport:

@@ -203,7 +203,7 @@ def test_criterion_5_epsilon_cauchy_trend(epsilon_rows):
 def test_criterion_6_stabilization_property():
     with criterion("6 stabilization: monotone decay, energy bound, fitted rate"):
         params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.1, epsilon=0.01)
-        grid = TimeGrid.from_final_time(1.0 / 1050.0, 1.0)
+        grid = TimeGrid(k=1.0 / 1050.0, n_steps=1050)
         traj = simulate(params, make_uniform_mesh(128), sin_pi, grid)
         assert traj.failed_at is None
         assert np.all(np.diff(traj.l2) <= 0.0), "L2 norm not monotone non-increasing"

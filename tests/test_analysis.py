@@ -29,7 +29,7 @@ from penalty_stab import (
 )
 from penalty_stab import solver
 from penalty_stab.analysis import _fold_block_length
-from penalty_stab.harness import INITIAL_PROFILES, load_config, validate_config
+from penalty_stab.harness import INITIAL_PROFILES, _gain, load_config, validate_config
 
 REAL_NEWTON_SOLVE = solver.newton_solve
 
@@ -120,7 +120,7 @@ def test_energy_monitor_flags_inflated_tail():
 
 def test_energy_monitor_on_real_run():
     params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.1, epsilon=0.01)
-    grid = TimeGrid.from_final_time(1.0 / 1050.0, 0.3)
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=315)
     traj = simulate(params, make_uniform_mesh(32), sin_pi, grid)
     assert energy_monitor(traj, max_decay_rate(params)).passed
 
@@ -442,7 +442,7 @@ def test_fitted_decay_rate_is_at_least_the_certified_rate(config):
     resolved = validate_config(load_config(CONFIGS / config), "decay")
     model = resolved["model"]
     params = ModelParams(nu=model["nu"], alpha=model["alpha"], delta=model["delta"],
-                         r=model["r"], epsilon=model["epsilon"])
+                         r=_gain(model["r"])(model["epsilon"]), epsilon=model["epsilon"])
     # (name, parameters, simulate variant, certified rate); epsilon = 0 is the
     # Dirichlet feedback problem
     certified = [("penalized_feedback", params, "penalized_feedback", max_decay_rate(params)),
@@ -451,7 +451,8 @@ def test_fitted_decay_rate_is_at_least_the_certified_rate(config):
                  ("uncontrolled_dirichlet", params, "uncontrolled_dirichlet",
                   dirichlet_rate_bounds(dataclasses.replace(params, r=0.0)).gamma_max)]
     mesh = make_uniform_mesh(resolved["mesh"]["n_elements"])
-    grid = TimeGrid(k=resolved["time"]["k"], n_steps=resolved["time"]["n_steps"])
+    T, n_steps = resolved["time"]["T"], resolved["time"]["n_steps"]
+    grid = TimeGrid(k=T / n_steps, n_steps=n_steps)
     for name, run_params, variant, gamma in certified:
         traj = simulate(run_params, mesh, INITIAL_PROFILES[resolved["initial"]], grid, variant)
         assert traj.failed_at is None

@@ -57,17 +57,29 @@ def test_criterion1_sweep_prints_one_line_per_setup(monkeypatch, capsys):
     # a small study: rows 8 and 16 against a 32-element reference, 10 steps
     monkeypatch.setattr(script, "ROWS", script.ROWS + ["experiment.reference_n_elements=32",
                                                        "time.n_steps=10"])
+    originals = (script.harness.project_initial, script.harness.step_ensemble,
+                 script.harness.replace, script.harness._Run.march,
+                 script.fem.GAUSS3_POINTS, script.fem._W_LOAD, script.fem._W_JAC)
     assert script.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[0] == "setup" and len(lines) == 4
+    names = ("as shipped", "k/4 (time.n_steps=40)", "nodal-interpolated start", "lumped mass",
+             "reference at the row's eps", "coarse run at eps = 0")
+    assert lines[0].split()[0] == "setup" and len(lines) == 1 + len(names) + 2 + 21
     errors = {}
-    for line, name in zip(lines[1:], ("as shipped", "k/4 (time.n_steps=40)",
-                                      "nodal-interpolated start")):
+    for line, name in zip(lines[1:], names):
         assert line.startswith(name), line
         error, ratio = map(float, line.split()[-2:])
         assert error > 0.0
         assert math.isclose(ratio, error / script.PUBLISHED_L2, rel_tol=1e-3, abs_tol=0.006)
         errors[name] = error
-    # the patched start is undone, and it moved the error
-    assert script.harness.project_initial is not script.nodal_start
-    assert errors["nodal-interpolated start"] != errors["as shipped"]
+    # every patch is undone, and each one moved the error
+    assert (script.harness.project_initial, script.harness.step_ensemble,
+            script.harness.replace, script.harness._Run.march, script.fem.GAUSS3_POINTS,
+            script.fem._W_LOAD, script.fem._W_JAC) == originals
+    assert len(set(errors.values())) == len(names)
+    # the trace: t over [0, 2] in 20 steps, and at t = 1 the as-shipped error
+    assert lines[1 + len(names)] == "" and lines[2 + len(names)].split()[0] == "t"
+    trace = [line.split() for line in lines[3 + len(names):]]
+    assert [float(t) for t, _, _ in trace] == [i / 10 for i in range(21)]
+    assert all(float(l2) > 0.0 and math.isfinite(float(mean)) for _, l2, mean in trace)
+    assert float(trace[10][1]) == float(f"{errors['as shipped']:.4e}")

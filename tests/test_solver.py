@@ -26,6 +26,7 @@ from penalty_stab import (
     cubic_jacobian,
     dirichlet_rate_bounds,
     energy_monitor,
+    error_vs_reference,
     jacobian,
     make_partition,
     make_uniform_mesh,
@@ -64,8 +65,7 @@ def random_structured_system(rng, n):
 
 
 def test_time_grid_from_final_time():
-    grid = TimeGrid.from_final_time(1.0 / 1050.0, 1.0)
-    assert grid.n_steps == 1050
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=1050)
     assert grid.T == pytest.approx(1.0, abs=1e-12)
     times = grid.times()
     assert times.shape == (1051,)
@@ -75,9 +75,9 @@ def test_time_grid_from_final_time():
 
 def test_time_grid_validation():
     with pytest.raises(ParameterDomainError):
-        TimeGrid.from_final_time(0.3, 1.0)  # 0.3 does not divide 1
-    with pytest.raises(ParameterDomainError):
         TimeGrid(k=-0.1, n_steps=5)
+    with pytest.raises(ParameterDomainError):
+        TimeGrid(k=float("nan"), n_steps=5)
     with pytest.raises(ParameterDomainError):
         TimeGrid(k=0.1, n_steps=0)
 
@@ -899,6 +899,33 @@ def test_newton_nan_member_leaves_the_rest_of_its_stack_alone(bad_row):
         assert repr(reports[row]) == repr(lone[i][1])  # repr: NaN-aware, bit-exact
 
 
+def test_newton_converges_at_a_residual_norm_equal_to_tol():
+    # a step whose residual norm drops to tol exactly has converged; one a
+    # float above it has not.  r1, the norm after one update from sin(pi x)
+    # at N=16, is 4.6e-8
+    system = assemble(make_uniform_mesh(16))
+    y_prev = sin_pi(system.mesh.nodes[1:])
+    linear = LinearPart.of(EXAMPLE, system, 1.0 / 1050.0)
+    r1 = newton_solve(linear, system, y_prev, max_iter=1)[1].final_residual_norm
+    _, report = newton_solve(linear, system, y_prev, tol=r1, max_iter=3)
+    assert (report.newton_iterations, report.converged) == (1, True)
+    _, report = newton_solve(linear, system, y_prev, tol=np.nextafter(r1, 0.0), max_iter=1)
+    assert (report.newton_iterations, report.converged) == (1, False)
+    # a stack of two, at the larger of its members' r1: both stop after one
+    # update, and a float below it the larger one has not converged
+    stack = LinearPart.of([EXAMPLE, EXAMPLE], system, 1.0 / 1050.0)
+    y_prev = np.stack([y_prev, 0.5 * y_prev])
+    r1 = newton_solve(stack, system, y_prev, max_iter=1)[1].final_residual_norm
+    largest = int(np.argmax(r1))
+    assert r1[1 - largest] < r1[largest]
+    _, reports = newton_solve(stack, system, y_prev, tol=r1[largest], max_iter=3)
+    assert reports.newton_iterations.tolist() == [1, 1] and reports.converged.all()
+    _, reports = newton_solve(stack, system, y_prev, tol=np.nextafter(r1[largest], 0.0),
+                              max_iter=1)
+    assert reports.newton_iterations.tolist() == [1, 1]
+    assert reports.converged.tolist() == [largest != 0, largest != 1]
+
+
 def test_newton_control_value_matches_state():
     system = assemble(make_uniform_mesh(8))
     y0 = 0.5 * sin_pi(system.mesh.nodes[1:])
@@ -1125,8 +1152,32 @@ def test_a_member_marked_unconverged_is_dropped_and_reported_alike(case, data):
             assert np.array_equal(level.states[row], reference.states[i])
 
 
+def test_backward_euler_is_first_order_in_time():
+    # The final-state L2 error at N=16 after n = 50, 100, 200 and 400 steps
+    # over T = 1, against a run of 6400 steps, with the convergence study's
+    # eps = 0.01 h^2 and r = sqrt(eps).  An error C k measured against that
+    # reference is C (k - 1/6400), so halving k from 1/n divides it by
+    # (6400/n - 1) / (3200/n - 1): 2.016, 2.032 and 2.067.  Measured: errors
+    # 2.45e-3, 1.22e-3, 6.03e-4 and 2.92e-4, ratios 2.007, 2.028 and 2.064,
+    # the same to three digits at (eps, r) = (0, sqrt(0.01 h^2)), (0.01, 0.1)
+    # and (0.01 h^2, 0.1).  The band is twice the largest gap, 0.009.
+    mesh = make_uniform_mesh(16)
+    eps = 0.01 / 16 ** 2
+    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
+
+    def final_state(n):
+        return simulate(params, mesh, sin_pi, TimeGrid(k=1.0 / n, n_steps=n)).states[-1]
+
+    reference = final_state(6400)
+    errors = [error_vs_reference(final_state(n), reference, assemble(mesh), mesh)[0]
+              for n in (50, 100, 200, 400)]
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    first_order = [(6400 / n - 1) / (3200 / n - 1) for n in (50, 100, 200)]
+    assert np.allclose(ratios, first_order, rtol=0.0, atol=0.02), ratios
+
+
 def test_simulate_decay_is_monotone():
-    grid = TimeGrid.from_final_time(1.0 / 1050.0, 0.2)
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=210)
     traj = simulate(EXAMPLE, make_uniform_mesh(16), sin_pi, grid)
     assert np.all(np.diff(traj.l2) <= 0.0)
 
