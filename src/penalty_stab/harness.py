@@ -307,10 +307,13 @@ def validate_config(cfg: dict, kind: str) -> dict:
         exp["gain_rule"] = _gain_rule(_get(cfg, "experiment.gain_rule", "sqrt_eps"),
                                       "experiment.gain_rule")
     _check_size(resolved)
-    for path in cfg.unread():  # the first field that no check read
+    unread = []
+    for path in cfg.unread():  # the fields that no check read
         if any(read.startswith(path + ".") for read in cfg.read):
             raise ConfigError(f"{path}: expected an object, got {_get(cfg, path)!r}")
-        raise ConfigError(f"{path}: not a field of a {kind!r} config")
+        unread.append(f"{path}: not a field of a {kind!r} config")
+    if unread:
+        raise ConfigError("; ".join(unread))
     return resolved
 
 

@@ -49,6 +49,23 @@ a predictor whose error is ``O(k^2)``, so one update usually converges.  It
 stops on the Euclidean residual norm.  The boundary row carries no ``nu/eps``
 amplification, so its round-off does not grow as eps shrinks.
 
+Each update is first certified by its cubic remainder.  The only nonlinear
+term is ``delta y^3``, and the Gauss rule integrates it exactly, so after
+an update ``y1 = y - dy`` with ``J(y) dy = F(y)`` the residual is, up to
+the linear solve's round-off, ``F_i(y1) = delta integral((3 y dy^2 - dy^3)
+phi_i)``, the boundary row taking it times ``eps/nu``.  P1 functions are
+bounded by their nodal maxima, so
+
+    ||F(y1)||_2 <= |delta| (3 ||y||_inf + ||dy||_inf) ||dy||_inf^2 ||w||_2
+
+with ``w_i = integral(phi_i)`` and its boundary entry times ``eps/nu``
+(:attr:`LinearPart.remainder_weight` holds ``|delta| ||w||_2``).  An update
+whose bound is at most ``tol`` is accepted without a residual at ``y1``;
+only the others evaluate it and test its norm.  So the residual's round-off
+floor, which grows like ``nu/h`` in the interior rows and like ``eps/h`` in
+the boundary row (``scripts/newton_floor.py`` prints it), no longer decides
+whether a step converged.
+
 A run is one object, its :class:`LinearPart`, built by
 ``LinearPart.of(params, system, k)`` from one :class:`ModelParams` or a
 sequence of them (a stack).  The Newton kernels take it first and read
@@ -74,13 +91,14 @@ does not depend on the iterate is built as rarely as it can be:
 * once per step, in :func:`newton_solve`: the checks of ``y_prev``, the
   start and the stack's members, ``M Y_prev / k`` from that product, and at
   the end the controls, from one ``w . Y`` per run in Python floats;
-* per iteration: the nodal differences and Gauss values of the iterate
-  (:func:`fem.element_values`), its residual (one :func:`fem.reaction_load`
-  pass and the boundary row) and stopping norm, ``delta C'(Y)``
-  (:func:`fem.cubic_jacobian`, whose element integrals become its band in
-  place), to whose band the linear part is added in the same order of
-  operations as a from-scratch build, so the iterates do not change, and
-  one :func:`solve_structured`.
+* per iteration: ``delta C'(Y)`` (:func:`fem.cubic_jacobian`, whose
+  element integrals become its band in place), to whose band the linear
+  part is added in the same order of operations as a from-scratch build,
+  so the iterates do not change, one :func:`solve_structured`, and the
+  remainder bound of the update (two max reductions); and for an update
+  that the bound does not certify, the nodal differences and Gauss values
+  of the new iterate (:func:`fem.element_values`), its residual (one
+  :func:`fem.reaction_load` pass and the boundary row) and stopping norm.
 
 Newton never writes into ``Y_prev`` or its start: each iterate is a new
 array, and so is the result.  Every kernel returns a new array: none writes
@@ -95,9 +113,10 @@ same march, whatever their variants: their states form a
 Jacobian, and one banded elimination solves all B cores, whose couplings in
 the stacked band, ``dgtsv``'s flat ``(3, B, N)`` layout, are exactly zero
 (:class:`fem.TridiagMatrix`).  The Sherman-Morrison correction is applied
-per member, and each member leaves the iteration at its own convergence (or
-at a residual that is not finite) and extrapolates from its own levels, so
-every run equals its separate run in value; an exact zero may carry the
+per member, and each member leaves the iteration at its own convergence,
+certified or tested (or at a residual that is not finite), and
+extrapolates from its own levels, so every run equals its separate run
+in value; an exact zero may carry the
 other sign (see :meth:`fem.TridiagMatrix.solve`).  :func:`newton_solve`
 keeps its bookkeeping in Python floats for a 1-D state and in ``(B,)``
 arrays for a stack, whose members' reports are built only when read.
@@ -161,12 +180,20 @@ class TimeGrid:
 class StepReport:
     """Newton diagnostics for one time step.
 
-    ``newton_iterations`` counts linearized solves; convergence is checked on
-    the post-update residual, so even an already-converged start performs one
+    ``newton_iterations`` counts linearized solves; convergence is checked
+    after each update, so even an already-converged start performs one
     update.  A step stops, unconverged, at a residual norm that is not
     finite; a start whose residual norm is not finite performs no update.
     ``residual_norms`` holds the Euclidean residual norm at the start and
-    after each update.
+    after each update, and ``final_residual_norm`` its last entry.
+
+    ``certified`` tells which test accepted the step.  When it is true, the
+    last update's cubic-remainder bound (see the module docstring) was at
+    most the tolerance, and the last entry of ``residual_norms`` is that
+    bound, not a computed residual: it bounds the residual of exact
+    arithmetic and leaves out the linear solve's round-off.  When it is
+    false, every entry is a computed residual, and a converged step's last
+    one is at most the tolerance.
     """
 
     newton_iterations: int
@@ -174,16 +201,19 @@ class StepReport:
     control_value: float
     converged: bool
     residual_norms: tuple[float, ...]
+    certified: bool
 
 
 @dataclass(frozen=True, eq=False)
 class StackReport:
     """Newton diagnostics for one time step of a stack, in ``(B,)`` arrays.
 
-    The first four fields hold each member's :class:`StepReport` field; entry
-    ``i`` of ``residual_norms`` holds the norms after update ``i`` (0: at the
-    start) of the members that took it.  Indexing and iteration build each
-    member's :class:`StepReport` on read, so they see a change to ``converged``.
+    The first four fields and ``certified`` hold each member's
+    :class:`StepReport` field; entry ``i`` of ``residual_norms`` holds the
+    norms after update ``i`` (0: at the start) of the members that took it,
+    a certified member's last one being its remainder bound.  Indexing and
+    iteration build each member's :class:`StepReport` on read, so they see
+    a change to ``converged``.
     """
 
     newton_iterations: np.ndarray
@@ -191,6 +221,7 @@ class StackReport:
     control_value: np.ndarray
     converged: np.ndarray
     residual_norms: list[np.ndarray]
+    certified: np.ndarray
 
     def __len__(self) -> int:
         return self.converged.size
@@ -199,7 +230,8 @@ class StackReport:
         n = int(self.newton_iterations[member])
         return StepReport(n, float(self.final_residual_norm[member]),
                           float(self.control_value[member]), bool(self.converged[member]),
-                          tuple(float(norms[member]) for norms in self.residual_norms[:n + 1]))
+                          tuple(float(norms[member]) for norms in self.residual_norms[:n + 1]),
+                          bool(self.certified[member]))
 
 
 @dataclass(eq=False)
@@ -336,13 +368,16 @@ class LinearPart:
     terms; it is 0 for the Dirichlet feedback problem (``eps = 0``).
     ``gain`` is the ``r`` of the boundary row's feedback condition ``y(1) +
     r (w . y)``.  ``rank_one`` is ``None`` exactly when every gain is 0.
+    ``remainder_weight`` is ``|delta| ||w||_2``, ``w_i = integral(phi_i)``
+    with its boundary entry times ``scale``: the factor of the bound on the
+    residual after an update (see the module docstring).
     Built from a sequence of :class:`ModelParams`, ``delta`` and ``weight``
     are each a float when every member's value has the same bits (so the
     kernels multiply by a number), else ``(B, 1)`` columns, which broadcast
     against ``(B, N)`` state stacks; every other array field has one row
     per member, and ``take`` keeps the band layout and a float as it is;
-    ``scale`` and ``gain``, which act on the boundary entries ``[..., b]``,
-    are then ``(B,)`` vectors, so a stack may mix variants.
+    ``scale``, ``gain`` and ``remainder_weight``, which act per member, are
+    then ``(B,)`` vectors, so a stack may mix variants.
     ``conductance`` is ``(N,)`` for a run and ``(B, N)`` for a stack.
     """
 
@@ -355,6 +390,7 @@ class LinearPart:
     scale: np.ndarray | float
     gain: np.ndarray | float
     rank_one: RankOneUpdate | None
+    remainder_weight: np.ndarray | float
 
     @cached_property
     def gains(self) -> list[float]:
@@ -371,7 +407,13 @@ class LinearPart:
         nu, alpha, delta, r, epsilon = (
             np.array([[getattr(p, name)] for p in params]) if stacked else getattr(params, name)
             for name in ("nu", "alpha", "delta", "r", "epsilon"))
-        weight = 1.0 / k - alpha
+        weight, scale = 1.0 / k - alpha, epsilon / nu
+        # w_i = integral(phi_i): half of each element at each of its free nodes
+        sizes = system.mesh.element_sizes
+        w = 0.5 * sizes
+        w[:-1] += 0.5 * sizes[1:]
+        boundary = scale * w[-1]
+        remainder = abs(delta) * np.sqrt(float(np.vecdot(w[:-1], w[:-1])) + boundary * boundary)
         mass, stiffness = system.mass, system.stiffness
         if stacked:  # (B, 1) columns against (3, 1, N) bands
             core = weight * mass.band[:, None] + nu * stiffness.band[:, None]
@@ -386,10 +428,11 @@ class LinearPart:
             u = np.zeros(core.shape[1:])
             u[..., system.boundary_dof] = 1.0
             rank_one = RankOneUpdate(u=u, v=r * system.moment)
-        return cls(k=k, delta=delta, weight=weight, conductance=nu / system.mesh.element_sizes,
+        return cls(k=k, delta=delta, weight=weight, conductance=nu / sizes,
                    core=TridiagMatrix.from_band(core), mass=mass,
-                   scale=np.ravel(epsilon / nu) if stacked else epsilon / nu,
-                   gain=np.ravel(r) if stacked else r, rank_one=rank_one)
+                   scale=np.ravel(scale) if stacked else scale,
+                   gain=np.ravel(r) if stacked else r, rank_one=rank_one,
+                   remainder_weight=np.ravel(remainder) if stacked else float(remainder))
 
     def take(self, index: np.ndarray) -> "LinearPart":
         """The linear part of the members ``index`` of a stack."""
@@ -403,7 +446,8 @@ class LinearPart:
                        conductance=self.conductance[index],
                        core=TridiagMatrix.from_band(self.core.band[:, index]),
                        mass=TridiagMatrix.from_band(self.mass.band[:, index]),
-                       scale=self.scale[index], gain=self.gain[index], rank_one=rank_one)
+                       scale=self.scale[index], gain=self.gain[index], rank_one=rank_one,
+                       remainder_weight=self.remainder_weight[index])
 
 
 def jacobian(linear: LinearPart, system: AssembledSystem, y: np.ndarray,
@@ -484,20 +528,28 @@ def _evaluate(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev
     return gauss, residual(linear, system, y, y_prev, prev_load=load, gauss=gauss, diffs=diffs)
 
 
-def _update(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev: np.ndarray,
-            load: np.ndarray, gauss: np.ndarray, f: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Newton update of ``y``: the new iterate, its Gauss values and its residual."""
+def _update(linear: LinearPart, system: AssembledSystem, y: np.ndarray, gauss: np.ndarray,
+            f: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """One Newton update of ``y``: the new iterate and the remainder bound on its residual norm.
+
+    The bound is ``|delta| (3 ||y||_inf + ||dy||_inf) ||dy||_inf^2 ||w||_2``
+    of the module docstring, a float for a 1-D state and one per row of a
+    stack, each row's bits those of its 1-D update.
+    """
     core, rank_one = jacobian(linear, system, y, gauss=gauss)
-    y = y - solve_structured(core, rank_one, f)
-    return (y,) + _evaluate(linear, system, y, y_prev, load)
+    dy = solve_structured(core, rank_one, f)
+    y_max, dy_max = np.abs(y).max(axis=-1), np.abs(dy).max(axis=-1)
+    if y.ndim == 1:  # Python floats, for a lone run's bookkeeping
+        y_max, dy_max = float(y_max), float(dy_max)
+    return y - dy, linear.remainder_weight * (3.0 * y_max + dy_max) * dy_max * dy_max
 
 
-def _report(history: list[float], tol: float, gain: float, moment: float) -> StepReport:
+def _report(history: list[float], tol: float, gain: float, moment: float,
+            certified: bool) -> StepReport:
     """The report of a step from its residual norms and the new state's ``w . y``."""
     return StepReport(newton_iterations=len(history) - 1, final_residual_norm=history[-1],
                       control_value=0.0 - gain * moment, converged=history[-1] <= tol,
-                      residual_norms=tuple(history))
+                      residual_norms=tuple(history), certified=certified)
 
 
 def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray,
@@ -512,8 +564,10 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     ``y_prev`` either way.  ``prev_mass`` is ``linear.mass.matvec(y_prev)``
     when the caller has it already (the march forms it once per level); it
     is formed here when not given, with the same bits, and divided by ``k``
-    here either way.  It stops when the Euclidean norm of the residual
-    drops to ``tol``.  A step that exhausts ``max_iter`` returns its
+    here either way.  It stops after an update whose cubic-remainder bound
+    is at most ``tol`` (certified: no residual is evaluated at the new
+    iterate), or else whose residual's Euclidean norm is at most ``tol``.
+    A step that exhausts ``max_iter`` returns its
     diagnostics with ``converged=False`` instead of raising; so does a step
     whose residual norm is not finite, which takes no further update (none
     at all when the start's is not).  Linear-solve failures propagate.
@@ -527,10 +581,12 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     leading shape does not match the linear part's members raise
     :class:`MeshError`.  A member leaves the iteration once it converges,
     so it takes exactly the iterates of its own step, and a stack of one
-    equals the 1-D step bit for bit.  A member whose residual is not finite
-    leaves before the next solve, so its NaN or inf never enters the
-    stacked band (see :meth:`fem.TridiagMatrix.solve`) and the others step
-    as they would alone.  A stacked ``start`` has one row per member.
+    equals the 1-D step bit for bit: after an update the certified members
+    leave, and the residual of the others is evaluated after a ``take``.
+    A member whose residual is not finite leaves before the next solve, so
+    its NaN or inf never enters the stacked band (see
+    :meth:`fem.TridiagMatrix.solve`) and the others step as they would
+    alone.  A stacked ``start`` has one row per member.
 
     Both shapes evaluate and update the iterate the same way; they differ in
     the bookkeeping around it.  A 1-D state keeps one history of Python
@@ -547,16 +603,22 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     prev, load = y_prev, prev_mass / linear.k
     gauss, f = _evaluate(linear, system, y, prev, load)
     if y.ndim == 1:
-        history = [math.sqrt(float(np.vecdot(f, f)))]
+        history, certified = [math.sqrt(float(np.vecdot(f, f)))], False
         if not math.isfinite(history[0]):
             y = y.copy()  # no update, but still a new array
         else:
             for _ in range(max_iter):
-                y, gauss, f = _update(linear, system, y, prev, load, gauss, f)
+                y, bound = _update(linear, system, y, gauss, f)
+                if bound <= tol:
+                    history.append(bound)
+                    certified = True
+                    break
+                gauss, f = _evaluate(linear, system, y, prev, load)
                 history.append(math.sqrt(float(np.vecdot(f, f))))
                 if not tol < history[-1] < math.inf:  # converged, or not finite
                     break
-        return y, _report(history, tol, linear.gains[0], float(np.vecdot(y, system.moment)))
+        return y, _report(history, tol, linear.gains[0], float(np.vecdot(y, system.moment)),
+                          certified)
 
     norms = _residual_norms(f)
     n_members, gain = norms.size, linear.gain
@@ -564,30 +626,42 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     active = np.arange(n_members)  # members still iterating
     keep = np.isfinite(norms)  # members that update next
     result = None
-    for iteration in range(max_iter + 1):
-        if iteration:
-            y, gauss, f = _update(linear, system, y, prev, load, gauss, f)
-            norms = _residual_norms(f)
+    # each update is one phase (odd) and the residual of the members it does
+    # not certify the next (even); phase 0 is the start's residual
+    for phase in range(2 * max_iter + 1):
+        iteration, bounded = (phase + 1) // 2, phase % 2 == 1
+        if bounded:
+            y, norms = _update(linear, system, y, gauss, f)
             history.append(np.empty(n_members))
-            history[-1][active] = norms
+            keep = ~(norms <= tol)  # not certified: its residual is evaluated
+        elif phase:
+            gauss, f = _evaluate(linear, system, y, prev, load)
+            norms = _residual_norms(f)
             keep = (tol < norms) & (norms < math.inf)  # not converged, and finite
+        if phase:
+            history[-1][active] = norms
+        last = phase == 2 * max_iter
         n_keep = np.count_nonzero(keep)  # the cheapest of numpy's tests on a (B,) mask
-        if n_keep == keep.size and iteration < max_iter:
+        if n_keep == keep.size and not last:
             continue
         # members leave the iteration: store their states and last norms
         if result is None:  # every member is still here; a start is copied
-            result = y if iteration else y.copy()
+            result = y if phase else y.copy()
             final, iterations = norms.copy(), np.full(n_members, iteration)
+            certified = np.full(n_members, bounded)
         else:
             result[active], final[active], iterations[active] = y, norms, iteration
-        if iteration == max_iter or not n_keep:
+            certified[active] = bounded
+        if last or not n_keep:
             break
         rows = np.flatnonzero(keep)
         active = active[rows]
-        y, prev, load, gauss, f = y[rows], prev[rows], load[rows], gauss[:, rows], f[rows]
+        y, prev, load = y[rows], prev[rows], load[rows]
+        if not bounded:  # after an update, the residual is evaluated from the new iterate
+            gauss, f = gauss[:, rows], f[rows]
         linear = linear.take(rows)
     return result, StackReport(iterations, final, 0.0 - gain * np.vecdot(result, system.moment),
-                               final <= tol, history)
+                               final <= tol, history, certified)
 
 
 @dataclass(eq=False)
@@ -702,7 +776,7 @@ def _levels(params: ModelParams | Sequence[ModelParams], system: AssembledSystem
     n, moment_y0 = len(members), float(np.vecdot(y0, system.moment))
     initial = StackReport(np.zeros(n, dtype=int), np.zeros(n),
                           0.0 - np.array([p.r for p in members], dtype=float) * moment_y0,
-                          np.ones(n, dtype=bool), [np.zeros(n)])
+                          np.ones(n, dtype=bool), [np.zeros(n)], np.zeros(n, dtype=bool))
     linear = LinearPart.of(params, system, time_grid.k)
     states = np.repeat(y0[None], n, axis=0) if stacked else y0.copy()
     return _march(linear, system, states, initial if stacked else initial[0], time_grid,

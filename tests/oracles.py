@@ -80,6 +80,19 @@ def dense_cubic_term(nodes, dof_values):
     return out
 
 
+def dense_cubic_remainder(nodes, dof_values, update_values):
+    """``integral((3 y dy^2 - dy^3) phi_i)`` of P1 ``y`` and ``dy``: ``C(y - dy)
+    - C(y) + C'(y) dy``, the cubic term's part of the residual after a Newton
+    update ``y - dy``, per unit ``delta``."""
+    n = len(nodes) - 1
+    y, dy = p1_function(nodes, dof_values), p1_function(nodes, update_values)
+    out = np.zeros(n)
+    for i in range(n):
+        f = hat(nodes, i + 1)
+        out[i] = quad50(nodes, lambda x: (3.0 * y(x) - dy(x)) * dy(x) ** 2 * f(x))
+    return out
+
+
 def dense_cubic_jacobian(nodes, dof_values):
     n = len(nodes) - 1
     y = p1_function(nodes, dof_values)

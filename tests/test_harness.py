@@ -182,6 +182,16 @@ def test_validate_rejects_fields_it_does_not_read(kind, config, override):
         validate_config(apply_overrides(config(), ["newton=5"]), kind)
 
 
+def test_validate_names_every_field_it_does_not_read():
+    # an echo with two unread fields is named in one error, not one run each
+    cfg = apply_overrides(decay_config(), ["time.k=0.0009523809523809524",
+                                           'model.r_rule="sqrt_eps"'])
+    with pytest.raises(ConfigError) as error:
+        validate_config(cfg, "decay")
+    assert str(error.value) == ("model.r_rule: not a field of a 'decay' config; "
+                                "time.k: not a field of a 'decay' config")
+
+
 # The defaults that validation fills in, as the README documents them
 DEFAULTS = {"newton.tol": 1e-12, "newton.max_iter": 25, "experiment.svg": True,
             "experiment.include_uncontrolled": False, "experiment.reference_n_elements": 2048,
@@ -616,6 +626,23 @@ def test_cli_fixed_gain_epsilon_study_finishes(tmp_path, capsys):
     _, _, rows = read_csv(tmp_path / "out" / "epsilon_study.csv")
     assert len(rows) == 10
     assert all(row[10] == "0" for row in rows)
+
+
+@pytest.mark.filterwarnings("ignore:stabilization conditions")
+@pytest.mark.parametrize("overrides", [
+    ["model.r=0.1", "model.epsilon=1e4", "time.n_steps=20"],
+    ["model.r=0.1", "model.epsilon=1e3", "time.n_steps=20"],
+    ["mesh.n_elements=4096", "time.n_steps=5"],
+])
+def test_cli_decay_runs_above_the_residual_floor_finish(tmp_path, capsys, overrides):
+    # the residual's round-off floor, about (eps/h) u |y| in the boundary row
+    # and growing like nu/h in the interior, lies above tol = 1e-12 in these
+    # runs, which used to exit 2 at steps 1, 3 and 1 with a converged state;
+    # the cubic-remainder bound certifies their steps
+    code = main(["simulate", "--config", str(CONFIGS / "decay_controlled.json"),
+                 "--out", str(tmp_path / "out")]
+                + [arg for override in overrides for arg in ("--override", override)])
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, override", [
