@@ -29,12 +29,13 @@ from .errors import (
 from .fem import (
     AssembledSystem,
     MeshPartition,
-    NormSet,
     TridiagMatrix,
     assemble,
     cubic_jacobian,
     cubic_term,
     evaluate,
+    h1_seminorm,
+    l4_norm,
     make_partition,
     make_uniform_mesh,
     norms,

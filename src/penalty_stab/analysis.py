@@ -5,14 +5,13 @@ Pure functions over immutable trajectories; nothing here mutates its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError, MeshError
-from .fem import AssembledSystem, MeshPartition, TridiagMatrix, assemble, project_initial
+from .fem import AssembledSystem, MeshPartition, TridiagMatrix, assemble, norms, project_initial
 from .params import ModelParams
 from .solver import NEWTON_MAX_ITER, NEWTON_TOL, StateTrajectory, TimeGrid, step_ensemble
 from .solver import simulate  # noqa: F401  unused here; perfbench probes analysis.simulate
@@ -117,9 +116,7 @@ def error_vs_reference(coarse_values: np.ndarray, reference_fine_values: np.ndar
                        fine_mesh: MeshPartition) -> tuple[float, float]:
     """L2 and max-nodal norms of (coarse solution - restricted reference)."""
     restricted = restrict_to_coarse(reference_fine_values, fine_mesh, coarse_system.mesh)
-    e = coarse_values - restricted
-    l2 = math.sqrt(max(float(e @ coarse_system.mass.matvec(e)), 0.0))
-    return l2, float(np.max(np.abs(e), initial=0.0))
+    return norms(coarse_system, coarse_values - restricted)
 
 
 def observed_orders(errors: Sequence[float], hs: Sequence[float]) -> np.ndarray:
@@ -177,6 +174,12 @@ def _rowwise_l2(mass: TridiagMatrix, states: np.ndarray) -> np.ndarray:
     """L2 norm of every state (last axis) of an array of states.
 
     ``mass`` is the mass matrix, or a stack of copies of it, one per state.
+    The epsilon study's neighbour differences keep this ``np.einsum``
+    reduction rather than :func:`fem.norms`' ``np.vecdot`` (BLAS ``ddot``),
+    whose sums differ in the last digits: ``vecdot`` would move the shipped
+    study's ``diff_l2`` from 0.0011066327487133465 to ...463 at ``eps =
+    1e-4`` and from 6.0357794465364243e-06 to ...235e-06 at ``eps = 1e-9``,
+    a declared change of that column.
     """
     return np.sqrt(np.maximum(np.einsum("...j,...j->...", states, mass.matvec(states)), 0.0))
 
@@ -248,9 +251,8 @@ def epsilon_cauchy_study(params_base: ModelParams, mesh: MeshPartition,
               filled: int) -> None:
         states = block_states[:filled, :alive.size]
         controls = block_controls[:filled, :alive.size]
-        # reduced like fem.norms, so the columns match a run's own l2 history
-        l2 = np.sqrt(np.maximum(np.vecdot(states, block_mass[:filled, :alive.size]), 0.0))
-        linf = np.max(np.abs(states), axis=-1, initial=0.0)
+        # the same bits as a run's own l2 and linf history
+        l2, linf = norms(system, states, mass_y=block_mass[:filled, :alive.size])
         state_l2[alive], state_linf[alive] = l2[-1], linf[-1]
         l2_sup[alive] = np.maximum(l2_sup[alive], l2.max(axis=0))
         linf_sup[alive] = np.maximum(linf_sup[alive], linf.max(axis=0))

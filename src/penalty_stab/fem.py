@@ -25,8 +25,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -260,7 +259,7 @@ def make_partition(nodes) -> MeshPartition:
     if nodes[0] != 0.0 or nodes[-1] != 1.0:
         raise MeshError("partition must span exactly [0, 1]")
     sizes = np.diff(nodes)
-    if np.any(sizes <= 0.0):
+    if not np.all(sizes > 0.0):  # a NaN node fails too
         raise MeshError("nodes must be strictly increasing")
     return MeshPartition(nodes=nodes, element_sizes=sizes, h=float(sizes.max()))
 
@@ -462,7 +461,7 @@ def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray]) 
     rule per element, which reproduces members of the P1 space exactly.
     """
     f0 = float(f(np.asarray(0.0)))
-    if abs(f0) > 1e-9:
+    if not abs(f0) <= 1e-9:  # a NaN fails too
         raise ParameterDomainError(f"initial profile must vanish at x = 0, got f(0) = {f0!r}")
     x_left = mesh.nodes[:-1]
     h = mesh.element_sizes
@@ -472,52 +471,36 @@ def project_initial(mesh: MeshPartition, f: Callable[[np.ndarray], np.ndarray]) 
     return _mass_matrix(mesh).solve(load)
 
 
-@dataclass(eq=False)
-class NormSet:
-    """L2, max-nodal, L4, and H1-seminorm of a discrete state.
-
-    :func:`norms` computes ``l2`` and ``linf``; ``l4`` and ``h1_semi`` are
-    computed the first time they are read, from the copy of the state that
-    :func:`norms` took, and then kept.  Sets compare by identity.
-    """
-
-    l2: float
-    linf: float
-    _system: AssembledSystem = field(repr=False)
-    _y: np.ndarray = field(repr=False)
-
-    @cached_property
-    def l4(self) -> float:
-        quartic = gauss_values(self._y) ** 4
-        integral_4 = float(self._system.mesh.element_sizes @ (GAUSS3_WEIGHTS @ quartic))
-        return integral_4 ** 0.25
-
-    @cached_property
-    def h1_semi(self) -> float:
-        return math.sqrt(max(float(self._y @ self._system.stiffness.matvec(self._y)), 0.0))
-
-
 def norms(system: AssembledSystem, y: np.ndarray, *,
-          mass_y: np.ndarray | None = None) -> NormSet:
-    """Norms of a state on the system's mesh, as a :class:`NormSet`.
+          mass_y: np.ndarray | None = None) -> tuple:
+    """``(l2, linf)``: the L2 and max-nodal norms of a state, or of a stack of them.
 
-    ``l2 = sqrt(y' M y)`` and ``h1_semi = sqrt(y' K y)`` are exact; ``l4``
-    uses the (exact) 3-point Gauss rule; ``linf`` is the max nodal magnitude,
-    which for P1 functions coincides with the true sup-norm.  Only ``l2`` and
-    ``linf`` are computed in the call; ``l4`` and ``h1_semi`` are computed on
-    first access from a copy of ``y`` taken here, so changing ``y`` after the
-    call does not change them.  ``mass_y`` is the product
-    ``system.mass.matvec(y)`` when the caller has it already (a march level's
-    ``mass_states``), so ``l2`` costs one dot product; it is formed here
-    when not given, with the same bits.
+    ``l2 = sqrt(y' M y)`` is exact, and ``linf``, the max nodal magnitude,
+    coincides for P1 functions with the true sup-norm.  A 1-D state gives
+    two Python floats.  A stack, any states along the last axis, gives two
+    arrays over its leading axes, each entry the bits of that state's own
+    call.  ``mass_y`` is the product ``system.mass.matvec(y)`` when the
+    caller has it already (a march level's ``mass_states``), so ``l2``
+    costs one dot product per state; it is formed here when not given,
+    with the same bits.
     """
-    if y.shape != system.moment.shape:
-        raise MeshError(f"state of shape {y.shape}, system expects {system.moment.shape}")
+    if y.ndim == 0 or y.shape[-1] != system.n_dof:
+        raise MeshError(f"state of shape {y.shape}, system expects {system.moment.shape} "
+                        "or a stack of them")
     if mass_y is None:
         mass_y = system.mass.matvec(y)
-    return NormSet(
-        l2=math.sqrt(max(float(y @ mass_y), 0.0)),
-        linf=float(np.maximum.reduce(np.abs(y))),
-        _system=system,
-        _y=y.copy(),
-    )
+    if y.ndim == 1:  # Python floats: a lone state's reductions cost half the array ones
+        return math.sqrt(max(float(y @ mass_y), 0.0)), float(np.maximum.reduce(np.abs(y)))
+    return (np.sqrt(np.maximum(np.vecdot(y, mass_y), 0.0)),
+            np.max(np.abs(y), axis=-1, initial=0.0))
+
+
+def l4_norm(system: AssembledSystem, y: np.ndarray) -> float:
+    """The L4 norm of a state, by the (exact) 3-point Gauss rule."""
+    quartic = gauss_values(y) ** 4
+    return float(system.mesh.element_sizes @ (GAUSS3_WEIGHTS @ quartic)) ** 0.25
+
+
+def h1_seminorm(system: AssembledSystem, y: np.ndarray) -> float:
+    """The H1 seminorm ``sqrt(y' K y)`` of a state, exact."""
+    return math.sqrt(max(float(y @ system.stiffness.matvec(y)), 0.0))

@@ -336,11 +336,9 @@ def version_string() -> str:
 
 
 def format_float(value) -> str:
-    """17 significant digits: exact round-trip for binary64."""
+    """17 significant digits: exact round-trip for binary64 (NaN of either sign is ``nan``)."""
     if value is None:
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.17g}"
 
 

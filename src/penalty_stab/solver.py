@@ -163,8 +163,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (self.k > 0.0):
-            raise ParameterDomainError(f"time step must be positive, got {self.k!r}")
+        if not 0.0 < self.k < math.inf:
+            raise ParameterDomainError(f"time step must be positive and finite, got {self.k!r}")
         if self.n_steps < 1:
             raise ParameterDomainError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -240,8 +240,9 @@ class StateTrajectory:
 
     All arrays have one row/entry per recorded time level, including the
     initial state.  ``l2`` and ``linf`` hold the state's L2 and max-nodal
-    norms, the ``l2``/``linf`` of :func:`fem.norms`; the L4 and H1-seminorm
-    of a level are ``norms(assemble(mesh), states[n]).l4``/``.h1_semi``.
+    norms, the pair that :func:`fem.norms` returns; the L4 norm and the H1
+    seminorm of a level are ``fem.l4_norm(assemble(mesh), states[n])`` and
+    ``fem.h1_seminorm(assemble(mesh), states[n])``.
     ``controls[n]`` always equals
     ``0.0 - r * (moment . states[n])`` with the run's gain ``r``; the
     uncontrolled baseline steps at ``r = 0``, so its controls are ``+0.0``,
@@ -401,8 +402,8 @@ class LinearPart:
     def of(cls, params: ModelParams | Sequence[ModelParams], system: AssembledSystem,
            k: float) -> "LinearPart":
         """The linear part of one run, or of a stack from a sequence of parameters."""
-        if k <= 0.0:
-            raise ParameterDomainError(f"time step must be positive, got {k!r}")
+        if not 0.0 < k < math.inf:
+            raise ParameterDomainError(f"time step must be positive and finite, got {k!r}")
         stacked = not isinstance(params, ModelParams)
         nu, alpha, delta, r, epsilon = (
             np.array([[getattr(p, name)] for p in params]) if stacked else getattr(params, name)
@@ -594,7 +595,7 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     drop-outs a stack needs; a stack keeps its members' facts in ``(B,)``
     arrays and builds no :class:`StepReport` until one is read.
     """
-    if tol <= 0.0 or max_iter < 1:
+    if not tol > 0.0 or max_iter < 1:
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     y = y_prev if start is None else start  # never written: each iterate is a new array
     _check_states(linear, system, y, y_prev)
@@ -825,9 +826,9 @@ def simulate(params: ModelParams, mesh: MeshPartition,
             break
         states[level.index] = level.states
         controls.append(level.step.control_value)
-        ns = norms(system, level.states, mass_y=level.mass_states)
-        l2.append(ns.l2)
-        linf.append(ns.linf)
+        level_l2, level_linf = norms(system, level.states, mass_y=level.mass_states)
+        l2.append(level_l2)
+        linf.append(level_linf)
 
     recorded = len(controls)
     return StateTrajectory(variant=variant, times=time_grid.times()[:recorded],

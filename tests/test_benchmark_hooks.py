@@ -7,6 +7,7 @@ test, so this loads both modules as the benchmark does and hooks every name.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +80,12 @@ def test_every_traced_kernel_carries_its_mesh_size(monkeypatch, tmp_path):
     for name, n, own in kernels:
         assert n == 16, name
         assert own == (None if name in MATRIX_KERNELS else 16), name
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark's own suite asserts the tracer's call counts (one ``fem.norms``
+    # call per recorded level), which Tier-1 does not otherwise run
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "perfbench/test_tracer.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

@@ -18,6 +18,8 @@ from penalty_stab import (
     cubic_jacobian,
     cubic_term,
     evaluate,
+    h1_seminorm,
+    l4_norm,
     make_partition,
     make_uniform_mesh,
     norms,
@@ -44,7 +46,7 @@ def test_uniform_mesh_two_elements():
 
 def test_uniform_mesh_eight_elements():
     mesh = make_uniform_mesh(8)
-    assert mesh.h == pytest.approx(0.125, rel=1e-15)
+    assert mesh.h == pytest.approx(0.125, rel=1e-15, abs=0)
     assert mesh.n_dof == 8
 
 
@@ -80,7 +82,7 @@ def test_assembled_stencils_uniform():
     assert np.allclose(system.stiffness.lower, [-1 / h] * (n - 1), rtol=1e-15)
     # interior moments h * x_i, boundary moment h/2 - h^2/6
     assert np.allclose(system.moment[:-1], h * system.mesh.nodes[1:-1], rtol=1e-15)
-    assert system.moment[-1] == pytest.approx(h / 2 - h * h / 6, rel=1e-15)
+    assert system.moment[-1] == pytest.approx(h / 2 - h * h / 6, rel=1e-15, abs=0)
     assert system.boundary_dof == n - 1
 
 
@@ -182,7 +184,7 @@ def test_evaluate_is_zero_at_origin():
     mesh = make_uniform_mesh(4)
     y = RNG.standard_normal(4)
     assert evaluate(mesh, y, 0.0) == 0.0
-    assert evaluate(mesh, y, 1.0) == pytest.approx(y[-1], rel=1e-15)
+    assert evaluate(mesh, y, 1.0) == pytest.approx(y[-1], rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,7 @@ def test_cubic_term_constant_patch():
     y = np.zeros(n)
     y[1:4] = c  # nodes 2,3,4 -> constant on elements 2..4, hat of node 3 inside
     out = cubic_term(mesh, y)
-    assert out[2] == pytest.approx(c ** 3 / n, rel=1e-13)
+    assert out[2] == pytest.approx(c ** 3 / n, rel=1e-13, abs=0)
 
 
 def test_cubic_term_is_odd():
@@ -263,7 +265,7 @@ def test_cubic_jacobian_of_unit_state():
     system = assemble(mesh)
     jac = cubic_jacobian(mesh, np.ones(n))
     h = 1.0 / n
-    assert jac.diag[0] == pytest.approx(8 * h / 5, rel=1e-13)  # ramp element + unit element
+    assert jac.diag[0] == pytest.approx(8 * h / 5, rel=1e-13, abs=0)  # ramp element + unit element
     assert np.allclose(jac.diag[1:], 3.0 * system.mass.diag[1:], rtol=1e-13)
     assert np.allclose(jac.lower, 3.0 * system.mass.lower, rtol=1e-13)
 
@@ -448,8 +450,9 @@ def test_stacked_matvec_rejects_a_stack_of_another_size():
 
 def test_norms_of_zero_state():
     system = assemble(make_uniform_mesh(8))
-    ns = norms(system, np.zeros(8))
-    assert ns.l2 == ns.linf == ns.l4 == ns.h1_semi == 0.0
+    y = np.zeros(8)
+    assert norms(system, y) == (0.0, 0.0)
+    assert l4_norm(system, y) == h1_seminorm(system, y) == 0.0
 
 
 def test_norms_of_identity_interpolant():
@@ -457,11 +460,11 @@ def test_norms_of_identity_interpolant():
     n = 16
     system = assemble(make_uniform_mesh(n))
     y = system.mesh.nodes[1:].copy()
-    ns = norms(system, y)
-    assert ns.l2 == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
-    assert ns.l4 == pytest.approx(0.2 ** 0.25, rel=1e-14)
-    assert ns.h1_semi == pytest.approx(1.0, rel=1e-13)
-    assert ns.linf == 1.0
+    l2, linf = norms(system, y)
+    assert l2 == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
+    assert l4_norm(system, y) == pytest.approx(0.2 ** 0.25, rel=1e-14, abs=0)
+    assert h1_seminorm(system, y) == pytest.approx(1.0, rel=1e-13, abs=0)
+    assert linf == 1.0
 
 
 def test_norms_match_quadrature_oracle():
@@ -469,22 +472,21 @@ def test_norms_match_quadrature_oracle():
     system = assemble(mesh)
     y = RNG.standard_normal(32)
     f = oracles.p1_function(mesh.nodes, y)
-    ns = norms(system, y)
-    assert ns.l2 == pytest.approx(math.sqrt(oracles.quad50(mesh.nodes, lambda x: f(x) ** 2)),
-                                  rel=1e-13)
-    assert ns.l4 == pytest.approx(oracles.quad50(mesh.nodes, lambda x: f(x) ** 4) ** 0.25,
-                                  rel=1e-13)
+    assert norms(system, y)[0] == pytest.approx(
+        math.sqrt(oracles.quad50(mesh.nodes, lambda x: f(x) ** 2)), rel=1e-13, abs=0)
+    assert l4_norm(system, y) == pytest.approx(
+        oracles.quad50(mesh.nodes, lambda x: f(x) ** 4) ** 0.25, rel=1e-13, abs=0)
 
 
 def test_norms_match_quadrature_oracle_on_graded_mesh():
     mesh = graded_mesh()
+    system = assemble(mesh)
     y = RNG.standard_normal(mesh.n_dof)
     f = oracles.p1_function(mesh.nodes, y)
-    ns = norms(assemble(mesh), y)
-    assert ns.l2 == pytest.approx(math.sqrt(oracles.quad50(mesh.nodes, lambda x: f(x) ** 2)),
-                                  rel=1e-13)
-    assert ns.l4 == pytest.approx(oracles.quad50(mesh.nodes, lambda x: f(x) ** 4) ** 0.25,
-                                  rel=1e-13)
+    assert norms(system, y)[0] == pytest.approx(
+        math.sqrt(oracles.quad50(mesh.nodes, lambda x: f(x) ** 2)), rel=1e-13, abs=0)
+    assert l4_norm(system, y) == pytest.approx(
+        oracles.quad50(mesh.nodes, lambda x: f(x) ** 4) ** 0.25, rel=1e-13, abs=0)
 
 
 def eager_norms(system, y):
@@ -497,26 +499,46 @@ def eager_norms(system, y):
             math.sqrt(max(float(y @ system.stiffness.matvec(y)), 0.0)))
 
 
+def all_norms(system, y):
+    """``(l2, linf, l4, h1_semi)`` of ``y`` from the package's functions."""
+    return (*norms(system, y), l4_norm(system, y), h1_seminorm(system, y))
+
+
 @pytest.mark.parametrize("mesh", [make_uniform_mesh(2), make_uniform_mesh(128), graded_mesh()],
                          ids=["uniform2", "uniform128", "graded"])
 def test_norms_read_on_access_equal_eager_expressions_bit_for_bit(mesh):
     system = assemble(mesh)
     for y in RNG.standard_normal((5, mesh.n_dof)):
-        ns = norms(system, y)
-        assert (ns.l2, ns.linf, ns.l4, ns.h1_semi) == eager_norms(system, y)
-        assert (ns.l4, ns.h1_semi) == eager_norms(system, y)[2:]  # a second read, kept
+        assert all_norms(system, y) == eager_norms(system, y)
         # the mass product a march level carries gives the same bits
         given = norms(system, y, mass_y=system.mass.matvec(y))
-        assert repr((given.l2, given.linf)) == repr((ns.l2, ns.linf))
+        assert repr(given) == repr(norms(system, y))
+        assert all(type(value) is float for value in given)
+
+
+@pytest.mark.parametrize("mesh", [make_uniform_mesh(128), graded_mesh()],
+                         ids=["uniform128", "graded"])
+@pytest.mark.parametrize("with_mass", [False, True], ids=["formed", "given"])
+def test_norms_of_a_block_equal_each_states_own_norms_bit_for_bit(mesh, with_mass):
+    system = assemble(mesh)
+    block = RNG.standard_normal((3, 4, mesh.n_dof))  # (L, B, N), as the epsilon study folds
+    block[1, 2] = 0.0
+    # the stacked product of a march, one mass matrix per state
+    mass_y = system.mass.repeat(12).matvec(block) if with_mass else None
+    l2, linf = norms(system, block, mass_y=mass_y)
+    assert l2.shape == linf.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        lone = norms(system, block[index])
+        assert repr((float(l2[index]), float(linf[index]))) == repr(lone)
 
 
 def test_norms_do_not_see_the_state_change_after_the_call():
     system = assemble(graded_mesh())
     levels = RNG.standard_normal((2, system.n_dof))
     expected = eager_norms(system, levels[0].copy())
-    ns = norms(system, levels[0])  # a view, as simulate passes
+    computed = all_norms(system, levels[0])  # a view, as simulate passes
     levels[0] = levels[1]
-    assert (ns.l2, ns.linf, ns.l4, ns.h1_semi) == expected
+    assert computed == expected
 
 
 def test_norms_reject_mismatched_state():
@@ -524,8 +546,9 @@ def test_norms_reject_mismatched_state():
     with pytest.raises(MeshError):
         norms(system, np.zeros(7))
     system = assemble(make_uniform_mesh(4))
-    # a scalar and a stack of states are not one state; the message names the shape
-    for y, shape in ((np.float64(1.0), r"\(\)"), (np.zeros((2, 4)), r"\(2, 4\)")):
+    # a scalar is not a state, nor a stack of states of another length; the message
+    # names the shape
+    for y, shape in ((np.float64(1.0), r"\(\)"), (np.zeros((2, 3)), r"\(2, 3\)")):
         with pytest.raises(MeshError, match=f"state of shape {shape}, system expects \\(4,\\)"):
             norms(system, np.asarray(y))
 

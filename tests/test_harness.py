@@ -257,6 +257,7 @@ def test_format_float_17_significant_digits():
     assert float(format_float(math.pi)) == math.pi
     assert format_float(None) == ""
     assert format_float(float("nan")) == "nan"
+    assert format_float(-float("nan")) == "nan"  # the sign of a NaN is not written
 
 
 def test_csv_round_trip(tmp_path):

@@ -99,12 +99,12 @@ def test_admissibility_gain_equality_is_inadmissible():
 
 
 def test_max_decay_rate_reference_value():
-    assert max_decay_rate(EXAMPLE_ONE) == pytest.approx(1.0 / 300.0, rel=1e-12)
+    assert max_decay_rate(EXAMPLE_ONE) == pytest.approx(1.0 / 300.0, rel=1e-12, abs=0)
 
 
 def test_max_decay_rate_zero_gain():
     p = ModelParams(nu=0.1, alpha=0.1, delta=0.1, r=0.0, epsilon=0.01)
-    assert max_decay_rate(p) == pytest.approx(0.1, rel=1e-14)
+    assert max_decay_rate(p) == pytest.approx(0.1, rel=1e-14, abs=0)
 
 
 def test_max_decay_rate_rejects_nonpositive():
@@ -114,9 +114,10 @@ def test_max_decay_rate_rejects_nonpositive():
 
 
 def test_energy_constant_values():
-    assert energy_constant(EXAMPLE_ONE, 0.001) == pytest.approx(0.0023333333333333, rel=1e-10)
+    assert energy_constant(EXAMPLE_ONE, 0.001) == pytest.approx(0.0023333333333333, rel=1e-10,
+                                                                abs=0)
     p = ModelParams(nu=1.0, alpha=0.5, delta=1.0, r=0.0, epsilon=1.0)
-    assert energy_constant(p, 0.5) == pytest.approx(1.0, rel=1e-14)
+    assert energy_constant(p, 0.5) == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_energy_constant_vanishes_at_maximal_rate():
@@ -154,12 +155,13 @@ def test_max_decay_rate_linear_in_alpha_with_slope_minus_one():
 
 
 def test_weight_norm_product_constant():
-    assert X_WEIGHT_NORM_PRODUCT == pytest.approx(0.2 ** 0.25 * (3.0 / 7.0) ** 0.75, rel=1e-15)
+    assert X_WEIGHT_NORM_PRODUCT == pytest.approx(0.2 ** 0.25 * (3.0 / 7.0) ** 0.75,
+                                                  rel=1e-15, abs=0)
     assert X_WEIGHT_NORM_PRODUCT == pytest.approx(0.3542, abs=5e-5)
 
 
 def test_dirichlet_gain_bound_is_sqrt_six():
-    assert R_MAX_DIRICHLET == pytest.approx(math.sqrt(6.0), rel=1e-15)
+    assert R_MAX_DIRICHLET == pytest.approx(math.sqrt(6.0), rel=1e-15, abs=0)
     assert 1.0 / X_WEIGHT_NORM_PRODUCT > math.sqrt(6.0)
     assert R_MAX_DIRICHLET == pytest.approx(2.4495, abs=1e-4)
 
@@ -167,14 +169,14 @@ def test_dirichlet_gain_bound_is_sqrt_six():
 def test_dirichlet_rate_zero_gain():
     p = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=0.0, epsilon=0.01)
     bounds = dirichlet_rate_bounds(p)
-    assert bounds.gamma_max == pytest.approx(0.07, rel=1e-12)
+    assert bounds.gamma_max == pytest.approx(0.07, rel=1e-12, abs=0)
 
 
 def test_dirichlet_rate_reference_setup():
     bounds = dirichlet_rate_bounds(EXAMPLE_ONE)
     coupling = (0.1 * 0.13 + 0.01 * 0.1) / 3.0
     expected = 3.0 * (0.2 - 0.13 - coupling) / 3.1
-    assert bounds.gamma_max == pytest.approx(expected, rel=1e-12)
+    assert bounds.gamma_max == pytest.approx(expected, rel=1e-12, abs=0)
     assert bounds.beta_star > 0.0
     # the cubic-side argument of the min at this gamma
     assert bounds.beta_star <= 0.13 * (1.0 - 0.1 * X_WEIGHT_NORM_PRODUCT)
@@ -195,8 +197,8 @@ def test_dirichlet_rejects_bad_ratio():
 def test_rate_report_admissible_case():
     report = rate_report(EXAMPLE_ONE)
     assert report.admissible
-    assert report.gamma_max == pytest.approx(1.0 / 300.0, rel=1e-12)
-    assert report.gamma == pytest.approx(report.gamma_max / 2.0, rel=1e-14)
+    assert report.gamma_max == pytest.approx(1.0 / 300.0, rel=1e-12, abs=0)
+    assert report.gamma == pytest.approx(report.gamma_max / 2.0, rel=1e-14, abs=0)
     assert report.beta is not None and report.beta > 0.0
     assert report.gamma_dirichlet_max is not None
     data = report.as_dict()

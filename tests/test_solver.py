@@ -171,6 +171,32 @@ def test_residual_rejects_mismatched_states():
         LinearPart.of(EXAMPLE, system, 0.0)
 
 
+def _nan_at_zero(x):
+    """``x``, except NaN at ``x = 0``: a profile whose ``f(0)`` is NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x == 0.0, math.nan, x)
+
+
+def _newton_at_nan_tol():
+    system = assemble(make_uniform_mesh(8))
+    newton_solve(LinearPart.of(EXAMPLE, system, 0.01), system,
+                 project_initial(system.mesh, sin_pi), tol=math.nan)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: make_partition([0.0, math.nan, 1.0]), MeshError),
+    (lambda: TimeGrid(k=math.inf, n_steps=2), ParameterDomainError),
+    (lambda: LinearPart.of(EXAMPLE, assemble(make_uniform_mesh(8)), math.nan),
+     ParameterDomainError),
+    (_newton_at_nan_tol, ParameterDomainError),
+    (lambda: project_initial(make_uniform_mesh(8), _nan_at_zero), ParameterDomainError),
+], ids=["partition_node", "time_grid_k", "linear_part_k", "newton_tol", "profile_at_0"])
+def test_nan_and_inf_fail_the_domain_guards(build, error):
+    # each guard is written so that a NaN fails it, not only a value on the wrong side
+    with pytest.raises(error):
+        build()
+
+
 @pytest.mark.parametrize("case", ["penalized", "dirichlet_feedback", "stack_take"])
 def test_residual_with_precomputed_pieces_is_bit_identical(case):
     system = assemble(make_uniform_mesh(12))
@@ -678,7 +704,7 @@ def test_newton_start_sets_the_first_iterate_only():
     y, report = newton_solve(linear, system, y_prev, start=start)
     assert np.array_equal(start, 1.01 * y_prev)  # not written into
     f = residual(linear, system, start, y_prev)
-    assert report.residual_norms[0] == pytest.approx(np.linalg.norm(f), rel=1e-14)
+    assert report.residual_norms[0] == pytest.approx(np.linalg.norm(f), rel=1e-14, abs=0)
     assert report.converged
     assert np.max(np.abs(y - plain)) <= 1e-12
     with pytest.raises(MeshError):
@@ -1048,9 +1074,7 @@ def test_simulate_norms_equal_norms_of_recorded_states_bit_for_bit(variant):
     system = assemble(mesh)
     assert traj.failed_at is None
     for n, state in enumerate(traj.states):
-        ns = norms(system, state)
-        assert traj.l2[n] == ns.l2
-        assert traj.linf[n] == ns.linf
+        assert (traj.l2[n], traj.linf[n]) == norms(system, state)
 
 
 @pytest.mark.parametrize("variant, settings", [
@@ -1383,7 +1407,7 @@ def test_penalized_runs_approach_dirichlet_feedback_at_rate_eps():
         return traj.states
 
     hard = run(0.0)  # the Dirichlet feedback problem
-    diffs = [max(norms(system, a - b).l2 for a, b in zip(run(eps), hard))
+    diffs = [max(norms(system, a - b)[0] for a, b in zip(run(eps), hard))
              for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)]
     assert diffs[0] == pytest.approx(8.53e-4, rel=1e-3)
     for a, b in zip(diffs, diffs[1:]):
