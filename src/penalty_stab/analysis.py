@@ -84,7 +84,7 @@ def energy_monitor(trajectory: StateTrajectory, gamma: float) -> MonitorResult:
     A relative slack of 1e-12 absorbs round-off in the bound; the result
     reports the first violating level, if any.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # NaN too, whose bound no trajectory could violate
         raise AnalysisError(f"gamma must be non-negative, got {gamma!r}")
     bound = np.exp(-2.0 * gamma * trajectory.times) * trajectory.l2[0] ** 2
     bad = trajectory.l2 ** 2 > bound * (1.0 + 1e-12)

@@ -7,7 +7,7 @@ Usage::
     penalty-stab epsilon-study --config cfg.json --out dir/ [--override k=v ...]
 
 Exit codes: 0 on success, 1 when the config (or command line) fails
-validation, 2 when a run fails at solver level.
+validation, 2 when a run fails at solver level or runs out of memory.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ def main(argv=None) -> int:
         return 1
     except PenaltyStabError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid within the size bound may still not fit
+        print(f"run failed: out of memory ({str(exc) or 'no detail'})", file=sys.stderr)
         return 2
 
     for path in result.files:

@@ -42,10 +42,11 @@ started from the initial state with its boundary value set to zero.  Every
 variant steps through the one Newton loop, :func:`newton_solve`, and a
 stack may mix them.
 
-Newton starts each step after the first from the linear extrapolation
-``2 Y_n - Y_{n-1}`` of the last two levels (the first starts from ``Y_0``,
-which :func:`simulate` takes as the L2 projection of the initial profile),
-a predictor whose error is ``O(k^2)``, so one update usually converges.  It
+Newton starts the first step from ``Y_0``, which :func:`simulate` takes as
+the L2 projection of the initial profile, the second from the linear
+extrapolation ``2 Y_1 - Y_0``, and each later one from the quadratic
+extrapolation ``3 (Y_n - Y_{n-1}) + Y_{n-2}`` of the last three levels, a
+predictor whose error is ``O(k^3)``, so one update usually converges.  It
 stops on the Euclidean residual norm.  The boundary row carries no ``nu/eps``
 amplification, so its round-off does not grow as eps shrinks.
 
@@ -701,20 +702,27 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
 
     ``states`` is a stack or a lone 1-D state.  Each step is one
     :func:`newton_solve` of the members still stepping, started from ``None``
-    at the first step, then from the linear extrapolation ``2 y_n - y_{n-1}``
-    of each member's own last two levels.  A member whose step fails is
-    dropped with its state, and the linear part of the others is taken once
-    per drop-out; the march ends when none is left.  Each level's mass
+    at the first step, from the linear extrapolation ``2 y_1 - y_0`` at the
+    second, and then from the quadratic extrapolation ``3 (y_n - y_{n-1}) +
+    y_{n-2}`` of each member's own last three levels, whose error is
+    ``O(k^3)``.  A member whose step fails is dropped with its state and
+    its earlier levels, and the linear part of the others is taken once per
+    drop-out; the march ends when none is left.  Each level's mass
     product is formed once, after any drop-out, and handed to the next step.
     """
     lone = states.ndim == 1
     members = np.arange(1 if lone else states.shape[0])
     mass = linear.mass.matvec(states)
     yield EnsembleLevel(0, members, states, members, initial, mass)
-    previous = None
+    previous = older = None
     for n in range(1, time_grid.n_steps + 1):
-        start = None if previous is None else 2.0 * states - previous
-        previous, attempted = states, members
+        if previous is None:
+            start = None
+        elif older is None:
+            start = 2.0 * states - previous
+        else:
+            start = 3.0 * (states - previous) + older
+        older, previous, attempted = previous, states, members
         states, step = newton_solve(linear, system, states, *settings, start=start,
                                     prev_mass=mass)
         if lone and not step.converged:
@@ -722,6 +730,8 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
         elif not lone and not step.converged.all():
             rows = np.flatnonzero(step.converged)
             members, states, previous = members[rows], states[rows], previous[rows]
+            if older is not None:
+                older = older[rows]
             linear = linear.take(rows)
         mass = linear.mass.matvec(states) if members.size else None
         yield EnsembleLevel(n, members, states, attempted, step, mass)
@@ -742,14 +752,15 @@ def step_ensemble(params: ModelParams | Sequence[ModelParams], system: Assembled
     exact zero may carry the other sign, as the stacked elimination can
     turn a block's ``-0.0`` into ``+0.0`` (see :meth:`fem.TridiagMatrix.solve`).
     A run whose step does not converge is dropped at that level and the
-    others keep stepping; linear-solve failures propagate.  Each Newton
-    solve after the first starts from the extrapolation ``2 y_n - y_{n-1}``,
-    so the last two levels are held, and memory does not grow with the
-    number of steps.  A member with ``epsilon = 0`` solves the Dirichlet
-    feedback problem, so one stack may mix it with penalized members; every
-    member's feedback acts on its new state.  Each penalized run that
-    violates the stabilization conditions triggers a warning, which points
-    at the caller's line.
+    others keep stepping; linear-solve failures propagate.  The second
+    Newton solve starts from ``2 y_1 - y_0`` and each later one from the
+    quadratic extrapolation ``3 (y_n - y_{n-1}) + y_{n-2}``, whose error is
+    ``O(k^3)``, so the last three levels are held, and memory does not grow
+    with the number of steps.  A member with ``epsilon = 0`` solves the
+    Dirichlet feedback problem, so one stack may mix it with penalized
+    members; every member's feedback acts on its new state.  Each penalized
+    run that violates the stabilization conditions triggers a warning, which
+    points at the caller's line.
     """
     _warn_inadmissible(params)
     return _levels(params, system, y0, time_grid, (newton_tol, newton_max_iter))

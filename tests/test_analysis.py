@@ -131,6 +131,13 @@ def test_energy_monitor_rejects_negative_gamma():
         energy_monitor(synthetic_trajectory(t, np.ones(5)), gamma=-1.0)
 
 
+def test_energy_monitor_rejects_nan_gamma():
+    # a NaN bound compares false with every norm, so the monitor would pass any trajectory
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(AnalysisError):
+        energy_monitor(synthetic_trajectory(t, np.ones(5)), gamma=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # restriction and reference errors
 

@@ -771,6 +771,20 @@ def test_cli_rejects_a_run_beyond_the_size_bound_before_running(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 61.0 MiB for an array", ""])
+def test_cli_run_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, message):
+    # a grid within the size bound may still not fit: numpy raises a MemoryError
+    def runner_out_of_memory(resolved, out_dir):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(RUNNERS, "epsilon_study", runner_out_of_memory)
+    code = main(["epsilon-study", "--config", str(CONFIGS / "epsilon_study.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"run failed: out of memory ({message or 'no detail'})\n"
+
+
 @pytest.mark.parametrize("kind, mesh_field", [("decay", "mesh.n_elements"),
                                               ("epsilon_study", "mesh.n_elements"),
                                               ("space_convergence",

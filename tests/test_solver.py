@@ -827,6 +827,30 @@ def test_extrapolated_start_takes_one_newton_iteration_per_step(variant):
     assert sum(report.newton_iterations for report in traj.step_reports) <= 1.05 * 1050
 
 
+@pytest.mark.parametrize("epsilon, r", [(0.01, 0.1), (1.0, 1.0)])
+def test_start_residual_falls_as_k_squared_from_the_quadratic_predictor(epsilon, r):
+    # from step 3 on the start's error is O(k^3), so its residual, about M e / k,
+    # is O(k^2) and quarters as k halves; from 2 y_n - y_{n-1} it only halves
+    params = ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=r, epsilon=epsilon)
+    medians = []
+    for n_steps in (50, 100, 200, 400):
+        grid = TimeGrid(k=0.5 / n_steps, n_steps=n_steps)
+        traj = simulate(params, make_uniform_mesh(16), sin_pi, grid)
+        # step_reports[n] is step n's report; entry 0 is the initial level's
+        medians.append(np.median([report.residual_norms[0] for report in traj.step_reports[4:]]))
+    ratios = [coarse / fine for coarse, fine in zip(medians, medians[1:])]
+    assert all(3.5 <= ratio <= 4.5 for ratio in ratios), ratios
+
+
+def extrapolated_start(past):
+    """The march's Newton start from the levels ``past`` so far: none, linear, then quadratic."""
+    if len(past) == 1:
+        return None
+    if len(past) == 2:
+        return 2.0 * past[-1] - past[-2]
+    return 3.0 * (past[-1] - past[-2]) + past[-3]
+
+
 def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
     system = assemble(make_uniform_mesh(32))
     y0 = project_initial(system.mesh, sin_pi)
@@ -834,14 +858,14 @@ def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
     members = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
                for eps in (1e-1, 1e-4, 1e-8)]
     stacked = list(step_ensemble(members, system, y0, grid))
-    # members leave the stacked iteration after one or after two updates
-    assert {r.newton_iterations for r in stacked[-1].reports.values()} == {1, 2}
+    # at level 9 members leave the stacked iteration after one or after two updates
+    assert {r.newton_iterations for r in stacked[9].reports.values()} == {1, 2}
     for b, params in enumerate(members):
-        # Newton by hand, each step after the first from 2 y_n - y_{n-1}
-        previous, y, linear = None, y0, LinearPart.of(params, system, grid.k)
+        # Newton by hand: step 2 from 2 y_1 - y_0, later ones from 3 (y_n - y_{n-1}) + y_{n-2}
+        past, linear = [y0], LinearPart.of(params, system, grid.k)
         for level in stacked[1:]:
-            start = None if previous is None else 2.0 * y - previous
-            previous, (y, report) = y, newton_solve(linear, system, y, start=start)
+            y, report = newton_solve(linear, system, past[-1], start=extrapolated_start(past))
+            past.append(y)
             assert np.array_equal(level.states[b], y)
             assert level.reports[b] == report
 
@@ -860,10 +884,10 @@ def test_penalized_run_and_pinned_baseline_step_as_one_stack():
     separate = [list(step_ensemble([params], system, y0, grid)),
                 list(step_ensemble([pinned], system, y0_pinned, grid))]
     linear = LinearPart.of([params, pinned], system, grid.k)
-    previous, y = None, np.stack([y0, y0_pinned])
+    past = [np.stack([y0, y0_pinned])]
     for n in range(1, grid.n_steps + 1):
-        start = None if previous is None else 2.0 * y - previous
-        previous, (y, reports) = y, newton_solve(linear, system, y, start=start)
+        y, reports = newton_solve(linear, system, past[-1], start=extrapolated_start(past))
+        past.append(y)
         for b, levels in enumerate(separate):
             assert np.array_equal(y[b], levels[n].states[0])
             assert reports[b] == levels[n].reports[0]
