@@ -43,7 +43,13 @@ batch of calls divided by the batch size, in microseconds per call:
 ``jacobian``          ``solver.jacobian`` with the run's ``LinearPart`` and
                       the Gauss values;
 ``solve_structured``  ``solver.solve_structured`` on that Jacobian and
-                      residual;
+                      residual, fresh at every call: a new wrapper of its
+                      band, so each call factors it (``dgttrf``) and
+                      substitutes ``e_b`` and the residual (``dgttrs``);
+``substitution``      ``NewtonMatrix.solve`` of that residual with the
+                      Jacobian factored once, as a kept Newton matrix
+                      solves: one substitution of one right-hand side and
+                      the Sherman-Morrison correction;
 ``norms``             ``fem.norms`` of one state with its mass product,
                       ``norms(system, y, mass_y=...)``, as ``simulate``
                       calls it (stacks do not call it, so the B=10 column
@@ -56,14 +62,17 @@ batch of calls divided by the batch size, in microseconds per call:
                       shipped grid of 1050 steps, set-up included: at B=1 a
                       ``solver.simulate`` (a 1-D state, with the norms and
                       the recording of every level), at B=10 a
-                      ``solver.step_ensemble``; about one Newton iteration
-                      per level from the extrapolated start;
+                      ``solver.step_ensemble``; about one Newton update
+                      per level from the extrapolated start, most of them
+                      by the kept Newton matrix (``newton iteration``
+                      updates with a fresh one);
 ``time step median``  the same, the median over the K repeats.
 
 Point ``PYTHONPATH`` at another checkout's ``src`` to time that one.  The
 script calls the kernels as ``residual(linear, system, ...)``, with the run's
 ``LinearPart`` first; a checkout whose kernels take ``params`` and ``k``
-instead is timed with that checkout's own copy of this script.
+instead is timed with that checkout's own copy of this script, and one
+without ``NewtonMatrix`` shows ``-`` in the ``substitution`` row.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ import warnings
 import numpy as np
 
 from penalty_stab.fem import assemble, cubic_term, element_values, make_uniform_mesh, norms
-from penalty_stab.fem import project_initial, reaction_load
+from penalty_stab.fem import TridiagMatrix, project_initial, reaction_load
 from penalty_stab.params import ModelParams
 from penalty_stab.solver import (
     LinearPart,
@@ -90,14 +99,19 @@ from penalty_stab.solver import (
     step_ensemble,
 )
 
+try:
+    from penalty_stab.solver import NewtonMatrix
+except ImportError:  # a checkout from before the kept Newton matrix: no substitution row
+    NewtonMatrix = None
+
 SIZES = (128, 2048)
 STACKS = (1, 10)
 MIXED_SIZE = 128  # the mesh size of the stack with mixed deltas
 K = 1.0 / 1050.0
 N_STEPS = 1050
 LAYERS = ("assemble", "element_values", "reaction_load", "residual", "cubic_term", "matvec",
-          "jacobian", "solve_structured", "norms", "newton iteration", "time step",
-          "time step median")
+          "jacobian", "solve_structured", "substitution", "norms", "newton iteration",
+          "time step", "time step median")
 
 
 def repeat_times(call, batch: int, repeats: int) -> list[float]:
@@ -137,6 +151,7 @@ def layer_times(n: int, n_runs: int, mixed: bool, repeats: int) -> dict[str, flo
     mass_y = linear.mass.matvec(y)
     f = residual(linear, system, y, y_prev, **pieces)
     core, rank_one = jacobian(linear, system, y, gauss=gauss)
+    kept = None if NewtonMatrix is None else NewtonMatrix.of(core, rank_one)
     batch = max(1, 20000 // (n * n_runs))  # about 0.1 ms of numpy work per batch
 
     def newton(max_iter: int) -> float:
@@ -165,8 +180,10 @@ def layer_times(n: int, n_runs: int, mixed: bool, repeats: int) -> dict[str, flo
             "cubic_term": best(lambda: cubic_term(mesh, y), batch, repeats),
             "matvec": best(lambda: linear.mass.matvec(y_prev), batch, repeats),
             "jacobian": best(lambda: jacobian(linear, system, y, gauss=gauss), batch, repeats),
-            "solve_structured": best(lambda: solve_structured(core, rank_one, f),
-                                     batch, repeats),
+            "solve_structured": best(lambda: solve_structured(TridiagMatrix.from_band(core.band),
+                                                              rank_one, f), batch, repeats),
+            "substitution": (best(lambda: kept.solve(f), batch, repeats)
+                             if kept is not None else None),
             "norms": (best(lambda: norms(system, y, mass_y=mass_y), batch, repeats)
                       if n_runs == 1 else None),
             "newton iteration": (newton(6) - newton(1)) / 5,

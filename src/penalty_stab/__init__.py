@@ -55,7 +55,9 @@ from .params import (
 )
 from .solver import (
     EnsembleLevel,
+    KeptMatrix,
     LinearPart,
+    NewtonMatrix,
     RankOneUpdate,
     StackReport,
     StateTrajectory,

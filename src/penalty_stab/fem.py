@@ -36,22 +36,23 @@ from .errors import MeshError, ParameterDomainError, SingularCoreError
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _load_dgtsv() -> Callable:
-    """scipy's f2py wrapper of LAPACK ``dgtsv``, without running ``import scipy``.
+def _load_lapack(*names: str) -> list[Callable]:
+    """scipy's f2py wrappers of the LAPACK routines ``names``, without running ``import scipy``.
 
     ``scipy.linalg.lapack`` takes about 0.3 s to import, most of it in
     ``scipy._lib`` star-importing numpy's testing, f2py, ma and random
-    subpackages, while this package needs one routine from one compiled
+    subpackages, while this package needs two routines from one compiled
     extension.  The extension is found through the spec of ``scipy``, which
     locates the package without executing it, and loaded under its real
     name.  The loader registers it in ``sys.modules``, and the entry is
     taken out again: a later ``import scipy.linalg`` then imports the
     extension itself and sets the attribute ``scipy.linalg._flapack``, and
     as the extension is initialized once per process and a second import
-    copies the first one's namespace, its ``lapack.dgtsv`` is the function
-    returned here.  A module that scipy has already imported is reused.
-    Where the extension cannot be found or loaded, the ordinary import is
-    used; either way it is the same wrapper of the same compiled routine.
+    copies the first one's namespace, its ``lapack.dgttrf`` and
+    ``lapack.dgttrs`` are the functions returned here.  A module that scipy
+    has already imported is reused.  Where the extension cannot be found or
+    loaded, the ordinary import is used; either way they are the same
+    wrappers of the same compiled routines.
     """
     try:
         module = sys.modules.get(_FLAPACK)
@@ -65,14 +66,14 @@ def _load_dgtsv() -> Callable:
                 importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
             loader.exec_module(module)
             sys.modules.pop(_FLAPACK, None)
-        return module.dgtsv
+        return [getattr(module, name) for name in names]
     except (AttributeError, StopIteration, ImportError):  # no scipy, no file, load failed
-        from scipy.linalg.lapack import dgtsv
+        from scipy.linalg import lapack
 
-        return dgtsv
+        return [getattr(lapack, name) for name in names]
 
 
-dgtsv = _load_dgtsv()
+dgttrf, dgttrs = _load_lapack("dgttrf", "dgttrs")
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1];
 # exact for polynomials of degree <= 5.
@@ -101,18 +102,20 @@ class TridiagMatrix:
     Rows 0 and 2 hold the lower and upper diagonals, each padded at the end
     of every block: ``lower[..., i]`` (``band[0, ..., i]``) is entry ``(i+1,
     i)`` and ``upper[..., i]`` (``band[2, ..., i]``) entry ``(i, i+1)`` for
-    ``i < n - 1``, and column ``n - 1`` of both holds +0.0.  That is
-    ``dgtsv``'s layout: a stack read as one flat matrix of order ``B n``
-    has the padding as its couplings between blocks, exactly zero, so
-    :meth:`solve` passes the flat rows as they are.
+    ``i < n - 1``, and column ``n - 1`` of both holds +0.0.  That is the
+    layout of LAPACK's tridiagonal routines: a stack read as one flat
+    matrix of order ``B n`` has the padding as its couplings between
+    blocks, exactly zero, so :meth:`solve` passes the flat rows as they
+    are.
 
     ``TridiagMatrix(diag, lower, upper)`` packs three diagonals, ``lower``
     and ``upper`` of length ``n - 1``, into a new band once;
     :meth:`from_band` wraps a band built in place.  ``diag``, ``lower`` and
-    ``upper`` are views of the band, so writing into them writes the matrix.
+    ``upper`` are views of the band, so writing into them writes the
+    matrix, until its first :meth:`solve` makes them read-only.
     """
 
-    __slots__ = ("band", "diag", "lower", "upper")
+    __slots__ = ("band", "diag", "lower", "upper", "_factors")
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
         diag = np.asarray(diag)
@@ -139,6 +142,7 @@ class TridiagMatrix:
         self.diag = band[1]
         self.lower = band[0, ..., :-1]
         self.upper = band[2, ..., :-1]
+        self._factors = None  # dgttrf's, from the first solve: see _factor
 
     @classmethod
     def symmetric(cls, diag: np.ndarray, off: np.ndarray) -> "TridiagMatrix":
@@ -151,6 +155,10 @@ class TridiagMatrix:
     def repeat(self, count: int) -> "TridiagMatrix":
         """A stack of ``count`` copies of this one matrix."""
         return TridiagMatrix.from_band(np.repeat(self.band[:, None], count, axis=1))
+
+    def take(self, index: np.ndarray) -> "TridiagMatrix":
+        """The matrices ``index`` of a stack, in a new band that is not factored."""
+        return TridiagMatrix.from_band(self.band[:, index])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product with ``x``, a new array of ``x``'s shape.
@@ -192,46 +200,125 @@ class TridiagMatrix:
         return a
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct tridiagonal solve (LAPACK ``dgtsv`` on the three bands).
+        """Direct tridiagonal solve: LAPACK ``dgttrf`` once per matrix, ``dgttrs`` per call.
+
+        The first solve factors the matrix (an LU factorization with row
+        interchanges) and keeps the factors with it; every solve, the first
+        included, substitutes ``rhs`` through them.  Factor and substitution
+        give the bits of one ``dgtsv`` call on the same system.  Once
+        factored, the band and its ``diag``, ``lower`` and ``upper`` views
+        are read-only, so the factors cannot go stale: writing into them
+        raises ``ValueError`` (a view of the buffer that the caller of
+        :meth:`from_band` made before the first solve is not covered).
 
         ``rhs`` may be a vector or a matrix of stacked right-hand sides, with
         the stack's leading axis in front for a stack of matrices.  One
         matrix passes its three diagonals.  A stack passes the flat rows of
-        its band as they are, so it is solved as one block-diagonal band
+        its band as they are, so it is factored as one block-diagonal band
         whose couplings between blocks are the padding, exactly zero, so
-        every block's solution equals its own solve in value, as long as
-        every band and right-hand side is finite.  An exact zero may carry
+        every block's factors and solution equal its own in value, as long
+        as every band and right-hand side is finite.  An exact zero may carry
         the other sign: the elimination and the back substitution still run
         across the couplings, and a zero product added to a ``-0.0`` can
         make it ``+0.0``, in either neighbouring block.  For example,
-        ``b(i+1) - (dl(i)/d(i)) b(i)`` does so for a ``-0.0`` in a block's
-        first row when ``d(i)`` and ``b(i)``, the last row of the block
-        above, have opposite signs.  A NaN or inf in one block
-        reaches the others: ``dgtsv``'s pivot test ``|d(i)| >= |dl(i)|`` is
-        false for NaN, so it interchanges rows, and back substitution
-        multiplies the zero couplings by NaN, which hits the blocks before
-        the bad one as well as those after it.  :func:`solver.newton_solve`
-        keeps members whose residual is not finite out of the solve; a block
-        whose own solution overflows can still reach the blocks above it.
-        ``dgtsv`` overwrites its arguments, so it is left to copy them: the
-        matrix and ``rhs`` are not modified.
+        ``b(i+1) - l(i) b(i)``, with the multiplier ``l(i) = dl(i)/d(i)``,
+        does so for a ``-0.0`` in a block's first row when ``d(i)`` and
+        ``b(i)``, the last row of the block above, have opposite signs.  A
+        NaN or inf in one block reaches the others: the pivot test ``|d(i)|
+        >= |dl(i)|`` is false for NaN, so it interchanges rows, and back
+        substitution multiplies the zero couplings by NaN, which hits the
+        blocks before the bad one as well as those after it.
+        :func:`solver.newton_solve` keeps members whose residual is not
+        finite out of the solve; a block whose own solution overflows can
+        still reach the blocks above it.  Neither the matrix's values nor
+        ``rhs`` are modified.
 
         Raises
         ------
         SingularCoreError
             On a zero pivot (exactly singular matrix) in any block.
         """
+        if self._factors is None:
+            self._factor()
+        factors = self._factors[2]
         band = self.band
-        if band.ndim == 2:
-            _, _, _, x, info = dgtsv(self.lower, self.diag, self.upper, rhs)
-        else:
-            lower, diag, upper = band.reshape(3, -1)
-            _, _, _, x, info = dgtsv(lower[:-1], diag, upper[:-1],
-                                     rhs.reshape(diag.shape + rhs.shape[band.ndim - 1:]))
-            x = x.reshape(rhs.shape)
+        order = band.size // 3
+        if band.ndim > 2:
+            rhs = rhs.reshape((order,) + rhs.shape[band.ndim - 1:])
+        if factors[1].size > order:  # padded to the wrapper's smallest order
+            padded = np.zeros(factors[1].shape + rhs.shape[1:])
+            padded[:order] = rhs
+            rhs = padded
+        x = dgttrs(*factors, rhs)[0][:order]
+        return x.reshape(band.shape[1:] + x.shape[1:]) if band.ndim > 2 else x
+
+    def _factor(self) -> None:
+        """Factor the flat band by ``dgttrf`` and keep the factors, read-only.
+
+        The factors are one ``(4, order)`` buffer, ``dgttrf``'s ``dl``,
+        ``d``, ``du`` and ``du2`` padded at the end to the order, so that
+        the rows of a stack's blocks can be moved (:meth:`set_blocks`),
+        and the pivot indices.  scipy's wrapper takes no order below 3 (its
+        ``du2`` would be empty), so a smaller matrix is padded with identity
+        rows, which leave its own factors as they are.
+        """
+        band = self.band.reshape(3, -1)
+        order = band.shape[1]
+        rows = np.zeros((4, max(order, 3)))
+        rows[:3, :order] = band
+        if order < 3:
+            rows[1, order:] = 1.0
+        # dgttrf overwrites the first three rows (overwrite_dl, _d, _du = 1)
+        *_, du2, pivots, info = dgttrf(rows[0, :-1], rows[1], rows[2, :-1], 1, 1, 1)
         if info > 0:
             raise SingularCoreError(f"singular tridiagonal system: zero pivot in row {info}")
-        return x
+        rows[3, :-2] = du2
+        for array in (self.band, self.diag, self.lower, self.upper, rows, pivots):
+            array.setflags(write=False)
+        # the factors, and dgttrs's arguments
+        self._factors = (rows, pivots, (rows[0, :-1], rows[1], rows[2, :-1], rows[3, :-2], pivots))
+
+    def set_blocks(self, index: np.ndarray, blocks: "TridiagMatrix") -> None:
+        """Write the stack ``blocks`` into this stack's blocks ``index``, in place.
+
+        Block ``j`` of ``blocks``, whose matrices have the same order, goes
+        to position ``index[j]``.  When both stacks are factored, the
+        factors move with the blocks, and this one stays factored without
+        a ``dgttrf`` call: the factorization of a stack of finite blocks
+        does not couple them, as the pivot test ``|d(i)| >= |0|`` holds at
+        every block end, so no rows are interchanged across one, the
+        multiplier there is a zero and so are the superdiagonals.  So each
+        block's factors are its own, and a block moved by ``s`` positions
+        has its pivot indices shifted by ``s n``.  The zeros at a block end
+        take the sign they have at its new place, which changes only the
+        sign of an exact zero in a solution (see :meth:`solve`).  Otherwise
+        (or for a stack padded to the wrapper's smallest order) the matrix
+        drops its factors, is writable again and is factored on its next
+        solve.  This is the one write a factored matrix takes: whole blocks,
+        with their factors, so its factors never go stale.
+        """
+        band, n = self.band, self.band.shape[-1]
+        if blocks.band.shape != (3, index.size) + band.shape[2:]:
+            raise ValueError(f"a stack of shape {blocks.band.shape[1:]} cannot replace "
+                             f"{index.size} blocks of a stack of shape {band.shape[1:]}")
+        factors, moved = self._factors, blocks._factors
+        if factors is not None:
+            rows, pivots = factors[:2]
+            keep = (moved is not None and rows.shape[1] == band.size // 3
+                    and moved[0].shape[1] == blocks.band.size // 3)  # neither is padded
+            arrays = [band, rows, pivots] if keep else [band, self.diag, self.lower, self.upper]
+            for array in arrays:
+                array.setflags(write=True)
+            if keep:
+                rows.reshape(4, -1, n)[:, index] = moved[0].reshape(4, -1, n)
+                shift = (index - np.arange(index.size)) * n
+                pivots.reshape(-1, n)[index] = moved[1].reshape(-1, n) + shift[:, None]
+            else:
+                self._factors = None
+        band[:, index] = blocks.band
+        if self._factors is not None:
+            for array in (band, rows, pivots):
+                array.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)

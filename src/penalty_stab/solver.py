@@ -28,10 +28,11 @@ together, both serve its residual, and the Gauss values also its Jacobian.
 The feedback functional acts on the unknown state, as the paper's control
 ``u(t) = -r integral(x y(t, x) dx)`` acts on the current one, which adds
 the rank-one row ``r e_b w^T`` to the otherwise tridiagonal Newton matrix;
-the linear solves exploit that structure via a tridiagonal elimination
-plus a Sherman-Morrison correction.  The boundary row's scale
-and its constraint are folded into the last row of the tridiagonal core, so
-the banded solve is unmodified.
+the linear solves exploit that structure via a tridiagonal LU
+factorization (LAPACK ``dgttrf``, once per matrix) and substitution
+(``dgttrs``, per solve), plus a Sherman-Morrison correction.  The boundary
+row's scale and its constraint are folded into the last row of the
+tridiagonal core, so the banded solve is unmodified.
 
 One boundary row serves every variant: its scale is ``eps/nu``, and at
 ``eps = 0`` it imposes ``Y(1) = -r (w . Y)`` exactly, the Dirichlet
@@ -67,6 +68,25 @@ floor, which grows like ``nu/h`` in the interior rows and like ``eps/h`` in
 the boundary row (``scripts/newton_floor.py`` prints it), no longer decides
 whether a step converged.
 
+The march keeps each run's Newton matrix across its steps, a simplified
+Newton method: a :class:`KeptMatrix` holds the matrix ``J~ = J(y~)``
+factored at an earlier iterate ``y~``, with its Sherman-Morrison pieces.
+A step's first update is ``dy = J~^{-1} F(y)``, one substitution; then
+``F(y - dy) = delta (C'(y~) - C'(y)) dy`` plus the cubic remainder, and
+``C'(y~) - C'(y)`` integrates ``3 (y~ - y)(y~ + y)`` against the hats, so
+the bound grows by one term:
+
+    ||F(y1)||_2 <= |delta| ||w||_2 [(3 ||y||_inf + ||dy||_inf) ||dy||_inf^2
+                                    + 3 ||y~ - y||_inf ||y~ + y||_inf ||dy||_inf]
+
+An update that this bound certifies ends the step.  When it does not, the
+update is dropped, and the step runs the Newton iteration above from the
+same iterate, whose first matrix, factored there, is kept from then on (a
+refresh).  So a step fails only where that iteration fails.  The first
+step keeps the matrix of its first update.  In a stack each member
+substitutes with its own kept rows and refreshes them on its own bound,
+so it takes the iterates of its lone run.
+
 A run is one object, its :class:`LinearPart`, built by
 ``LinearPart.of(params, system, k)`` from one :class:`ModelParams` or a
 sequence of them (a stack).  The Newton kernels take it first and read
@@ -82,28 +102,37 @@ does not depend on the iterate is built as rarely as it can be:
   with ``take`` when members leave): ``(1/k - alpha) M + nu K`` as a padded
   band, the mass matrix (one copy per member of a stack), the element
   conductances ``nu/h_e`` of the fluxes, the boundary row's scale
-  and gain, the rank-one feedback row with its right-hand-side
-  buffer (:attr:`RankOneUpdate.pair`), and the gains as floats for the
+  and gain, the rank-one feedback row, and the gains as floats for the
   controls;
+* once per refresh: the kept Newton matrix, as below for an update, with
+  ``x_u = core^{-1} e_b`` and ``1 + v . x_u`` (:class:`NewtonMatrix`);
 * once per level, in the march: the mass product ``M Y_n`` of the new
   level (:attr:`EnsembleLevel.mass_states`), which the next
   :func:`newton_solve` divides by ``k`` as its ``M Y_prev / k`` and
   :func:`simulate` hands to :func:`fem.norms`;
 * once per step, in :func:`newton_solve`: the checks of ``y_prev``, the
-  start and the stack's members, ``M Y_prev / k`` from that product, and at
-  the end the controls, from one ``w . Y`` per run in Python floats;
-* per iteration: ``delta C'(Y)`` (:func:`fem.cubic_jacobian`, whose
-  element integrals become its band in place), to whose band the linear
-  part is added in the same order of operations as a from-scratch build,
-  so the iterates do not change, one :func:`solve_structured`, and the
-  remainder bound of the update (two max reductions); and for an update
-  that the bound does not certify, the nodal differences and Gauss values
-  of the new iterate (:func:`fem.element_values`), its residual (one
-  :func:`fem.reaction_load` pass and the boundary row) and stopping norm.
+  start and the stack's members, ``M Y_prev / k`` from that product, the
+  update by the kept matrix (one substitution and the extended bound, four
+  max reductions), and at the end the controls, from one ``w . Y`` per run
+  in Python floats;
+* per iteration from a refresh on: ``delta C'(Y)``
+  (:func:`fem.cubic_jacobian`, whose element integrals become its band in
+  place), to whose band the linear part is added in the same order of
+  operations as a from-scratch build, so the iterates do not change, one
+  factorization and two substitutions (``e_b`` and the residual, as
+  :func:`solve_structured`), and the remainder bound of the update (two
+  max reductions); and for an update that the bound does not certify, the
+  nodal differences and Gauss values of the new iterate
+  (:func:`fem.element_values`), its residual (one :func:`fem.reaction_load`
+  pass and the boundary row) and stopping norm.
 
 Newton never writes into ``Y_prev`` or its start: each iterate is a new
 array, and so is the result.  Every kernel returns a new array: none writes
 into its inputs, the :class:`LinearPart` or a buffer of an earlier call.
+The one object a step writes is the :class:`KeptMatrix` it is given: it
+replaces the matrix, or writes whole members' rows of it, factors included
+(:meth:`fem.TridiagMatrix.set_blocks`), so a factored matrix never goes
+stale.
 
 One march steps every run, strictly sequential in time:
 :func:`step_ensemble` yields its levels, one :func:`newton_solve` per level,
@@ -111,14 +140,16 @@ and :func:`simulate` records the levels of a lone run, which steps as a 1-D
 state.  Runs that share a mesh and a time grid step together through the
 same march, whatever their variants: their states form a
 ``(B, N)`` stack, each Newton iteration evaluates one stacked residual and
-Jacobian, and one banded elimination solves all B cores, whose couplings in
-the stacked band, ``dgtsv``'s flat ``(3, B, N)`` layout, are exactly zero
-(:class:`fem.TridiagMatrix`).  The Sherman-Morrison correction is applied
-per member, and each member leaves the iteration at its own convergence,
-certified or tested (or at a residual that is not finite), and
-extrapolates from its own levels, so every run equals its separate run
-in value; an exact zero may carry the
-other sign (see :meth:`fem.TridiagMatrix.solve`).  :func:`newton_solve`
+Jacobian, and one banded factorization and substitution solves all B
+cores, whose couplings in the stacked band, LAPACK's flat ``(3, B, N)``
+layout, are exactly zero (:class:`fem.TridiagMatrix`).  The members that
+refresh take a fresh update together, and their factored matrices are
+written into their rows of the kept one.  The Sherman-Morrison correction
+is applied per member, and each member leaves the iteration at its own
+convergence, certified or tested (or at a residual that is not finite),
+and extrapolates from its own levels, so every run equals its separate
+run in value; an exact zero may carry the other sign (see
+:meth:`fem.TridiagMatrix.solve`).  :func:`newton_solve`
 keeps its bookkeeping in Python floats for a 1-D state and in ``(B,)``
 arrays for a stack, whose members' reports are built only when read.
 """
@@ -189,12 +220,17 @@ class StepReport:
     after each update, and ``final_residual_norm`` its last entry.
 
     ``certified`` tells which test accepted the step.  When it is true, the
-    last update's cubic-remainder bound (see the module docstring) was at
-    most the tolerance, and the last entry of ``residual_norms`` is that
-    bound, not a computed residual: it bounds the residual of exact
-    arithmetic and leaves out the linear solve's round-off.  When it is
-    false, every entry is a computed residual, and a converged step's last
-    one is at most the tolerance.
+    last update's remainder bound (see the module docstring) was at most
+    the tolerance, and the last entry of ``residual_norms`` is that bound,
+    not a computed residual: it bounds the residual of exact arithmetic and
+    leaves out the linear solve's round-off.  For an update by a kept
+    Newton matrix, factored at an earlier iterate ``y~``, it is the bound
+    extended by ``3 ||y~ - y||_inf ||y~ + y||_inf ||dy||_inf``, and such a
+    step took one update.  An update by the kept matrix that the extended
+    bound does not certify is dropped and not reported: the step refreshes
+    the matrix and reports the Newton iteration from the same iterate.
+    When ``certified`` is false, every entry is a computed residual, and a
+    converged step's last one is at most the tolerance.
     """
 
     newton_iterations: int
@@ -273,19 +309,116 @@ class RankOneUpdate:
     u: np.ndarray
     v: np.ndarray
 
-    @cached_property
-    def pair(self) -> np.ndarray:
-        """Right-hand sides of :func:`solve_structured`, shape ``u.shape + (2,)``.
+    def take(self, index: np.ndarray) -> "RankOneUpdate":
+        """The updates of the members ``index`` of a stack."""
+        return RankOneUpdate(u=self.u[index], v=self.v[index])
 
-        Column 1 holds ``u``, filled once; each solve writes its right-hand
-        side into column 0.  The elimination copies its input, so the
-        buffer is only ever read after that write.  The buffer is
-        column-major, so each column, and each column of the elimination's
-        result, is one contiguous run of memory.
+
+@dataclass(frozen=True, eq=False)
+class NewtonMatrix:
+    """A Newton matrix ``core + outer(u, v)`` held ready for solves.
+
+    ``core`` keeps its ``dgttrf`` factors from its first solve (see
+    :meth:`fem.TridiagMatrix.solve`), and the Sherman-Morrison correction's
+    pieces are formed once: ``x_u = core^{-1} u`` and ``denominator = 1 + v
+    . x_u``, a numpy scalar for one matrix and one per row for a stack.
+    Both are ``None`` when ``rank_one`` is.  So each :meth:`solve` is one
+    substitution, one dot product per row and one correction.
+    """
+
+    core: TridiagMatrix
+    rank_one: RankOneUpdate | None
+    x_u: np.ndarray | None
+    denominator: np.ndarray | None
+
+    @classmethod
+    def of(cls, core: TridiagMatrix, rank_one: RankOneUpdate | None) -> "NewtonMatrix":
+        """Factor ``core`` (on its first solve) and form ``x_u`` and the denominator.
+
+        Raises
+        ------
+        SingularCoreError
+            Zero pivot in the tridiagonal factorization.
+        SingularUpdateError
+            The correction denominator ``1 + v . core^{-1} u`` vanishes.
         """
-        pair = np.empty((2,) + self.u.shape)
-        pair[1] = self.u
-        return np.moveaxis(pair, 0, -1)
+        if rank_one is None:
+            return cls(core, None, None, None)
+        x_u = core.solve(rank_one.u)
+        v_xu = np.vecdot(rank_one.v, x_u)
+        for s in [float(v_xu)] if v_xu.ndim == 0 else v_xu.reshape(-1).tolist():
+            if abs(1.0 + s) <= 1e-12 * max(1.0, abs(s)):
+                raise SingularUpdateError(
+                    f"rank-one update is singular: 1 + v.core^-1.u = {1.0 + s:.3e}")
+        return cls(core, rank_one, x_u, 1.0 + v_xu)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of ``(core + outer(u, v)) x = rhs``, a new array."""
+        rank_one = self.rank_one
+        if rank_one is None:
+            return self.core.solve(rhs)
+        if rhs.shape != rank_one.u.shape:
+            raise ValueError(f"right-hand side of shape {rhs.shape} does not match "
+                             f"a rank-one update of shape {rank_one.u.shape}")
+        x_rhs = self.core.solve(rhs)
+        weight = np.vecdot(rank_one.v, x_rhs) / self.denominator
+        return x_rhs - self.x_u * (weight if weight.ndim == 0 else weight[..., None])
+
+    def take(self, index: np.ndarray) -> "NewtonMatrix":
+        """The matrices of the members ``index`` of a stack; their core is factored anew."""
+        core = self.core.take(index)
+        if self.rank_one is None:
+            return NewtonMatrix(core, None, None, None)
+        return NewtonMatrix(core, self.rank_one.take(index), self.x_u[index],
+                            self.denominator[index])
+
+
+@dataclass(eq=False)
+class KeptMatrix:
+    """The Newton matrix that a run keeps across its time steps.
+
+    ``matrix`` is a :class:`NewtonMatrix` factored at the states ``at``, one
+    row per member for a stack; both are ``None`` until the first step
+    fills them.  :func:`newton_solve` substitutes with it and refreshes the
+    members that need it; the march keeps the rows of the members that
+    stay (:meth:`restrict`).  It is the one object that a Newton step
+    writes into, and it writes the rows of a stack's members into its own
+    arrays in place.  ``rows`` lists the members it holds when the first
+    step filled it without the members whose start was not finite (those
+    fail that step and are dropped); ``None`` is every member.
+    """
+
+    matrix: NewtonMatrix | None = None
+    at: np.ndarray | None = None
+    rows: np.ndarray | None = None
+
+    def refresh(self, matrix: NewtonMatrix, at: np.ndarray,
+                members: np.ndarray | None = None) -> None:
+        """Keep ``matrix``, factored at ``at``, for the members ``members`` (``None``: all).
+
+        Given members, the rows of ``matrix`` and ``at`` are written into
+        theirs in place, the factored cores by
+        :meth:`fem.TridiagMatrix.set_blocks`.  A matrix held as it was given
+        is taken as this object's own: it comes from a Newton update and
+        nothing else refers to it; ``at``, a Newton iterate, is copied.  A
+        matrix that holds nothing yet takes the given members' rows as they
+        are, and records them as its ``rows``.
+        """
+        kept = self.matrix
+        if members is None or kept is None:
+            self.matrix, self.at, self.rows = matrix, at.copy(), members
+        else:
+            self.at[members] = at
+            if kept.x_u is not None:
+                kept.x_u[members], kept.denominator[members] = matrix.x_u, matrix.denominator
+            kept.core.set_blocks(members, matrix.core)
+
+    def restrict(self, index: np.ndarray) -> None:
+        """Keep only the rows of the members ``index`` of a stack, all of them held."""
+        if self.matrix is not None:
+            if self.rows is not None:
+                index = np.searchsorted(self.rows, index)
+            self.matrix, self.at, self.rows = self.matrix.take(index), self.at[index], None
 
 
 def _members_error(linear: LinearPart, y: np.ndarray) -> MeshError:
@@ -442,13 +575,11 @@ class LinearPart:
             return column if isinstance(column, float) else column[index]
 
         rank_one = self.rank_one
-        if rank_one is not None:
-            rank_one = RankOneUpdate(u=rank_one.u[index], v=rank_one.v[index])
         return replace(self, delta=rows(self.delta), weight=rows(self.weight),
-                       conductance=self.conductance[index],
-                       core=TridiagMatrix.from_band(self.core.band[:, index]),
-                       mass=TridiagMatrix.from_band(self.mass.band[:, index]),
-                       scale=self.scale[index], gain=self.gain[index], rank_one=rank_one,
+                       conductance=self.conductance[index], core=self.core.take(index),
+                       mass=self.mass.take(index), scale=self.scale[index],
+                       gain=self.gain[index],
+                       rank_one=None if rank_one is None else rank_one.take(index),
                        remainder_weight=self.remainder_weight[index])
 
 
@@ -486,36 +617,22 @@ def solve_structured(core: TridiagMatrix, rank_one: RankOneUpdate | None,
                      rhs: np.ndarray) -> np.ndarray:
     """Solve ``(core + outer(u, v)) x = rhs`` exploiting the structure.
 
-    One banded elimination handles both right-hand sides (``rhs`` and ``u``);
-    the rank-one part is then removed by the Sherman-Morrison correction.
-    For a stack of systems (``rhs`` of shape ``(B, N)``, one update per
-    row) all cores go through one stacked elimination and each row gets
-    its own correction.
+    The tridiagonal core is factored once (``dgttrf``, kept with ``core``)
+    and substituted twice (``dgttrs``), for ``u`` and for ``rhs``; the
+    rank-one part is then removed by the Sherman-Morrison correction.  That
+    is :meth:`NewtonMatrix.solve` of a new :class:`NewtonMatrix`.  For a
+    stack of systems (``rhs`` of shape ``(B, N)``, one update per row) all
+    cores go through one stacked factorization and each row gets its own
+    correction.
 
     Raises
     ------
     SingularCoreError
-        Zero pivot in the tridiagonal elimination.
+        Zero pivot in the tridiagonal factorization.
     SingularUpdateError
         The correction denominator ``1 + v . core^{-1} u`` vanishes.
     """
-    if rank_one is None:
-        return core.solve(rhs)
-    if rhs.shape != rank_one.u.shape:
-        raise ValueError(f"right-hand side of shape {rhs.shape} does not match "
-                         f"a rank-one update of shape {rank_one.u.shape}")
-    both = rank_one.pair
-    both[..., 0] = rhs
-    both = core.solve(both)
-    x_rhs, x_u = both[..., 0], both[..., 1]
-    v_xu = np.vecdot(rank_one.v, x_u)
-    lone = v_xu.ndim == 0  # one system: a numpy scalar
-    for s in [float(v_xu)] if lone else v_xu.reshape(-1).tolist():
-        if abs(1.0 + s) <= 1e-12 * max(1.0, abs(s)):
-            raise SingularUpdateError(
-                f"rank-one update is singular: 1 + v.core^-1.u = {1.0 + s:.3e}")
-    weight = np.vecdot(rank_one.v, x_rhs) / (1.0 + v_xu)
-    return x_rhs - x_u * (weight if lone else weight[..., None])
+    return NewtonMatrix.of(core, rank_one).solve(rhs)
 
 
 def _residual_norms(f: np.ndarray) -> np.ndarray:
@@ -530,20 +647,87 @@ def _evaluate(linear: LinearPart, system: AssembledSystem, y: np.ndarray, y_prev
     return gauss, residual(linear, system, y, y_prev, prev_load=load, gauss=gauss, diffs=diffs)
 
 
+def _bound(weight: np.ndarray | float, y: np.ndarray, dy: np.ndarray,
+           at: np.ndarray | None = None) -> np.ndarray | float:
+    """The remainder bound on the residual norm at ``y - dy`` (see the module docstring).
+
+    ``|delta| (3 ||y||_inf + ||dy||_inf) ||dy||_inf^2 ||w||_2`` for the
+    Newton matrix at ``y``; for one factored at the states ``at``, ``3
+    ||at - y||_inf ||at + y||_inf ||dy||_inf`` more inside the bracket.  A
+    float for a 1-D state and one per row of a stack, each row's bits those
+    of its 1-D update.  ``weight`` is the rows' ``remainder_weight``.
+    """
+    if at is None:
+        y_max, dy_max = np.abs(y).max(axis=-1), np.abs(dy).max(axis=-1)
+        if y.ndim == 1:  # Python floats, for a lone run's bookkeeping
+            y_max, dy_max = float(y_max), float(dy_max)
+        return weight * (3.0 * y_max + dy_max) * dy_max * dy_max
+    rows = np.empty((4,) + y.shape)  # the four maxima in one reduction
+    rows[0], rows[1] = y, dy
+    np.subtract(at, y, out=rows[2])
+    np.add(at, y, out=rows[3])
+    np.abs(rows, out=rows)
+    maxima = np.maximum.reduce(rows, axis=-1)
+    y_max, dy_max, gap, mid = maxima.tolist() if y.ndim == 1 else maxima
+    return weight * ((3.0 * y_max + dy_max) * dy_max * dy_max + 3.0 * gap * mid * dy_max)
+
+
 def _update(linear: LinearPart, system: AssembledSystem, y: np.ndarray, gauss: np.ndarray,
-            f: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+            f: np.ndarray, kept: KeptMatrix | None = None, members: np.ndarray | None = None,
+            rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | float]:
     """One Newton update of ``y``: the new iterate and the remainder bound on its residual norm.
 
-    The bound is ``|delta| (3 ||y||_inf + ||dy||_inf) ||dy||_inf^2 ||w||_2``
-    of the module docstring, a float for a 1-D state and one per row of a
-    stack, each row's bits those of its 1-D update.
+    The update solves with the Newton matrix at ``y``, from
+    :func:`jacobian`, as :func:`solve_structured` does.  Given ``rows``,
+    only those rows of a stack are updated, from their rows of that matrix
+    (a stack's Jacobian costs about what a taken one does), and the
+    result holds only them.  Given ``kept``, the matrix is kept in it for
+    the members ``members`` of ``kept`` that the result holds (see
+    :meth:`KeptMatrix.refresh`).
     """
     core, rank_one = jacobian(linear, system, y, gauss=gauss)
-    dy = solve_structured(core, rank_one, f)
-    y_max, dy_max = np.abs(y).max(axis=-1), np.abs(dy).max(axis=-1)
-    if y.ndim == 1:  # Python floats, for a lone run's bookkeeping
-        y_max, dy_max = float(y_max), float(dy_max)
-    return y - dy, linear.remainder_weight * (3.0 * y_max + dy_max) * dy_max * dy_max
+    weight = linear.remainder_weight
+    if rows is not None:
+        core = core.take(rows)
+        if rank_one is not None:
+            rank_one = rank_one.take(rows)
+        y, f, weight = y[rows], f[rows], weight[rows]
+    matrix = NewtonMatrix.of(core, rank_one)
+    dy = matrix.solve(f)
+    if kept is not None:
+        kept.refresh(matrix, y, members)
+    return y - dy, _bound(weight, y, dy)
+
+
+def _kept_update(linear: LinearPart, system: AssembledSystem, y: np.ndarray,
+                 gauss: np.ndarray, f: np.ndarray, kept: KeptMatrix, members: np.ndarray | None,
+                 tol: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """A step's first update, by the kept matrix where its bound is at most ``tol``.
+
+    ``members`` are the members of ``kept`` whose rows ``y`` holds
+    (``None``: all of them).  Each member whose kept update the extended
+    bound does not certify (every member, while ``kept`` holds nothing)
+    drops it and takes the :func:`_update` from the same iterate instead,
+    and keeps that update's matrix.
+    """
+    if kept.matrix is None:
+        return _update(linear, system, y, gauss, f, kept, members)
+    matrix, at = kept.matrix, kept.at
+    if members is not None:  # members left before the first update
+        matrix, at = matrix.take(members), at[members]
+    dy = matrix.solve(f)
+    bound = _bound(linear.remainder_weight, y, dy, at)
+    if y.ndim == 1:
+        return (y - dy, bound) if bound <= tol else _update(linear, system, y, gauss, f, kept)
+    fresh = ~(bound <= tol)
+    if not np.count_nonzero(fresh):
+        return y - dy, bound
+    rows = np.flatnonzero(fresh)
+    y_fresh, bound[rows] = _update(linear, system, y, gauss, f, kept,
+                                   rows if members is None else members[rows], rows)
+    y = y - dy
+    y[rows] = y_fresh
+    return y, bound
 
 
 def _report(history: list[float], tol: float, gain: float, moment: float,
@@ -556,8 +740,8 @@ def _report(history: list[float], tol: float, gain: float, moment: float,
 
 def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray,
                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER, *,
-                 start: np.ndarray | None = None, prev_mass: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, StepReport | StackReport]:
+                 start: np.ndarray | None = None, prev_mass: np.ndarray | None = None,
+                 kept: KeptMatrix | None = None) -> tuple[np.ndarray, StepReport | StackReport]:
     """Advance one backward Euler step from ``y_prev`` by Newton iteration.
 
     ``linear`` is the run's :class:`LinearPart`: the time step, the
@@ -569,12 +753,19 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     here either way.  It stops after an update whose cubic-remainder bound
     is at most ``tol`` (certified: no residual is evaluated at the new
     iterate), or else whose residual's Euclidean norm is at most ``tol``.
+    ``kept`` is the run's :class:`KeptMatrix`, which the march keeps
+    across its steps with the same linear part: the first update is then
+    by its matrix where the extended bound certifies it, and each member it
+    does not certify refreshes its rows of ``kept`` (see the module
+    docstring).  An empty one is filled by the first update's matrix.
+    Without it every update uses a Newton matrix at its own iterate.
     A step that exhausts ``max_iter`` returns its
     diagnostics with ``converged=False`` instead of raising; so does a step
     whose residual norm is not finite, which takes no further update (none
     at all when the start's is not).  Linear-solve failures propagate.
     Returns the new state and its :class:`StepReport`.  Neither ``y_prev``
-    nor ``start`` is written, and the new state is a new array.
+    nor ``start`` is written, and the new state is a new array; ``kept``
+    is the one argument written.
 
     With a linear part of B members, ``y_prev`` is a ``(B, N)`` stack, the B
     steps share each iteration's residual, Jacobian and stacked solve, and
@@ -600,6 +791,8 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
         raise ParameterDomainError("tol must be positive and max_iter >= 1")
     y = y_prev if start is None else start  # never written: each iterate is a new array
     _check_states(linear, system, y, y_prev)
+    if kept is not None and kept.at is not None and kept.at.shape != y.shape:
+        raise _members_error(linear, kept.at)
     if prev_mass is None:
         prev_mass = linear.mass.matvec(y_prev)
     prev, load = y_prev, prev_mass / linear.k
@@ -609,8 +802,11 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
         if not math.isfinite(history[0]):
             y = y.copy()  # no update, but still a new array
         else:
-            for _ in range(max_iter):
-                y, bound = _update(linear, system, y, gauss, f)
+            for iteration in range(max_iter):
+                if kept is None or iteration:
+                    y, bound = _update(linear, system, y, gauss, f)
+                else:
+                    y, bound = _kept_update(linear, system, y, gauss, f, kept, None, tol)
                 if bound <= tol:
                     history.append(bound)
                     certified = True
@@ -633,7 +829,11 @@ def newton_solve(linear: LinearPart, system: AssembledSystem, y_prev: np.ndarray
     for phase in range(2 * max_iter + 1):
         iteration, bounded = (phase + 1) // 2, phase % 2 == 1
         if bounded:
-            y, norms = _update(linear, system, y, gauss, f)
+            if kept is None or phase > 1:
+                y, norms = _update(linear, system, y, gauss, f)
+            else:  # the step's first update
+                y, norms = _kept_update(linear, system, y, gauss, f, kept,
+                                        None if active.size == n_members else active, tol)
             history.append(np.empty(n_members))
             keep = ~(norms <= tol)  # not certified: its residual is evaluated
         elif phase:
@@ -705,8 +905,9 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
     at the first step, from the linear extrapolation ``2 y_1 - y_0`` at the
     second, and then from the quadratic extrapolation ``3 (y_n - y_{n-1}) +
     y_{n-2}`` of each member's own last three levels, whose error is
-    ``O(k^3)``.  A member whose step fails is dropped with its state and
-    its earlier levels, and the linear part of the others is taken once per
+    ``O(k^3)``.  Every step is handed the run's one :class:`KeptMatrix`.
+    A member whose step fails is dropped with its state, its earlier levels
+    and its kept rows, and the linear part of the others is taken once per
     drop-out; the march ends when none is left.  Each level's mass
     product is formed once, after any drop-out, and handed to the next step.
     """
@@ -715,6 +916,7 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
     mass = linear.mass.matvec(states)
     yield EnsembleLevel(0, members, states, members, initial, mass)
     previous = older = None
+    kept = KeptMatrix()
     for n in range(1, time_grid.n_steps + 1):
         if previous is None:
             start = None
@@ -724,7 +926,7 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
             start = 3.0 * (states - previous) + older
         older, previous, attempted = previous, states, members
         states, step = newton_solve(linear, system, states, *settings, start=start,
-                                    prev_mass=mass)
+                                    prev_mass=mass, kept=kept)
         if lone and not step.converged:
             members, states = members[:0], states[:0]
         elif not lone and not step.converged.all():
@@ -733,6 +935,7 @@ def _march(linear: LinearPart, system: AssembledSystem, states: np.ndarray,
             if older is not None:
                 older = older[rows]
             linear = linear.take(rows)
+            kept.restrict(rows)
         mass = linear.mass.matvec(states) if members.size else None
         yield EnsembleLevel(n, members, states, attempted, step, mass)
         if not members.size:
@@ -756,7 +959,10 @@ def step_ensemble(params: ModelParams | Sequence[ModelParams], system: Assembled
     Newton solve starts from ``2 y_1 - y_0`` and each later one from the
     quadratic extrapolation ``3 (y_n - y_{n-1}) + y_{n-2}``, whose error is
     ``O(k^3)``, so the last three levels are held, and memory does not grow
-    with the number of steps.  A member with ``epsilon = 0`` solves the
+    with the number of steps.  Each run keeps its Newton matrix across its
+    steps and refreshes it where the extended remainder bound does not
+    certify an update by it (see the module docstring).  A member with
+    ``epsilon = 0`` solves the
     Dirichlet feedback problem, so one stack may mix it with penalized
     members; every member's feedback acts on its new state.  Each penalized
     run that violates the stabilization conditions triggers a warning, which

@@ -591,6 +591,92 @@ def test_tridiag_zero_pivot_after_elimination_raises():
         core.solve(np.ones(4))
 
 
+@pytest.mark.parametrize("interchanges", [False, True], ids=["dominant", "interchanging"])
+@pytest.mark.parametrize("columns", [None, 2], ids=["1 rhs", "2 rhs"])
+@pytest.mark.parametrize("members", [None, 4], ids=["lone", "stack of 4"])
+def test_tridiag_solve_equals_dgtsv_bit_for_bit(members, columns, interchanges):
+    # one dgttrf per matrix and a dgttrs per solve give the bits of one dgtsv
+    # call, block by block for a stack; diagonals in [-1, 1] make dgttrf
+    # interchange rows, dominant ones (3 + [0, 1)) never do
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(61 + 2 * bool(interchanges))
+    swapped = factored = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 24))
+        shape = (n,) if members is None else (members, n)
+        off = shape[:-1] + (n - 1,)
+        diag = rng.uniform(-1.0, 1.0, shape) if interchanges else 3.0 + rng.random(shape)
+        lower, upper = rng.uniform(-1.0, 1.0, off), rng.uniform(-1.0, 1.0, off)
+        rhs = rng.standard_normal(shape + (() if columns is None else (columns,)))
+        x = TridiagMatrix(diag=diag, lower=lower, upper=upper).solve(rhs)
+        assert x.shape == rhs.shape
+        for block in [...] if members is None else range(members):  # ...: the lone system
+            ref = lapack.dgtsv(lower[block], diag[block], upper[block], rhs[block])[3]
+            assert x[block].tobytes() == ref.tobytes()
+            if n >= 3:  # scipy's dgttrf wrapper takes no smaller order
+                pivots = lapack.dgttrf(lower[block], diag[block], upper[block])[4]
+                swapped += bool(np.any(pivots != np.arange(1, n + 1)))
+                factored += 1
+    assert (swapped > factored // 2) if interchanges else swapped == 0
+
+
+@pytest.mark.parametrize("factored", [(True, True), (True, False), (False, True)],
+                         ids=["both factored", "blocks unfactored", "stack unfactored"])
+def test_set_blocks_equals_a_stack_factored_from_scratch(factored):
+    # moved blocks keep their factors with their pivot indices shifted; the
+    # systems interchange rows, so the shift is exercised
+    rng = np.random.default_rng(71)
+
+    def stack(members):
+        shape, off = (members, 9), (members, 8)
+        return TridiagMatrix(diag=rng.uniform(-1, 1, shape), lower=rng.uniform(-1, 1, off),
+                             upper=rng.uniform(-1, 1, off))
+
+    kept, blocks = stack(5), stack(2)
+    rhs = rng.standard_normal((5, 9))
+    for matrix, wanted in zip((kept, blocks), factored):
+        if wanted:
+            matrix.solve(rng.standard_normal(matrix.band.shape[1:]))
+    index = np.array([3, 0])
+    expected = kept.band.copy()
+    expected[:, index] = blocks.band
+    kept.set_blocks(index, blocks)
+    assert kept.band.tobytes() == expected.tobytes()
+    assert (kept._factors is not None) == all(factored)  # else factored on the next solve
+    assert kept.solve(rhs).tobytes() == TridiagMatrix.from_band(expected).solve(rhs).tobytes()
+    with pytest.raises(ValueError, match="read-only"):  # solved, so read-only again
+        kept.diag[0, 0] = 5.0
+    with pytest.raises(ValueError, match="cannot replace"):
+        kept.set_blocks(np.array([1]), blocks)
+
+
+def test_a_solved_matrix_cannot_go_stale():
+    # the first solve keeps dgttrf's factors with the matrix and makes its band
+    # read-only, so no write can leave them describing another matrix
+    rng = np.random.default_rng(67)
+    band = np.stack([rng.uniform(-1, 1, (3, 7)), 3.0 + rng.random((3, 7)),
+                     rng.uniform(-1, 1, (3, 7))])
+    band[0::2, :, -1] = 0.0
+    for matrix in [TridiagMatrix(diag=band[1, 0], lower=band[0, 0, :-1], upper=band[2, 0, :-1]),
+                   TridiagMatrix.from_band(band)]:
+        rhs = rng.standard_normal(matrix.band.shape[1:])
+        x = matrix.solve(rhs)
+        for name in ("band", "diag", "lower", "upper"):
+            view = getattr(matrix, name)
+            with pytest.raises(ValueError, match="read-only"):
+                view[(0,) * view.ndim] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                view *= 2.0
+        assert matrix.solve(rhs).tobytes() == x.tobytes()
+    with pytest.raises(ValueError, match="read-only"):  # the buffer from_band was given
+        band[1, 0, 0] = 5.0
+    # a matrix that is never solved stays writable
+    fresh = TridiagMatrix.symmetric(np.full(4, 3.0), np.ones(3))
+    fresh.diag[0] = 4.0
+    assert fresh.band[1, 0] == 4.0
+
+
 # ---------------------------------------------------------------------------
 # the LAPACK binding
 
@@ -638,9 +724,10 @@ def test_cli_import_loads_only_the_flapack_extension():
     # a plain ``import scipy.linalg`` costs more than the rest of start-up; the
     # extension is loaded without it and leaves no entry in sys.modules
     loaded = run_python("-c", "import sys, penalty_stab.cli; "
-                              "print(type(penalty_stab.fem.dgtsv).__name__, "
+                              "print(type(penalty_stab.fem.dgttrf).__name__, "
+                              "type(penalty_stab.fem.dgttrs).__name__, "
                               "*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert loaded.split() == ["fortran"]
+    assert loaded.split() == ["fortran", "fortran"]
 
 
 @pytest.mark.parametrize("first", ["penalty_stab", "scipy"])
@@ -652,15 +739,16 @@ def test_scipy_linalg_and_the_package_share_one_flapack_either_way(first):
         imports.reverse()
     out = run_python("-c", f"import sys, {', '.join(imports)}; "
                            "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'], "
-                           "scipy.linalg.lapack.dgtsv is fem.dgtsv)")
-    assert out.split() == ["True", "True"]
+                           "scipy.linalg.lapack.dgttrf is fem.dgttrf, "
+                           "scipy.linalg.lapack.dgttrs is fem.dgttrs)")
+    assert out.split() == ["True", "True", "True"]
 
 
 def test_scipy_linalg_reuses_the_loaded_extension_bit_for_bit():
     import scipy.linalg
     from scipy.linalg import _flapack, lapack
 
-    assert lapack.dgtsv is fem.dgtsv
+    assert lapack.dgttrf is fem.dgttrf and lapack.dgttrs is fem.dgttrs
     assert _flapack is sys.modules["scipy.linalg._flapack"]
     for name, (core, rhs) in tridiag_cases().items():
         x = core.solve(rhs)

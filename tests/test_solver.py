@@ -12,9 +12,11 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from penalty_stab import fem, solver
 from penalty_stab import (
+    KeptMatrix,
     LinearPart,
     MeshError,
     ModelParams,
+    NewtonMatrix,
     ParameterDomainError,
     RankOneUpdate,
     SingularCoreError,
@@ -39,7 +41,7 @@ from penalty_stab import (
     solve_structured,
     step_ensemble,
 )
-from penalty_stab.solver import StepReport, _residual_norms
+from penalty_stab.solver import NEWTON_TOL, StepReport, _residual_norms
 
 RNG = np.random.default_rng(987654)
 
@@ -402,14 +404,12 @@ def test_structured_solve_singular_update_detected():
 
 
 def test_stacked_structured_solve_rejects_a_right_hand_side_of_another_shape():
-    # a 1-D right-hand side would broadcast into the stacked pair buffer;
+    # a 1-D right-hand side would broadcast against the stacked correction;
     # core.solve raises for it, and so does the solve with an update
     rng = np.random.default_rng(34)
     core, rank_one, _ = stacked([random_structured_system(rng, 5) for _ in range(2)])
-    pair = rank_one.pair.copy()
     with pytest.raises(ValueError, match=r"\(5,\).*\(2, 5\)"):
         solve_structured(core, rank_one, rng.standard_normal(5))
-    assert np.array_equal(rank_one.pair, pair)  # rejected before the buffer is written
     with pytest.raises(ValueError):
         core.solve(rng.standard_normal(5))
 
@@ -666,7 +666,7 @@ def test_kernel_results_share_no_memory_with_inputs_run_or_previous_result(stack
     y = np.stack([y, -2.0 * y, 0.5 * y]) if stacked else y
     y_prev = 0.9 * y
     load = linear.mass.matvec(y_prev) / linear.k
-    run = [linear.core.band, linear.mass.band, linear.rank_one.pair, linear.rank_one.u,
+    run = [linear.core.band, linear.mass.band, linear.rank_one.u,
            linear.rank_one.v, linear.conductance, system.mass.band, system.stiffness.band,
            system.moment, system.mesh.element_sizes]
 
@@ -675,6 +675,7 @@ def test_kernel_results_share_no_memory_with_inputs_run_or_previous_result(stack
         flux = linear.conductance * diffs
         f = residual(linear, system, y, y_prev, prev_load=load, gauss=gauss, diffs=diffs)
         core = jacobian(linear, system, y, gauss=gauss)[0]
+        matrix = NewtonMatrix.of(core, linear.rank_one)
         return {
             "element_values.diffs": (diffs, [y]),
             "element_values.gauss": (gauss, [y]),
@@ -684,6 +685,7 @@ def test_kernel_results_share_no_memory_with_inputs_run_or_previous_result(stack
             "residual": (f, [y, y_prev, load, gauss, diffs]),
             "jacobian": (core.band, [y, gauss]),
             "solve_structured": (solve_structured(core, linear.rank_one, f), [core.band, f]),
+            "NewtonMatrix.solve": (matrix.solve(f), [core.band, f, matrix.x_u]),
         }
 
     first, second = calls(), calls()
@@ -854,17 +856,22 @@ def extrapolated_start(past):
 def test_stacked_runs_equal_runs_stepped_one_by_one_from_extrapolation():
     system = assemble(make_uniform_mesh(32))
     y0 = project_initial(system.mesh, sin_pi)
-    grid = TimeGrid(k=1.0 / 1050.0, n_steps=12)
+    # 40 steps: every member refreshes its kept matrix at each of the first
+    # 14, and from step 15 on the eps = 1e-8 member certifies an update by
+    # it at 16 steps, which an oracle without the kept matrix does not take
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=40)
     members = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
                for eps in (1e-1, 1e-4, 1e-8)]
     stacked = list(step_ensemble(members, system, y0, grid))
     # at level 9 members leave the stacked iteration after one or after two updates
     assert {r.newton_iterations for r in stacked[9].reports.values()} == {1, 2}
     for b, params in enumerate(members):
-        # Newton by hand: step 2 from 2 y_1 - y_0, later ones from 3 (y_n - y_{n-1}) + y_{n-2}
-        past, linear = [y0], LinearPart.of(params, system, grid.k)
+        # Newton by hand: step 2 from 2 y_1 - y_0, later ones from 3 (y_n - y_{n-1}) + y_{n-2},
+        # each run keeping its Newton matrix across the steps
+        past, linear, kept = [y0], LinearPart.of(params, system, grid.k), KeptMatrix()
         for level in stacked[1:]:
-            y, report = newton_solve(linear, system, past[-1], start=extrapolated_start(past))
+            y, report = newton_solve(linear, system, past[-1], start=extrapolated_start(past),
+                                     kept=kept)
             past.append(y)
             assert np.array_equal(level.states[b], y)
             assert level.reports[b] == report
@@ -884,14 +891,134 @@ def test_penalized_run_and_pinned_baseline_step_as_one_stack():
     separate = [list(step_ensemble([params], system, y0, grid)),
                 list(step_ensemble([pinned], system, y0_pinned, grid))]
     linear = LinearPart.of([params, pinned], system, grid.k)
-    past = [np.stack([y0, y0_pinned])]
+    past, kept = [np.stack([y0, y0_pinned])], KeptMatrix()
     for n in range(1, grid.n_steps + 1):
-        y, reports = newton_solve(linear, system, past[-1], start=extrapolated_start(past))
+        y, reports = newton_solve(linear, system, past[-1], start=extrapolated_start(past),
+                                  kept=kept)
         past.append(y)
         for b, levels in enumerate(separate):
             assert np.array_equal(y[b], levels[n].states[0])
             assert reports[b] == levels[n].reports[0]
     assert y[1, -1] == 0.0
+
+
+def recording_kept_steps(steps, mark=None):
+    """A stand-in for ``solver.newton_solve`` that records each step of a march.
+
+    Each record is ``(y_prev, y, reports, refreshed)`` with one row per
+    member the step took (a lone run as a stack of one): ``refreshed`` marks
+    the members whose kept matrix the step factored anew, as their kept
+    states changed.  ``mark(n, reports)``, when given, may edit step ``n``'s
+    reports before the march reads them.
+    """
+    real = solver.newton_solve
+
+    def recording(linear, system, y_prev, *args, kept, **kwargs):
+        before = None if kept.at is None else kept.at.copy()
+        y, report = real(linear, system, y_prev, *args, kept=kept, **kwargs)
+        refreshed = (np.ones(len(np.atleast_2d(y)), dtype=bool) if before is None
+                     else np.atleast_1d(np.any(kept.at != before, axis=-1)))
+        reports = [report] if isinstance(report, StepReport) else report
+        if mark is not None:
+            mark(len(steps) + 1, reports)
+        steps.append((np.atleast_2d(y_prev), np.atleast_2d(y), list(reports), refreshed))
+        return y, report
+
+    return recording
+
+
+@pytest.mark.parametrize("epsilons", [[0.01], [1.0, 1e-6]], ids=["lone", "stack"])
+def test_kept_matrix_certificates_bound_the_recomputed_residual(epsilons):
+    # a kept matrix, factored at an earlier level, certifies an update by the
+    # bound extended by 3 ||at - y|| ||at + y|| ||dy||; the residual recomputed
+    # at each state it accepted is within that bound, itself within tol
+    system = assemble(make_uniform_mesh(32))
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=400)
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
+               for eps in epsilons]
+    steps = []
+    with mock.patch.object(solver, "newton_solve", recording_kept_steps(steps)):
+        levels = list(step_ensemble(members[0] if len(members) == 1 else members, system,
+                                    project_initial(system.mesh, sin_pi), grid))
+    assert len(levels) == grid.n_steps + 1
+    kept_certified = [0] * len(members)
+    for y_prev, y, reports, refreshed in steps:
+        for b, params in enumerate(members):
+            if refreshed[b]:
+                continue
+            report = reports[b]
+            assert report.certified and report.newton_iterations == 1
+            assert report.final_residual_norm <= NEWTON_TOL
+            linear = LinearPart.of(params, system, grid.k)
+            norm = np.linalg.norm(residual(linear, system, y[b], y_prev[b]))
+            assert norm <= report.final_residual_norm + residual_floor(params, system, grid.k,
+                                                                       y[b], y_prev[b])
+            kept_certified[b] += 1
+    refreshes = np.sum([refreshed for *_, refreshed in steps], axis=0)
+    # every member both certifies updates by its kept matrix and refreshes it
+    # (eps = 1e-6 and 0.01 do so about 40 times in 400 steps, eps = 1 about 330)
+    assert all(kept > 10 and count > 10 for kept, count in zip(kept_certified, refreshes))
+
+
+def test_stack_refreshing_apart_with_a_drop_out_equals_its_lone_runs():
+    # the members refresh their kept matrices at different steps, and one
+    # is marked unconverged half way; every member's levels are those of its lone run
+    system = assemble(make_uniform_mesh(16))
+    y0 = project_initial(system.mesh, sin_pi)
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=120)
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=0.13, r=math.sqrt(eps), epsilon=eps)
+               for eps in (1.0, 1e-2, 1e-6)] + [
+        ModelParams(nu=0.1, alpha=0.13, delta=0.5, r=0.05, epsilon=0.0)]
+    failing, fail_at = 1, 60
+
+    def mark(n, reports):
+        if n == fail_at:  # no member has left before: row j is member j
+            reports.converged[failing] = False
+
+    steps = []
+    with mock.patch.object(solver, "newton_solve", recording_kept_steps(steps, mark)):
+        levels = list(step_ensemble(members, system, y0, grid))
+    patterns = {i: [] for i in range(len(members))}
+    for level, (*_, refreshed) in zip(levels[1:], steps):
+        for row, i in enumerate(level.attempted.tolist()):
+            if refreshed[row]:
+                patterns[i].append(level.index)
+    # eps = 1 and the Dirichlet member refresh at every step, the others
+    # every step for 30 steps and then every second or third one
+    assert len({tuple(steps_of) for steps_of in patterns.values()}) == 3
+    assert all(len(steps_of) > 1 for steps_of in patterns.values())
+    for i, params in enumerate(members):
+        lone = list(step_ensemble(params, system, y0, grid))
+        until = fail_at if i == failing else grid.n_steps + 1
+        for level, alone in zip(levels[:until], lone):
+            row = level.members.tolist().index(i)
+            assert np.array_equal(level.states[row], alone.states)
+            assert level.reports[i] == alone.step
+        if i == failing:
+            assert levels[fail_at].reports[i] == replace(lone[fail_at].step, converged=False)
+            assert i not in levels[fail_at].members
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_stack_keeps_the_matrices_of_the_members_whose_first_start_is_finite():
+    # at 1e102 the residual of the delta = 1e3 member overflows at its start,
+    # so it leaves the first step before any update; the others keep the
+    # matrices of their first updates, and their second steps certify updates
+    # by them as their lone runs do (at this scale's tolerance)
+    system = assemble(make_uniform_mesh(8))
+    y0 = project_initial(system.mesh, lambda x: 1e102 * sin_pi(x))
+    grid = TimeGrid(k=1.0 / 1050.0, n_steps=5)
+    members = [ModelParams(nu=0.1, alpha=0.13, delta=delta, r=0.1, epsilon=0.01)
+               for delta in (1e-204, 1e3, 2e-204)]
+    levels = list(step_ensemble(members, system, y0, grid, newton_tol=1e96))
+    assert not math.isfinite(levels[1].reports[1].final_residual_norm)
+    assert levels[1].members.tolist() == [0, 2]
+    for i in (0, 2):
+        lone = list(step_ensemble(members[i], system, y0, grid, newton_tol=1e96))
+        assert lone[2].step.newton_iterations == 1
+        for level, alone in zip(levels, lone, strict=True):
+            assert np.array_equal(level.states[level.members.tolist().index(i)], alone.states)
+            assert level.reports[i] == alone.step
 
 
 @st.composite
